@@ -21,9 +21,9 @@ import numpy as np
 from .errors import DomainError, InconclusiveError
 from .iteration import IterationTrace
 from .sets import ConvexSet, GridSpec
-from .spaces import EuclideanSpace, PoincareDiskSpace, Point
+from .spaces import Point
 
-_CHUNK = 4_000_000  # max pairwise-block entries per vectorized slab
+_BLOCK = 8192  # max entries of one pairwise block
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,9 @@ def best_pair_bruteforce(
     Independent of the projection implementations; the reported distance is
     within one grid step per set of the true set distance for sets whose
     nearest pair lies on the sampled region (boundaries suffice for distinct,
-    non-nested convex sets).
+    non-nested convex sets).  The space's batched kernel scores the grid
+    pairs in blocks of at most ``_BLOCK`` entries; the winning pair's
+    distance is reported as ``space.distance`` gives it.
     """
     if set_a.space != set_b.space:
         raise DomainError("sets must live in the same space")
@@ -121,64 +123,23 @@ def best_pair_bruteforce(
     if not pts_a or not pts_b:
         raise DomainError("empty grid; widen the window or refine the grid step")
     space = set_a.space
-    if isinstance(space, EuclideanSpace):
-        i, j, dist = _min_pair_euclidean(pts_a, pts_b)
-    elif isinstance(space, PoincareDiskSpace):
-        i, j, dist = _min_pair_disk(pts_a, pts_b)
-    else:
-        i, j, dist = _min_pair_generic(space, pts_a, pts_b)
-    return BestPairResult(a=pts_a[i], b=pts_b[j], dist=dist, method="brute-force-grid")
-
-
-def _min_pair_euclidean(pts_a, pts_b):
-    A = np.asarray([p.payload for p in pts_a])
-    B = np.asarray([p.payload for p in pts_b])
-    bb = np.einsum("ij,ij->i", B, B)
-    rows = max(1, _CHUNK // len(B))
+    A = space._pack([p.payload for p in pts_a])
+    B = space._pack([p.payload for p in pts_b])
+    # Blocks of whole rows, or slices of one row when B alone exceeds the
+    # block; argmin takes the first minimum in row-major order and later
+    # blocks must be strictly smaller, so ties go to the first pair overall.
+    rows = max(1, _BLOCK // len(B))
+    cols = min(len(B), _BLOCK)
     best = (math.inf, 0, 0)
     for lo in range(0, len(A), rows):
-        Ac = A[lo : lo + rows]
-        aa = np.einsum("ij,ij->i", Ac, Ac)
-        d2 = aa[:, None] + bb[None, :] - 2.0 * (Ac @ B.T)
-        flat = int(np.argmin(d2))
-        i, j = divmod(flat, len(B))
-        val = float(d2[i, j])
-        if val < best[0]:
-            best = (val, lo + i, j)
-    d2, i, j = best
-    return i, j, math.dist(pts_a[i].payload, pts_b[j].payload)
-
-
-def _min_pair_disk(pts_a, pts_b):
-    # 2 atanh is monotone, so minimizing the Mobius quotient suffices.
-    u = np.asarray([p.payload for p in pts_a], dtype=complex)
-    v = np.asarray([p.payload for p in pts_b], dtype=complex)
-    rows = max(1, _CHUNK // len(v))
-    best = (math.inf, 0, 0)
-    for lo in range(0, len(u), rows):
-        uc = u[lo : lo + rows]
-        delta = np.abs(uc[:, None] - v[None, :]) / np.abs(
-            1.0 - np.conjugate(uc)[:, None] * v[None, :]
-        )
-        flat = int(np.argmin(delta))
-        i, j = divmod(flat, len(v))
-        val = float(delta[i, j])
-        if val < best[0]:
-            best = (val, lo + i, j)
+        for col in range(0, len(B), cols):
+            block = space._pairwise(A[lo : lo + rows], B[col : col + cols])
+            i, j = divmod(int(np.argmin(block)), block.shape[1])
+            if block[i, j] < best[0]:
+                best = (block[i, j], lo + i, col + j)
     _, i, j = best
-    space = pts_a[i].space
-    return i, j, space.distance(pts_a[i], pts_b[j])
-
-
-def _min_pair_generic(space, pts_a, pts_b):
-    best = (math.inf, 0, 0)
-    for i, pa in enumerate(pts_a):
-        for j, pb in enumerate(pts_b):
-            d = space.distance(pa, pb)
-            if d < best[0]:
-                best = (d, i, j)
-    d, i, j = best
-    return i, j, d
+    a, b = pts_a[i], pts_b[j]
+    return BestPairResult(a=a, b=b, dist=space.distance(a, b), method="brute-force-grid")
 
 
 def _point_sort_key(p: Point):

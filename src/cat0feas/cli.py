@@ -119,17 +119,24 @@ def _build_map(inst: InstanceConfig):
     return averaged_projections(set_a, set_b, inst.lam)
 
 
+def _twin_trace(inst: InstanceConfig, steps: int, **picard_options):
+    """Picard trace of the product-space twin Q o U, started on the diagonal;
+    its space is the lam-weighted product of the instance space."""
+    set_a, set_b, start = inst.require_sets()
+    cs = ConvexCombinationSpace(inst.space, inst.lam)
+    qu = ComposeMap(
+        diagonal_projection(cs),
+        PairMap(cs, ProjectionMap(set_a), ProjectionMap(set_b)),
+    )
+    return picard(qu, embed_diagonal(cs, start), steps, **picard_options)
+
+
 def _run_trace(inst: InstanceConfig, n_max=None):
     set_a, set_b, start = inst.require_sets()
     steps = inst.n_max if n_max is None else n_max
     if inst.mode == "product-reduction":
         # Iterate the product-space twin and read the trace off the diagonal.
-        cs = ConvexCombinationSpace(inst.space, inst.lam)
-        qu = ComposeMap(
-            diagonal_projection(cs),
-            PairMap(cs, ProjectionMap(set_a), ProjectionMap(set_b)),
-        )
-        twin = picard(qu, embed_diagonal(cs, start), steps)
+        twin = _twin_trace(inst, steps)
         points = [p.payload[0] for p in twin.points]
         space = inst.space
         return IterationTrace(
@@ -321,13 +328,8 @@ def _run_one(inst: InstanceConfig, out: Path):
             steps,
             stop_on_stationary=False,
         )
-        cs = ConvexCombinationSpace(inst.space, inst.lam)
-        qu = ComposeMap(
-            diagonal_projection(cs),
-            PairMap(cs, ProjectionMap(set_a), ProjectionMap(set_b)),
-        )
-        twin = picard(qu, embed_diagonal(cs, start), steps, stop_on_stationary=False)
-        gaps = reduction_deviations(cs, base.points, twin.points)
+        twin = _twin_trace(inst, steps, stop_on_stationary=False)
+        gaps = reduction_deviations(twin.space, base.points, twin.points)
         worst = max(
             (gap - 1e-9 * max(n, 1) for n, gap in enumerate(gaps)), default=0.0
         )
@@ -438,8 +440,12 @@ def _certify_one(inst: InstanceConfig, cfg: ExperimentConfig, out: Path):
                     q_identity_residual=q_identity,
                 )
 
-    if "delta-limit" in inst.checks:
+    # One oracle evaluation serves both checks that compare against it.
+    pair = None
+    if {"delta-limit", "oracle-agreement"} & set(inst.checks):
         pair = best_pair_bruteforce(set_a, set_b, inst.grid)
+
+    if "delta-limit" in inst.checks:
         claimed = space.interpolate(pair.a, pair.b, inst.lam)
         verdict = check_delta_limit(trace, claimed, tol=1e-4)
         add(
@@ -451,7 +457,6 @@ def _certify_one(inst: InstanceConfig, cfg: ExperimentConfig, out: Path):
         )
 
     if "oracle-agreement" in inst.checks:
-        pair = best_pair_bruteforce(set_a, set_b, inst.grid)
         if r_alt is None:
             add("oracle-agreement", "inconclusive")
         else:

@@ -225,6 +225,10 @@ def picard(
 # -- certificates ------------------------------------------------------------------
 
 
+# 13,000 bits is at most 3,914 decimal digits.
+_MAX_JSON_BOUND_BITS = 13_000
+
+
 @dataclass(frozen=True)
 class RateCertificate:
     """Verdict that a certified quantity stayed <= its target past a bound.
@@ -247,9 +251,15 @@ class RateCertificate:
         return self.status == "pass"
 
     def to_json(self) -> dict:
+        # Python refuses int -> decimal string conversions past 4300 digits,
+        # so a longer bound is written as its log2 instead.
+        if self.bound_n.bit_length() <= _MAX_JSON_BOUND_BITS:
+            bound = {"bound_n": self.bound_n}
+        else:
+            bound = {"bound_n": None, "bound_n_log2": math.log2(self.bound_n)}
         return {
             "epsilon": self.epsilon,
-            "bound_n": self.bound_n,
+            **bound,
             "observed_first_n": self.observed_first_n,
             "pass": self.passed,
             "status": self.status,

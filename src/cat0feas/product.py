@@ -55,8 +55,9 @@ class ConvexCombinationSpace(Space):
         return self.point((first, second))
 
     def _distance(self, a, b):
-        d1 = self.base.distance(a[0], b[0])
-        d2 = self.base.distance(a[1], b[1])
+        # _canonical admitted only base points, so go to the base payloads.
+        d1 = self.base._distance(a[0].payload, b[0].payload)
+        d2 = self.base._distance(a[1].payload, b[1].payload)
         return math.sqrt((1.0 - self.lam) * d1 * d1 + self.lam * d2 * d2)
 
     def _interpolate(self, a, b, t):

@@ -18,13 +18,15 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .errors import DomainError, SpaceMismatchError
 
 # Disk points must stay strictly inside the boundary; the metric diverges there.
 DISK_MAX_NORM = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A space-tagged element.
 
@@ -146,6 +148,15 @@ class EuclideanSpace(Space):
     def _sample(self, rng, scale):
         return tuple(rng.uniform(-scale, scale) for _ in range(self.dim))
 
+    def _pack(self, payloads):
+        # Coordinates plus a trailing column of squared norms.
+        X = np.asarray(payloads, dtype=float)
+        return np.column_stack([X, np.einsum("ij,ij->i", X, X)])
+
+    def _pairwise(self, P, Q):
+        # Squared distances, expanded so the cross terms are one matmul.
+        return P[:, -1:] + Q[:, -1] - 2.0 * (P[:, :-1] @ Q[:, :-1].T)
+
     def _reference(self):
         return (0.0,) * self.dim
 
@@ -202,6 +213,13 @@ class PoincareDiskSpace(Space):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         return complex(r * math.cos(theta), r * math.sin(theta))
 
+    def _pack(self, payloads):
+        return np.asarray(payloads, dtype=complex)
+
+    def _pairwise(self, P, Q):
+        # The Mobius quotient delta; 2 artanh is monotone in it.
+        return np.abs(P[:, None] - Q) / np.abs(1.0 - np.conjugate(P)[:, None] * Q)
+
     def _reference(self):
         return 0j
 
@@ -228,11 +246,14 @@ def check_cn_inequality(
     """
     if tol is None:
         tol = space.tolerance
-    g = space.interpolate(x, y, t)
-    residual = space.distance(z, g) ** 2 - (
-        (1.0 - t) * space.distance(z, x) ** 2
-        + t * space.distance(z, y) ** 2
-        - t * (1.0 - t) * space.distance(x, y) ** 2
+    space.require_member(z)
+    g = space.interpolate(x, y, t).payload
+    d = space._distance
+    z, x, y = z.payload, x.payload, y.payload
+    residual = d(z, g) ** 2 - (
+        (1.0 - t) * d(z, x) ** 2
+        + t * d(z, y) ** 2
+        - t * (1.0 - t) * d(x, y) ** 2
     )
     return CheckResult(residual <= tol, residual)
 
@@ -247,12 +268,16 @@ def check_four_point(
     """
     if tol is None:
         tol = space.tolerance
+    for p in (x, y, z, w):
+        space.require_member(p)
+    d = space._distance
+    x, y, z, w = x.payload, y.payload, z.payload, w.payload
     residual = (
-        space.distance(x, z) ** 2
-        + space.distance(y, w) ** 2
-        - space.distance(x, y) ** 2
-        - space.distance(y, z) ** 2
-        - space.distance(z, w) ** 2
-        - space.distance(w, x) ** 2
+        d(x, z) ** 2
+        + d(y, w) ** 2
+        - d(x, y) ** 2
+        - d(y, z) ** 2
+        - d(z, w) ** 2
+        - d(w, x) ** 2
     )
     return CheckResult(residual <= tol, residual)

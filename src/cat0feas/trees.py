@@ -18,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DomainError
 from .spaces import Point, Space
 
@@ -112,6 +114,18 @@ class MetricTree:
     def vertex_distance(self, u: str, v: str) -> float:
         return self._bfs_tables[0][u][v]
 
+    @cached_property
+    def distance_matrix(self) -> np.ndarray:
+        """D[i, j] = vertex_distance(vertices[i], vertices[j]).
+
+        Row i is the BFS table rooted at vertex i; the tables need not be
+        exactly symmetric in floating point, so D need not be either.
+        """
+        dist = self._bfs_tables[0]
+        n = len(self.vertices)
+        flat = (dist[u][v] for u in self.vertices for v in self.vertices)
+        return np.fromiter(flat, dtype=float, count=n * n).reshape(n, n)
+
     def vertex_path(self, u: str, v: str) -> list[str]:
         """Vertices along the unique path from u to v, inclusive."""
         pred = self._bfs_tables[1][u]
@@ -194,24 +208,43 @@ class TreeSpace(Space):
     def _distance(self, a, b):
         if a[0] == b[0]:
             return abs(a[1] - b[1])
-        best = math.inf
-        for pa, da in self._endpoint_offsets(a):
-            for pb, db in self._endpoint_offsets(b):
-                # fsum keeps the candidate sums symmetric in the arguments
-                cand = math.fsum((da, self.tree.vertex_distance(pa, pb), db))
-                if cand < best:
-                    best = cand
-        return best
+        return self._route(a, b)[0]
 
     def _route(self, a, b):
-        """Exit/entry vertices realizing the geodesic between edge payloads."""
+        """The shortest of the four endpoint routes between edge payloads:
+        (length, exit vertex, entry vertex, arc to exit, arc from entry)."""
+        dist = self.tree._bfs_tables[0]
+        ends_b = self._endpoint_offsets(b)
         best = None
         for pa, da in self._endpoint_offsets(a):
-            for pb, db in self._endpoint_offsets(b):
-                cand = math.fsum((da, self.tree.vertex_distance(pa, pb), db))
+            from_pa = dist[pa]
+            for pb, db in ends_b:
+                # fsum keeps the candidate sums symmetric in the arguments
+                cand = math.fsum((da, from_pa[pb], db))
                 if best is None or cand < best[0]:
                     best = (cand, pa, pb, da, db)
         return best
+
+    def _pack(self, payloads):
+        index = {name: i for i, name in enumerate(self.tree.vertices)}
+        rows = []
+        for payload in payloads:
+            (u, du), (v, dv) = self._endpoint_offsets(payload)
+            rows.append((payload[0], index[u], du, index[v], dv))
+        return np.array(rows, dtype=_PACKED_TREE_POINT)
+
+    def _pairwise(self, P, Q):
+        # Exactly _distance: the least of the four endpoint routes, each
+        # summed with one rounding as math.fsum does, or the offset gap on a
+        # shared edge.
+        D = self.tree.distance_matrix
+        best = None
+        for pa, da in (("u", "du"), ("v", "dv")):
+            for pb, db in (("u", "du"), ("v", "dv")):
+                route = _sum3(P[da][:, None], D[P[pa][:, None], Q[pb]], Q[db])
+                best = route if best is None else np.minimum(best, route)
+        same_edge = P["edge"][:, None] == Q["edge"]
+        return np.where(same_edge, np.abs(P["du"][:, None] - Q["du"]), best)
 
     def _interpolate(self, a, b, t):
         if a[0] == b[0]:
@@ -257,6 +290,35 @@ class TreeSpace(Space):
 
     def _reference(self):
         return self._vertex_payload(self.tree.vertices[0])
+
+
+# A packed tree point: its edge, and each edge endpoint (a vertex index) with
+# the arc length from the point to it.
+_PACKED_TREE_POINT = np.dtype(
+    [("edge", np.intp), ("u", np.intp), ("du", float), ("v", np.intp), ("dv", float)]
+)
+
+
+def _two_sum(a, b):
+    """s = fl(a + b) and the exact rounding error e, so a + b = s + e."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _sum3(a, b, c):
+    """Elementwise a + b + c rounded once, bit-equal to math.fsum((a, b, c))
+    for nonnegative terms (path lengths here)."""
+    s, e1 = _two_sum(a, b)
+    t, e2 = _two_sum(s, c)
+    e, e3 = _two_sum(e1, e2)
+    hi, lo = _two_sum(t, e)
+    # a + b + c = hi + lo + e3 exactly, and without cancellation |e3| is far
+    # below an ulp of hi.  So hi is correctly rounded unless lo is exactly
+    # half an ulp and e3 pushes past it; round away then, as fsum does.
+    up = hi + 2.0 * lo
+    past_half = ((lo > 0) & (e3 > 0)) | ((lo < 0) & (e3 < 0))
+    return np.where(past_half & (up - hi == 2.0 * lo), up, hi)
 
 
 def tripod(leg: float = 1.0) -> TreeSpace:

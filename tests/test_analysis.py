@@ -1,11 +1,14 @@
 """Set-distance routes, best-pair oracles, asymptotic centers, limit checks."""
 
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cat0feas as cf
-from cat0feas import GridSpec
+from cat0feas import GridSpec, analysis
 
 
 class TestSetDistance:
@@ -124,6 +127,115 @@ class TestBruteforce:
         a = cf.Halfspace(e2, (1.0, 0.0), 0.0)
         with pytest.raises(cf.DomainError):
             cf.best_pair_bruteforce(a, a, GridSpec(h=1e-3))  # no window given
+
+
+def loop_best_pair(space, pts_a, pts_b):
+    """Reference oracle: the first closest pair of a plain double loop."""
+    best = (math.inf, None, None)
+    for a in pts_a:
+        for b in pts_b:
+            d = space.distance(a, b)
+            if d < best[0]:
+                best = (d, a, b)
+    return best
+
+
+def check_against_loop(set_a, set_b, spec, same_pair):
+    """The batched oracle, at several block sizes, against the double loop.
+
+    The small blocks split each row in two, or hold three whole rows, so
+    ties are also resolved across block boundaries.
+    """
+    space = set_a.space
+    pts_b = set_b.grid(spec)
+    dist, a, b = loop_best_pair(space, set_a.grid(spec), pts_b)
+    for block in (max(1, len(pts_b) - 1), 3 * len(pts_b) + 1, analysis._BLOCK):
+        with mock.patch.object(analysis, "_BLOCK", block):
+            result = cf.best_pair_bruteforce(set_a, set_b, spec)
+        assert abs(result.dist - dist) <= 1e-12
+        assert result.dist == space.distance(result.a, result.b)
+        if same_pair:
+            assert (result.a, result.b) == (a, b)
+
+
+@st.composite
+def tree_set_pairs(draw):
+    """A random small tree with a segment A and a segment or subtree B.
+
+    Offsets are often 0, a quarter, a half or the full edge, so grids hold
+    vertex points and exact ties; B's segment often starts on A's edge.
+    """
+    n = draw(st.integers(2, 7))
+    names = tuple(f"v{i}" for i in range(n))
+    edges = tuple(
+        (names[draw(st.integers(0, i - 1))], names[i],
+         draw(st.sampled_from([0.25, 0.3, 0.5, 0.7, 1.0, 1.1])))
+        for i in range(1, n)
+    )
+    space = cf.TreeSpace(cf.MetricTree(names, edges))
+    fraction = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+    def point(edge=None):
+        if edge is None:
+            edge = draw(st.integers(0, n - 2))
+        return space.at(edge, draw(fraction) * edges[edge][2])
+
+    start = point()
+    set_a = cf.TreeSegment(space, start, point())
+    kind = draw(st.sampled_from(["segment", "same-edge-segment", "subtree", "vertex"]))
+    if kind == "segment":
+        set_b = cf.TreeSegment(space, point(), point())
+    elif kind == "same-edge-segment":
+        set_b = cf.TreeSegment(space, point(start.payload[0]), point())
+    elif kind == "subtree":
+        # Every vertex's parent has a smaller index, so a prefix is connected.
+        set_b = cf.Subtree(space, names[: draw(st.integers(2, n))])
+    else:
+        set_b = cf.Subtree(space, (draw(st.sampled_from(names)),))
+    spec = GridSpec(h=draw(st.sampled_from([0.1, 0.13, 0.25])))
+    return set_a, set_b, spec
+
+
+class TestBatchedKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(tree_set_pairs())
+    def test_tree_kernel_matches_loop(self, case):
+        # Tree kernel values are bit-equal to TreeSpace.distance, so even the
+        # tie-broken pair is the loop's.
+        check_against_loop(*case, same_pair=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        centers=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+        radii=st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)),
+        h=st.sampled_from([0.1, 0.15, 0.2]),
+    )
+    def test_euclidean_kernel_matches_loop(self, dim, centers, radii, h):
+        space = cf.EuclideanSpace(dim)
+        ca, cb = centers[:dim], centers[3 : 3 + dim]
+        # Separated balls: squared distances expanded as |a|^2 + |b|^2 - 2ab
+        # lose too much to cancellation near coincident points.
+        assume(math.dist(ca, cb) >= radii[0] + radii[1] + 0.1)
+        set_a = cf.EuclideanBall(space, ca, radii[0])
+        set_b = cf.EuclideanBall(space, cb, radii[1])
+        # In 3-D the grid fills the ball; a step no longer than the radius
+        # keeps a lattice point inside, and a coarse one keeps the loop short.
+        spec = GridSpec(h=h) if dim == 2 else GridSpec(h=0.3, surface="full")
+        check_against_loop(set_a, set_b, spec, same_pair=False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coords=st.lists(st.floats(-0.6, 0.6), min_size=6, max_size=6),
+        radius=st.floats(0.1, 1.0),
+        h=st.sampled_from([0.05, 0.1, 0.2]),
+    )
+    def test_disk_kernel_matches_loop(self, coords, radius, h):
+        disk = cf.PoincareDiskSpace()
+        u, v, w = (complex(coords[k], coords[k + 1]) for k in (0, 2, 4))
+        set_a = cf.DiskBall(disk, u, radius)
+        set_b = cf.DiskGeodesicSegment(disk, disk.point(v), disk.point(w))
+        check_against_loop(set_a, set_b, GridSpec(h=h), same_pair=False)
 
 
 class TestAsymptoticCenter:

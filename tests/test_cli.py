@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: subcommands, outputs, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
-from cat0feas import cli
+from cat0feas import asymptotic_regularity_rate, best_pair_bruteforce, cli
+from cat0feas.config import bundled_config_path
 
 
 def mini_config(**overrides):
@@ -115,6 +117,30 @@ class TestSubcommands:
         assert gap_check["q"] == pytest.approx(0.25)
         assert gap_check["q_identity_residual"] <= 1e-8
 
+    def test_certify_runs_oracle_once_per_instance(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return best_pair_bruteforce(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "best_pair_bruteforce", counting)
+        out = tmp_path / "cert"
+        assert run_cli("certify", bundled_config_path("default"), out) == 0
+        report = json.loads((out / "report.json").read_text())
+        oracle_users = [
+            r for r in report["instances"]
+            if {"delta-limit", "oracle-agreement"} & {c["check"] for c in r["checks"]}
+        ]
+        assert len(calls) == len(oracle_users) == 6
+        for row in oracle_users:
+            checks = {c["check"]: c for c in row["checks"]}
+            if "delta-limit" in checks and "oracle-agreement" in checks:
+                assert (
+                    checks["delta-limit"]["bruteforce_dist"]
+                    == checks["oracle-agreement"]["bruteforce"]
+                )
+
     def test_jobs_flag(self, config_path, tmp_path):
         out1, out2 = tmp_path / "j1", tmp_path / "j2"
         assert run_cli("certify", config_path, out1) == 0
@@ -173,6 +199,25 @@ class TestExitCodes:
         report = json.loads((out / "report.json").read_text())
         check = report["instances"][0]["checks"][0]
         assert check["status"] == "hypothesis-unsatisfied"
+
+    def test_huge_rate_bound_is_written_as_log2(self, tmp_path):
+        # eps = 1e-4 with b = 2 gives a bound of about 40,000 bits, past
+        # Python's int -> str digit limit.
+        doc = mini_config()
+        inst = doc["instances"][0]
+        inst.update(start=[0.0, 2.0], rate={"b": 2.0}, eps_grid=[1.0, 1e-4], checks=["rate"])
+        doc["instances"] = [inst]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "huge-out"
+        assert run_cli("certify", path, out) in (0, 2)
+        certs = json.loads((out / "certificates_line-line.json").read_text())
+        small, huge = sorted(certs, key=lambda c: -c["epsilon"])
+        assert small["bound_n"] == asymptotic_regularity_rate(2.0, 1.0)
+        assert "bound_n_log2" not in small
+        assert huge["bound_n"] is None
+        expected = math.log2(asymptotic_regularity_rate(2.0, 1e-4))
+        assert huge["bound_n_log2"] == pytest.approx(expected, rel=1e-9)
 
     def test_failed_check_is_1(self, tmp_path):
         # an understated set distance makes the gap certificate fail honestly

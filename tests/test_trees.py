@@ -1,8 +1,14 @@
 """Tree structure validation, canonical points, and exact path geometry."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import cat0feas as cf
+from cat0feas.trees import _sum3
 
 
 class TestMetricTreeValidation:
@@ -114,3 +120,29 @@ class TestTreeGeometry:
         assert doc["kind"] == "metric-tree"
         again = space_from_json(doc)
         assert again == caterpillar
+
+
+class TestBatchedKernel:
+    @given(st.tuples(*[st.floats(0.0, 1e6)] * 3))
+    @example((0.1, 0.2, 0.3))
+    @example((1e-16, 1.0, 1e16))  # halfway after two roundings; fsum rounds up
+    @example((1e16, 1.0, 1e-16))
+    def test_sum3_matches_fsum(self, terms):
+        assert _sum3(*(np.array([t]) for t in terms))[0] == math.fsum(terms)
+
+    def test_pairwise_equals_distance(self, rng):
+        # Every block entry, not only the minimum, is bit-equal to distance,
+        # on lengths whose path sums depend on the summation order.
+        tree = cf.MetricTree(
+            vertices=("X", "A", "B", "C", "D", "Y", "E"),
+            edges=(("X", "A", 0.4), ("A", "B", 0.1), ("B", "C", 0.2),
+                   ("C", "D", 0.3), ("D", "Y", 0.6), ("B", "E", 0.7)),
+        )
+        assert tree.vertex_distance("A", "D") != tree.vertex_distance("D", "A")
+        space = cf.TreeSpace(tree)
+        pts = [space.random_point(rng) for _ in range(40)]
+        pts += [space.vertex(v) for v in tree.vertices]
+        packed = space._pack([p.payload for p in pts])
+        block = space._pairwise(packed[:30], packed)
+        expected = [[space.distance(a, b) for b in pts] for a in pts[:30]]
+        assert block.tolist() == expected
