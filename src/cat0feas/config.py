@@ -1,4 +1,4 @@
-"""JSON (de)serialization for spaces, points, sets, mappings, and experiments.
+"""JSON readers for spaces, points, convex sets, and experiment documents.
 
 Schema sketch (version "1"):
 
@@ -8,19 +8,38 @@ Schema sketch (version "1"):
              {"kind": "product", "base": <space>, "lambda": 0.5}
     payload  euclidean [x1, ...]; tree {"edge": i, "offset": o}; disk [re, im];
              product {"first": <payload>, "second": <payload>}
-    point    {"space": <space>, "payload": <payload>}
     set      {"halfspace": {"normal": [...], "offset": c}} | {"ball": {...}} |
              {"affine-subspace": {...}} | {"tree-segment": {...}} |
              {"subtree": {...}} | {"disk-geodesic-segment": {...}} |
              {"disk-ball": {...}} | {"product-rectangle": {...}} | {"diagonal": {}}
-    mapping  {"projection": <set>} | {"compose": {"outer":..., "inner":...}} |
-             {"convex-combination": {"lambda":..., "left":..., "right":...}} |
-             {"identity": {}} | {"constant": {"payload":...}} |
-             {"pair-map": {"T1":..., "T2":...}} | {"diagonal-projection": {}}
 
-An experiment document holds a seed, sample counts, and a list of instances;
-each instance names a space, a weight, two convex sets, a start point, and the
-checks to run on it.  Every parse error raises ConfigError with the JSON path.
+An experiment document holds these keys (default after "="):
+
+    schema = "1"; seed = 0; instances = []
+    samples     {"space" = 10000, "mapping" = 1000, "minimality" = 1000}, each >= 1
+    tolerances  {"exact" = 1e-12, "disk" = 1e-8, "p2" = 1e-9, "minimality" = 1e-10}
+
+and each instance these:
+
+    name, space                     required
+    lambda = 0.5                    in (0, 1)
+    A, B, start = null              two sets and a start payload
+    fixed_point, best_pair = null   a payload; a list of two payloads
+    set_distance = null             d(A, B), when known
+    mode = "averaged"               "averaged" | "composed" | "product-reduction"
+    n_max = 10000                   Picard steps, >= 1
+    eps_grid = [1.0, 0.5, 0.1]      descending positive targets of "rate"
+    gap_eps_grid = [1.0, 0.5, 0.25] descending positive targets of "gap-rate"
+    rate = {"b": null, "M": null}   rate constants, measured from start when null
+    grid = {"h": 0.001, "window": null, "surface": "auto"}
+                                    oracle grid: step > 0, per-dimension [lo, hi]
+                                    ranges, "auto" | "boundary" | "full"
+    product_lambdas = []            extra product weights for verify-space
+    checks = []                     any of "rate", "gap-rate", "delta-limit",
+                                    "oracle-agreement"
+
+A null value reads as an absent key.  Every parse error raises ConfigError
+with the JSON path.
 """
 
 from __future__ import annotations
@@ -30,16 +49,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import Cat0FeasError, ConfigError
-from .mappings import (
-    ComposeMap,
-    ConstantMap,
-    ConvexCombinationMap,
-    IdentityMap,
-    Mapping,
-    PairMap,
-    ProjectionMap,
-    diagonal_projection,
-)
 from .product import ConvexCombinationSpace
 from .sets import (
     AffineSubspace,
@@ -64,12 +73,10 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _get(doc: dict, key: str, path: str, required: bool = True, default=None):
-    if key in doc:
-        return doc[key]
-    if required:
+def _get(doc: dict, key: str, path: str):
+    if key not in doc:
         _fail(path, f"missing field '{key}'")
-    return default
+    return doc[key]
 
 
 # -- spaces --------------------------------------------------------------------
@@ -100,27 +107,9 @@ def space_from_json(doc, path: str = "space") -> Space:
         if isinstance(exc, ConfigError):
             raise
         _fail(path, str(exc))
+    except (TypeError, ValueError) as exc:
+        _fail(path, f"bad space spec: {exc}")
     _fail(path, f"unknown space kind '{kind}'")
-
-
-def space_to_json(space: Space) -> dict:
-    if isinstance(space, EuclideanSpace):
-        return {"kind": "euclidean", "dim": space.dim}
-    if isinstance(space, TreeSpace):
-        return {
-            "kind": "metric-tree",
-            "vertices": list(space.tree.vertices),
-            "edges": [[u, v, length] for u, v, length in space.tree.edges],
-        }
-    if isinstance(space, PoincareDiskSpace):
-        return {"kind": "poincare-disk"}
-    if isinstance(space, ConvexCombinationSpace):
-        return {
-            "kind": "product",
-            "base": space_to_json(space.base),
-            "lambda": space.lam,
-        }
-    raise ConfigError(f"cannot serialize space {space!r}")
 
 
 # -- points ---------------------------------------------------------------------
@@ -136,13 +125,9 @@ def payload_from_json(space: Space, doc, path: str = "payload"):
             re, im = doc
             return complex(float(re), float(im))
         if isinstance(space, ConvexCombinationSpace):
-            return (
-                space.base.point(
-                    payload_from_json(space.base, _get(doc, "first", path), path + ".first")
-                ),
-                space.base.point(
-                    payload_from_json(space.base, _get(doc, "second", path), path + ".second")
-                ),
+            return tuple(
+                point_from_json(space.base, _get(doc, key, path), f"{path}.{key}")
+                for key in ("first", "second")
             )
     except (TypeError, ValueError) as exc:
         _fail(path, f"bad payload: {exc}")
@@ -150,35 +135,17 @@ def payload_from_json(space: Space, doc, path: str = "payload"):
 
 
 def point_from_json(space: Space, doc, path: str = "point") -> Point:
+    payload = payload_from_json(space, doc, path)
     try:
-        return space.point(payload_from_json(space, doc, path))
+        return space.point(payload)
     except Cat0FeasError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         _fail(path, str(exc))
 
 
-def payload_to_json(p: Point):
-    payload = p.payload
-    if isinstance(payload, complex):
-        return [payload.real, payload.imag]
-    if isinstance(payload, tuple) and payload and isinstance(payload[0], Point):
-        return {"first": payload_to_json(payload[0]), "second": payload_to_json(payload[1])}
-    if isinstance(p.space, TreeSpace):
-        return {"edge": payload[0], "offset": payload[1]}
-    return list(payload)
-
-
-def point_to_json(p: Point) -> dict:
-    return {"space": space_to_json(p.space), "payload": payload_to_json(p)}
-
-
-def point_from_standalone_json(doc, path: str = "point") -> Point:
-    space = space_from_json(_get(doc, "space", path), path + ".space")
-    return point_from_json(space, _get(doc, "payload", path), path + ".payload")
-
-
 # -- convex sets -------------------------------------------------------------------
+
+
+_SEGMENTS = {cls.kind: cls for cls in (TreeSegment, DiskGeodesicSegment)}
 
 
 def set_from_json(space: Space, doc, path: str = "set") -> ConvexSet:
@@ -206,8 +173,8 @@ def set_from_json(space: Space, doc, path: str = "set") -> ConvexSet:
                 center=tuple(float(c) for c in _get(body, "center", path)),
                 radius=float(_get(body, "radius", path)),
             )
-        if kind == "tree-segment":
-            return TreeSegment(
+        if kind in _SEGMENTS:
+            return _SEGMENTS[kind](
                 space,
                 start=point_from_json(space, _get(body, "start", path), path + ".start"),
                 end=point_from_json(space, _get(body, "end", path), path + ".end"),
@@ -215,12 +182,6 @@ def set_from_json(space: Space, doc, path: str = "set") -> ConvexSet:
         if kind == "subtree":
             return Subtree(
                 space, vertex_names=tuple(str(v) for v in _get(body, "vertices", path))
-            )
-        if kind == "disk-geodesic-segment":
-            return DiskGeodesicSegment(
-                space,
-                start=point_from_json(space, _get(body, "start", path), path + ".start"),
-                end=point_from_json(space, _get(body, "end", path), path + ".end"),
             )
         if kind == "disk-ball":
             re, im = _get(body, "center", path)
@@ -249,128 +210,12 @@ def set_from_json(space: Space, doc, path: str = "set") -> ConvexSet:
     _fail(path, f"unknown set kind '{kind}'")
 
 
-def set_to_json(s: ConvexSet) -> dict:
-    if isinstance(s, Halfspace):
-        return {"halfspace": {"normal": list(s.normal), "offset": s.offset}}
-    if isinstance(s, AffineSubspace):
-        return {
-            "affine-subspace": {
-                "anchor": list(s.anchor),
-                "basis": [list(row) for row in s.basis],
-            }
-        }
-    if isinstance(s, EuclideanBall):
-        return {"ball": {"center": list(s.center), "radius": s.radius}}
-    if isinstance(s, TreeSegment):
-        return {
-            "tree-segment": {
-                "start": payload_to_json(s.start),
-                "end": payload_to_json(s.end),
-            }
-        }
-    if isinstance(s, Subtree):
-        return {"subtree": {"vertices": list(s.vertex_names)}}
-    if isinstance(s, DiskGeodesicSegment):
-        return {
-            "disk-geodesic-segment": {
-                "start": payload_to_json(s.start),
-                "end": payload_to_json(s.end),
-            }
-        }
-    if isinstance(s, DiskBall):
-        return {
-            "disk-ball": {
-                "center": [s.center.real, s.center.imag],
-                "radius": s.radius,
-            }
-        }
-    if isinstance(s, ProductRectangle):
-        return {
-            "product-rectangle": {
-                "first": set_to_json(s.first),
-                "second": set_to_json(s.second),
-            }
-        }
-    if isinstance(s, DiagonalSet):
-        return {"diagonal": {}}
-    raise ConfigError(f"cannot serialize set {s!r}")
-
-
-# -- mappings -------------------------------------------------------------------------
-
-
-def mapping_from_json(space: Space, doc, path: str = "mapping") -> Mapping:
-    if not isinstance(doc, dict) or len(doc) != 1:
-        _fail(path, "mapping spec must be a single-key object")
-    kind, body = next(iter(doc.items()))
-    try:
-        if kind == "projection":
-            return ProjectionMap(set_from_json(space, body, path + ".projection"))
-        if kind == "compose":
-            return ComposeMap(
-                outer=mapping_from_json(space, _get(body, "outer", path), path + ".outer"),
-                inner=mapping_from_json(space, _get(body, "inner", path), path + ".inner"),
-            )
-        if kind == "convex-combination":
-            return ConvexCombinationMap(
-                first=mapping_from_json(space, _get(body, "left", path), path + ".left"),
-                second=mapping_from_json(space, _get(body, "right", path), path + ".right"),
-                lam=float(_get(body, "lambda", path)),
-            )
-        if kind == "identity":
-            return IdentityMap(space)
-        if kind == "constant":
-            return ConstantMap(
-                point_from_json(space, _get(body, "payload", path), path + ".payload")
-            )
-        if kind == "pair-map":
-            if not isinstance(space, ConvexCombinationSpace):
-                _fail(path, "pair-map needs a product space")
-            return PairMap(
-                space,
-                first=mapping_from_json(space.base, _get(body, "T1", path), path + ".T1"),
-                second=mapping_from_json(space.base, _get(body, "T2", path), path + ".T2"),
-            )
-        if kind == "diagonal-projection":
-            if not isinstance(space, ConvexCombinationSpace):
-                _fail(path, "diagonal-projection needs a product space")
-            return diagonal_projection(space)
-    except Cat0FeasError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        _fail(path, str(exc))
-    except (TypeError, ValueError, AttributeError) as exc:
-        _fail(path, f"bad mapping spec: {exc}")
-    _fail(path, f"unknown mapping kind '{kind}'")
-
-
-def mapping_to_json(m: Mapping) -> dict:
-    if isinstance(m, ProjectionMap):
-        return {"projection": set_to_json(m.target)}
-    if isinstance(m, ComposeMap):
-        return {"compose": {"outer": mapping_to_json(m.outer), "inner": mapping_to_json(m.inner)}}
-    if isinstance(m, ConvexCombinationMap):
-        return {
-            "convex-combination": {
-                "lambda": m.lam,
-                "left": mapping_to_json(m.first),
-                "right": mapping_to_json(m.second),
-            }
-        }
-    if isinstance(m, IdentityMap):
-        return {"identity": {}}
-    if isinstance(m, ConstantMap):
-        return {"constant": {"payload": payload_to_json(m.value)}}
-    if isinstance(m, PairMap):
-        return {"pair-map": {"T1": mapping_to_json(m.first), "T2": mapping_to_json(m.second)}}
-    raise ConfigError(f"cannot serialize mapping {m!r}")
-
-
 # -- experiment configs -----------------------------------------------------------------
 
 
 VALID_CHECKS = ("rate", "gap-rate", "delta-limit", "oracle-agreement")
 VALID_MODES = ("averaged", "composed", "product-reduction")
+VALID_SURFACES = ("auto", "boundary", "full")
 
 
 @dataclass(frozen=True)
@@ -418,19 +263,56 @@ class ExperimentConfig:
     instances: tuple[InstanceConfig, ...] = ()
 
 
-def _eps_grid_from(doc, path):
-    grid = tuple(float(e) for e in doc)
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _value(doc: dict, key: str, path: str, cast, default=None):
+    """cast(doc[key]), or `default` when the key is absent or null."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        _fail(_join(path, key), f"bad value {value!r}: {exc}")
+
+
+def _count(doc: dict, key: str, path: str, default: int) -> int:
+    n = _value(doc, key, path, int, default)
+    if n < 1:
+        _fail(_join(path, key), f"must be >= 1, got {n}")
+    return n
+
+
+def _section(doc: dict, key: str, path: str = "") -> dict:
+    section = doc.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        _fail(_join(path, key), "must be an object")
+    return section
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _eps_grid(doc: dict, key: str, path: str, default: tuple[float, ...]):
+    grid = _value(doc, key, path, _floats, default)
     if not grid or any(e <= 0.0 for e in grid):
-        _fail(path, "eps grid entries must be positive")
+        _fail(f"{path}.{key}", "eps grid entries must be positive")
     if any(a < b for a, b in zip(grid, grid[1:])):
-        _fail(path, "eps grid must be sorted descending")
+        _fail(f"{path}.{key}", "eps grid must be sorted descending")
     return grid
 
 
 def instance_from_json(doc, path: str) -> InstanceConfig:
+    if not isinstance(doc, dict):
+        _fail(path, "instance must be an object")
     name = str(_get(doc, "name", path))
     space = space_from_json(_get(doc, "space", path), path + ".space")
-    lam = float(doc.get("lambda", 0.5))
+    lam = _value(doc, "lambda", path, float, 0.5)
     if not 0.0 < lam < 1.0:
         _fail(path, f"lambda must be in (0, 1), got {lam}")
 
@@ -448,32 +330,36 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         set_from_json(space, doc["B"], path + ".B") if doc.get("B") is not None else None
     )
     best_pair = None
-    if doc.get("best_pair") is not None:
-        pair = doc["best_pair"]
+    pair = _value(doc, "best_pair", path, list)
+    if pair is not None:
         if len(pair) != 2:
             _fail(path + ".best_pair", "expected two payloads")
         best_pair = (
             point_from_json(space, pair[0], path + ".best_pair[0]"),
             point_from_json(space, pair[1], path + ".best_pair[1]"),
         )
-    grid_doc = doc.get("grid", {})
+    grid_doc = _section(doc, "grid", path)
+    grid_path = path + ".grid"
     grid = GridSpec(
-        h=float(grid_doc.get("h", 1e-3)),
-        window=(
-            tuple((float(lo), float(hi)) for lo, hi in grid_doc["window"])
-            if grid_doc.get("window") is not None
-            else None
+        h=_value(grid_doc, "h", grid_path, float, 1e-3),
+        window=_value(
+            grid_doc, "window", grid_path,
+            lambda w: tuple((float(lo), float(hi)) for lo, hi in w),
         ),
-        surface=str(grid_doc.get("surface", "auto")),
+        surface=_value(grid_doc, "surface", grid_path, str, "auto"),
     )
-    mode = str(doc.get("mode", "averaged"))
+    if not grid.h > 0.0:
+        _fail(grid_path + ".h", f"grid step must be positive, got {grid.h}")
+    if grid.surface not in VALID_SURFACES:
+        _fail(grid_path + ".surface", f"unknown surface '{grid.surface}'")
+    mode = _value(doc, "mode", path, str, "averaged")
     if mode not in VALID_MODES:
         _fail(path + ".mode", f"unknown mode '{mode}'")
-    checks = tuple(str(c) for c in doc.get("checks", ()))
+    checks = _value(doc, "checks", path, lambda v: tuple(str(c) for c in v), ())
     for c in checks:
         if c not in VALID_CHECKS:
             _fail(path + ".checks", f"unknown check '{c}'")
-    rate_doc = doc.get("rate", {})
+    rate_doc = _section(doc, "rate", path)
     return InstanceConfig(
         name=name,
         space=space,
@@ -481,19 +367,17 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         set_a=set_a,
         set_b=set_b,
         start=opt_point("start"),
-        n_max=int(doc.get("n_max", 10_000)),
-        eps_grid=_eps_grid_from(doc.get("eps_grid", (1.0, 0.5, 0.1)), path + ".eps_grid"),
-        gap_eps_grid=_eps_grid_from(
-            doc.get("gap_eps_grid", (1.0, 0.5, 0.25)), path + ".gap_eps_grid"
-        ),
+        n_max=_count(doc, "n_max", path, 10_000),
+        eps_grid=_eps_grid(doc, "eps_grid", path, (1.0, 0.5, 0.1)),
+        gap_eps_grid=_eps_grid(doc, "gap_eps_grid", path, (1.0, 0.5, 0.25)),
         mode=mode,
         fixed_point=opt_point("fixed_point"),
         best_pair=best_pair,
-        set_dist=float(doc["set_distance"]) if doc.get("set_distance") is not None else None,
-        rate_b=float(rate_doc["b"]) if rate_doc.get("b") is not None else None,
-        rate_m=float(rate_doc["M"]) if rate_doc.get("M") is not None else None,
+        set_dist=_value(doc, "set_distance", path, float),
+        rate_b=_value(rate_doc, "b", path + ".rate", float),
+        rate_m=_value(rate_doc, "M", path + ".rate", float),
         grid=grid,
-        product_lambdas=tuple(float(v) for v in doc.get("product_lambdas", ())),
+        product_lambdas=_value(doc, "product_lambdas", path, _floats, ()),
         checks=checks,
     )
 
@@ -504,25 +388,25 @@ def config_from_json(doc) -> ExperimentConfig:
     schema = str(doc.get("schema", SCHEMA_VERSION))
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version '{schema}'")
-    samples = doc.get("samples", {})
-    tolerances = doc.get("tolerances", {})
+    samples = _section(doc, "samples")
+    tolerances = _section(doc, "tolerances")
     instances = tuple(
         instance_from_json(inst, f"instances[{i}]")
-        for i, inst in enumerate(doc.get("instances", ()))
+        for i, inst in enumerate(_value(doc, "instances", "", list, []))
     )
     names = [inst.name for inst in instances]
     if len(set(names)) != len(names):
         raise ConfigError("instance names must be unique")
     return ExperimentConfig(
         schema=schema,
-        seed=int(doc.get("seed", 0)),
-        space_samples=int(samples.get("space", 10_000)),
-        mapping_samples=int(samples.get("mapping", 1_000)),
-        minimality_samples=int(samples.get("minimality", 1_000)),
-        tol_exact=float(tolerances.get("exact", 1e-12)),
-        tol_disk=float(tolerances.get("disk", 1e-8)),
-        tol_p2=float(tolerances.get("p2", 1e-9)),
-        tol_minimality=float(tolerances.get("minimality", 1e-10)),
+        seed=_value(doc, "seed", "", int, 0),
+        space_samples=_count(samples, "space", "samples", 10_000),
+        mapping_samples=_count(samples, "mapping", "samples", 1_000),
+        minimality_samples=_count(samples, "minimality", "samples", 1_000),
+        tol_exact=_value(tolerances, "exact", "tolerances", float, 1e-12),
+        tol_disk=_value(tolerances, "disk", "tolerances", float, 1e-8),
+        tol_p2=_value(tolerances, "p2", "tolerances", float, 1e-9),
+        tol_minimality=_value(tolerances, "minimality", "tolerances", float, 1e-10),
         instances=instances,
     )
 

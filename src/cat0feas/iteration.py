@@ -138,25 +138,6 @@ class IterationTrace:
         return None
 
 
-def _require_finite(point: Point, step: int) -> None:
-    stack = [point.payload]
-    while stack:
-        payload = stack.pop()
-        if isinstance(payload, Point):
-            stack.append(payload.payload)
-        elif isinstance(payload, complex):
-            if not (math.isfinite(payload.real) and math.isfinite(payload.imag)):
-                raise NumericError(f"non-finite iterate at step {step}", step=step)
-        elif isinstance(payload, tuple):
-            for item in payload:
-                if isinstance(item, (Point, tuple)):
-                    stack.append(item)
-                elif isinstance(item, complex):
-                    stack.append(item)
-                elif isinstance(item, float) and not math.isfinite(item):
-                    raise NumericError(f"non-finite iterate at step {step}", step=step)
-
-
 def picard(
     mapping: Mapping,
     start: Point,
@@ -196,8 +177,9 @@ def picard(
     current = start
     for step in range(n_max):
         nxt = mapping(current)
-        _require_finite(nxt, step + 1)
         residual = space.distance(current, nxt)
+        if not math.isfinite(residual):
+            raise NumericError(f"non-finite iterate at step {step + 1}", step=step + 1)
         points.append(nxt)
         residuals.append(residual)
         if dists is not None:

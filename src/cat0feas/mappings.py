@@ -162,10 +162,6 @@ def averaged_projections(set_a: ConvexSet, set_b: ConvexSet, lam: float) -> Conv
     return ConvexCombinationMap(ProjectionMap(set_a), ProjectionMap(set_b), lam)
 
 
-def evaluate(mapping: Mapping, x: Point) -> Point:
-    return mapping(x)
-
-
 def fixed_point_residual(mapping: Mapping, x: Point) -> float:
     """d(x, Tx); zero exactly at fixed points."""
     return mapping.space.distance(x, mapping(x))

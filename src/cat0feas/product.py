@@ -100,13 +100,6 @@ def extract_diagonal(cs: ConvexCombinationSpace, p: Point, rel_tol: float = 1e-8
     return first
 
 
-def diagonal_combination(cs: ConvexCombinationSpace, p: Point) -> Point:
-    """The base point c = (1-lam) x1 + lam x2 under the diagonal projection of p."""
-    cs.require_member(p)
-    first, second = p.payload
-    return cs.base.interpolate(first, second, cs.lam)
-
-
 def lift_best_pair(cs: ConvexCombinationSpace, a: Point, b: Point) -> tuple[Point, Point]:
     """Lift a base-space pair (a, b) to the product-space pair realizing the
     diagonal-to-rectangle distance: (((1-lam)a + lam b) twice, (a, b))."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .product import ConvexCombinationSpace
-from .spaces import EuclideanSpace, PoincareDiskSpace, Point
+from .spaces import EuclideanSpace, PoincareDiskSpace, Point, Space
 from .trees import TreeSpace
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -114,18 +114,18 @@ class Halfspace(ConvexSet):
         norm = float(np.linalg.norm(n))
         return n / norm, self.offset / norm
 
-    def _gap(self, x: Point) -> float:
+    def _gap(self, coords) -> float:
         u, c = self._unit
-        return float(np.dot(u, x.payload)) - c
+        return float(np.dot(u, coords)) - c
 
     def contains(self, x, tol=None):
         self.space.require_member(x)
         tol = self.space.tolerance if tol is None else tol
-        return self._gap(x) <= tol
+        return self._gap(x.payload) <= tol
 
     def project(self, x):
         self.space.require_member(x)
-        gap = self._gap(x)
+        gap = self._gap(x.payload)
         if gap <= 0.0:
             return x
         u, _ = self._unit
@@ -135,15 +135,13 @@ class Halfspace(ConvexSet):
     def grid(self, spec):
         win = spec.require_window(self.space.dim)
         if spec.surface in ("auto", "boundary"):
-            return _hyperplane_grid(self.space, *self._unit, win, spec)
+            # The boundary hyperplane, anchored at its foot c u so that
+            # axis-aligned nearest points are sampled exactly.
+            u, c = self._unit
+            basis = np.linalg.svd(u.reshape(1, -1), full_matrices=True)[2][1:]
+            return _flat_grid(self.space, c * u, basis, win, spec)
         pts = _box_lattice(win, spec)
-        return [
-            Point(self.space, tuple(p)) for p in pts if self._gap_raw(p) <= 0.0
-        ]
-
-    def _gap_raw(self, coords) -> float:
-        u, c = self._unit
-        return float(np.dot(u, coords)) - c
+        return [Point(self.space, tuple(p)) for p in pts if self._gap(p) <= 0.0]
 
 
 @dataclass(frozen=True)
@@ -196,15 +194,7 @@ class AffineSubspace(ConvexSet):
         if q.shape[0] == 0:
             return [Point(self.space, self.anchor)]
         win = spec.require_window(self.space.dim)
-        radius = _window_radius(win)
-        steps = _centered_steps(radius, spec.h)
-        if len(steps) ** q.shape[0] > spec.max_points:
-            raise DomainError("affine grid exceeds max_points; coarsen h")
-        mesh = np.meshgrid(*([steps] * q.shape[0]), indexing="ij")
-        params = np.stack([m.ravel() for m in mesh], axis=1)
-        coords = np.asarray(self.anchor) + params @ q
-        inside = _within_window(coords, win)
-        return [Point(self.space, tuple(map(float, c))) for c in coords[inside]]
+        return _flat_grid(self.space, np.asarray(self.anchor), q, win, spec)
 
 
 @dataclass(frozen=True)
@@ -275,17 +265,16 @@ class EuclideanBall(ConvexSet):
         return [Point(self.space, tuple(map(float, p))) for p in pts[keep]]
 
 
-# -- tree sets -------------------------------------------------------------------
+# -- geodesic segments --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TreeSegment(ConvexSet):
-    """The geodesic segment between two points of a metric tree."""
+class _Segment(ConvexSet):
+    """The geodesic segment between two points; subclasses supply `project`."""
 
-    owner: TreeSpace
+    owner: Space
     start: Point
     end: Point
-    kind = "tree-segment"
 
     def __post_init__(self):
         self.owner.require_member(self.start)
@@ -298,19 +287,6 @@ class TreeSegment(ConvexSet):
     @cached_property
     def length(self) -> float:
         return self.owner.distance(self.start, self.end)
-
-    def project(self, x):
-        self.space.require_member(x)
-        if self.length == 0.0:
-            return self.start
-        # Arc length of the nearest point from `start`, via the Gromov product.
-        s = 0.5 * (
-            self.space.distance(x, self.start)
-            + self.length
-            - self.space.distance(x, self.end)
-        )
-        t = min(max(s / self.length, 0.0), 1.0)
-        return self.space.interpolate(self.start, self.end, t)
 
     def contains(self, x, tol=None):
         self.space.require_member(x)
@@ -332,6 +308,43 @@ class TreeSegment(ConvexSet):
         return [
             self.space.interpolate(self.start, self.end, k / n) for k in range(n + 1)
         ]
+
+
+class TreeSegment(_Segment):
+    """The geodesic segment between two points of a metric tree."""
+
+    kind = "tree-segment"
+
+    def project(self, x):
+        self.space.require_member(x)
+        if self.length == 0.0:
+            return self.start
+        # Arc length of the nearest point from `start`, via the Gromov product.
+        s = 0.5 * (
+            self.space.distance(x, self.start)
+            + self.length
+            - self.space.distance(x, self.end)
+        )
+        t = min(max(s / self.length, 0.0), 1.0)
+        return self.space.interpolate(self.start, self.end, t)
+
+
+class DiskGeodesicSegment(_Segment):
+    """A geodesic segment in the Poincare disk; projection is a 1-D search."""
+
+    kind = "disk-geodesic-segment"
+
+    def project(self, x):
+        self.space.require_member(x)
+        if self.length == 0.0:
+            return self.start
+        gamma = lambda t: self.space.interpolate(self.start, self.end, t)
+        f = lambda t: self.space.distance(x, gamma(t))
+        t = _golden_section_min(f, 0.0, 1.0, tol=1e-13)
+        return gamma(t)
+
+
+# -- tree sets -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -422,58 +435,6 @@ class Subtree(ConvexSet):
 def _mobius_shift(c: complex, w: complex) -> complex:
     """The disk isometry sending 0 to c, applied to w."""
     return (w + c) / (1.0 + c.conjugate() * w)
-
-
-@dataclass(frozen=True)
-class DiskGeodesicSegment(ConvexSet):
-    """A geodesic segment in the Poincare disk; projection is a 1-D search."""
-
-    owner: PoincareDiskSpace
-    start: Point
-    end: Point
-    kind = "disk-geodesic-segment"
-
-    def __post_init__(self):
-        self.owner.require_member(self.start)
-        self.owner.require_member(self.end)
-
-    @property
-    def space(self):
-        return self.owner
-
-    @cached_property
-    def length(self) -> float:
-        return self.owner.distance(self.start, self.end)
-
-    def project(self, x):
-        self.space.require_member(x)
-        if self.length == 0.0:
-            return self.start
-        gamma = lambda t: self.space.interpolate(self.start, self.end, t)
-        f = lambda t: self.space.distance(x, gamma(t))
-        t = _golden_section_min(f, 0.0, 1.0, tol=1e-13)
-        return gamma(t)
-
-    def contains(self, x, tol=None):
-        self.space.require_member(x)
-        tol = self.space.tolerance if tol is None else tol
-        detour = (
-            self.space.distance(x, self.start)
-            + self.space.distance(x, self.end)
-            - self.length
-        )
-        return detour <= tol
-
-    def sample(self, rng, scale: float = 2.0):
-        return self.space.interpolate(self.start, self.end, rng.random())
-
-    def grid(self, spec):
-        if self.length == 0.0:
-            return [self.start]
-        n = max(1, math.ceil(self.length / spec.h))
-        return [
-            self.space.interpolate(self.start, self.end, k / n) for k in range(n + 1)
-        ]
 
 
 @dataclass(frozen=True)
@@ -624,12 +585,6 @@ def _even(n: int) -> int:
     return n + (n % 2)
 
 
-def _centered_steps(radius: float, h: float) -> np.ndarray:
-    """Lattice of step h through 0, covering [-radius, radius]."""
-    half = np.arange(0.0, radius + h, h)
-    return np.concatenate([-half[:0:-1], half])
-
-
 def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section search for the minimizer of a unimodal f on [lo, hi]."""
     a, b = lo, hi
@@ -669,23 +624,16 @@ def _within_window(coords: np.ndarray, window) -> np.ndarray:
     return keep
 
 
-def _window_radius(window) -> float:
-    return math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in window))
-
-
-def _hyperplane_grid(space, unit_normal, offset, window, spec: GridSpec):
-    """Lattice on {<u, x> = offset} clipped to the window."""
-    u = np.asarray(unit_normal)
-    foot = offset * u
-    # Orthonormal basis of the hyperplane through `foot`; the lattice is
-    # anchored at the foot so axis-aligned nearest points are sampled exactly.
-    basis = np.linalg.svd(u.reshape(1, -1), full_matrices=True)[2][1:]
-    radius = _window_radius(window)
-    steps = _centered_steps(radius, spec.h)
+def _flat_grid(space, origin, basis, window, spec: GridSpec) -> list[Point]:
+    """Lattice of step h through `origin` on origin + span(basis), clipped to
+    the window; the rows of `basis` are orthonormal."""
+    radius = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in window))
+    half = np.arange(0.0, radius + spec.h, spec.h)
+    steps = np.concatenate([-half[:0:-1], half])
     if len(steps) ** len(basis) > spec.max_points:
-        raise DomainError("hyperplane grid exceeds max_points; coarsen h")
+        raise DomainError("flat grid exceeds max_points; coarsen h")
     mesh = np.meshgrid(*([steps] * len(basis)), indexing="ij")
     params = np.stack([m.ravel() for m in mesh], axis=1)
-    coords = foot + params @ basis
+    coords = origin + params @ basis
     inside = _within_window(coords, window)
     return [Point(space, tuple(map(float, c))) for c in coords[inside]]

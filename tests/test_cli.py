@@ -185,6 +185,29 @@ class TestExitCodes:
         bad.write_text(json.dumps({"schema": "1", "instances": [{"name": "x"}]}))
         assert run_cli("verify-space", bad, tmp_path / "o") == 3
 
+    @pytest.mark.parametrize(
+        "top, field, path",
+        [
+            ({"seed": "x"}, {}, "seed"),
+            ({}, {"n_max": "x"}, "instances[0].n_max"),
+            ({}, {"lambda": "x"}, "instances[0].lambda"),
+            ({}, {"grid": {"h": "x"}}, "instances[0].grid.h"),
+            ({}, {"rate": {"b": "x"}}, "instances[0].rate.b"),
+            ({}, {"eps_grid": "ab"}, "instances[0].eps_grid"),
+            ({"instances": [5]}, {}, "instances[0]"),
+        ],
+    )
+    def test_malformed_field_is_3(self, tmp_path, capsys, top, field, path):
+        doc = mini_config(**top)
+        if field:
+            doc["instances"][0].update(field)
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("certify", bad, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:")
+        assert "Traceback" not in err
+
     def test_understated_b_marks_hypothesis(self, tmp_path):
         # b ten times too small: the rate hypothesis d(x0, p) <= b fails, and
         # the report must say so instead of failing the certified theorem.

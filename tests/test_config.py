@@ -1,4 +1,8 @@
-"""Round-trips and validation of the JSON configuration schema."""
+"""Parsing and validation of the JSON configuration schema.
+
+The readers are checked against literal JSON documents: each parses to the
+object built directly with the library's constructors.
+"""
 
 import json
 
@@ -8,62 +12,58 @@ import cat0feas as cf
 from cat0feas.config import (
     config_from_json,
     instance_from_json,
-    mapping_from_json,
-    mapping_to_json,
-    point_from_standalone_json,
-    point_to_json,
+    point_from_json,
     set_from_json,
-    set_to_json,
     space_from_json,
-    space_to_json,
 )
 
+E2 = {"kind": "euclidean", "dim": 2}
 
-def roundtrip_space(space):
-    return space_from_json(space_to_json(space))
+
+def parse_space(text):
+    return space_from_json(json.loads(text))
 
 
 class TestSpaceRoundtrip:
     def test_euclidean(self, e5):
-        assert roundtrip_space(e5) == e5
+        assert parse_space('{"kind": "euclidean", "dim": 5}') == e5
 
     def test_disk(self, disk):
-        assert roundtrip_space(disk) == disk
+        assert parse_space('{"kind": "poincare-disk"}') == disk
 
     def test_tree(self, tripod_space):
-        assert roundtrip_space(tripod_space) == tripod_space
+        doc = """{"kind": "metric-tree", "vertices": ["O", "A", "B", "C"],
+                  "edges": [["O", "A", 1.0], ["O", "B", 1.0], ["O", "C", 1.0]]}"""
+        assert parse_space(doc) == tripod_space
 
     def test_product(self, e2):
-        cs = cf.ConvexCombinationSpace(e2, 0.25)
-        assert roundtrip_space(cs) == cs
+        doc = '{"kind": "product", "base": {"kind": "euclidean", "dim": 2}, "lambda": 0.25}'
+        assert parse_space(doc) == cf.ConvexCombinationSpace(e2, 0.25)
 
     def test_unknown_kind(self):
         with pytest.raises(cf.ConfigError):
             space_from_json({"kind": "minkowski"})
 
-    def test_bad_product_lambda(self, e2):
+    def test_bad_product_lambda(self):
         with pytest.raises(cf.ConfigError):
-            space_from_json({"kind": "product", "base": space_to_json(e2), "lambda": 1.0})
+            space_from_json({"kind": "product", "base": E2, "lambda": 1.0})
 
 
 class TestPointRoundtrip:
     def test_each_space(self, e2, disk, tripod_space):
         cs = cf.ConvexCombinationSpace(tripod_space, 0.5)
-        pts = [
-            e2.point((1.5, -2.0)),
-            disk.point((0.3, -0.4)),
-            tripod_space.at(1, 0.25),
-            cs.pair(tripod_space.vertex("A"), tripod_space.at(2, 0.5)),
+        cases = [
+            (e2, "[1.5, -2.0]", e2.point((1.5, -2.0))),
+            (disk, "[0.3, -0.4]", disk.point((0.3, -0.4))),
+            (tripod_space, '{"edge": 1, "offset": 0.25}', tripod_space.at(1, 0.25)),
+            (
+                cs,
+                '{"first": {"edge": 0, "offset": 1.0}, "second": {"edge": 2, "offset": 0.5}}',
+                cs.pair(tripod_space.vertex("A"), tripod_space.at(2, 0.5)),
+            ),
         ]
-        for p in pts:
-            doc = point_to_json(p)
-            assert point_from_standalone_json(doc) == p
-            # serialized form carries both the space and the payload
-            assert set(doc) == {"space", "payload"}
-
-    def test_json_serializable(self, disk):
-        doc = point_to_json(disk.point((0.1, 0.2)))
-        json.dumps(doc)
+        for space, text, expected in cases:
+            assert point_from_json(space, json.loads(text)) == expected
 
 
 class TestSetAndMappingRoundtrip:
@@ -71,57 +71,56 @@ class TestSetAndMappingRoundtrip:
         cs = cf.ConvexCombinationSpace(e2, 0.5)
         ball = cf.EuclideanBall(e2, (0.0, 0.0), 1.0)
         half = cf.Halfspace(e2, (-1.0, 0.0), -2.0)
-        sets = [
-            half,
-            cf.AffineSubspace(e2, (0.0, 1.0), ((1.0, 0.0),)),
-            ball,
-            cf.TreeSegment(tripod_space, tripod_space.at(0, 0.5), tripod_space.at(0, 1.0)),
-            cf.Subtree(tripod_space, ("O", "A")),
-            cf.DiskGeodesicSegment(disk, disk.point((0.0, 0.0)), disk.point((0.5, 0.0))),
-            cf.DiskBall(disk, complex(0.1, 0.0), 0.5),
-            cf.ProductRectangle(cs, ball, half),
-            cf.DiagonalSet(cs),
+        ball_doc = {"ball": {"center": [0.0, 0.0], "radius": 1.0}}
+        half_doc = {"halfspace": {"normal": [-1.0, 0.0], "offset": -2.0}}
+        cases = [
+            (e2, half_doc, half),
+            (
+                e2,
+                {"affine-subspace": {"anchor": [0.0, 1.0], "basis": [[1.0, 0.0]]}},
+                cf.AffineSubspace(e2, (0.0, 1.0), ((1.0, 0.0),)),
+            ),
+            (e2, ball_doc, ball),
+            (
+                tripod_space,
+                {"tree-segment": {"start": {"edge": 0, "offset": 0.5},
+                                  "end": {"edge": 0, "offset": 1.0}}},
+                cf.TreeSegment(tripod_space, tripod_space.at(0, 0.5), tripod_space.at(0, 1.0)),
+            ),
+            (
+                tripod_space,
+                {"subtree": {"vertices": ["O", "A"]}},
+                cf.Subtree(tripod_space, ("O", "A")),
+            ),
+            (
+                disk,
+                {"disk-geodesic-segment": {"start": [0.0, 0.0], "end": [0.5, 0.0]}},
+                cf.DiskGeodesicSegment(disk, disk.point((0.0, 0.0)), disk.point((0.5, 0.0))),
+            ),
+            (
+                disk,
+                {"disk-ball": {"center": [0.1, 0.0], "radius": 0.5}},
+                cf.DiskBall(disk, complex(0.1, 0.0), 0.5),
+            ),
+            (
+                cs,
+                {"product-rectangle": {"first": ball_doc, "second": half_doc}},
+                cf.ProductRectangle(cs, ball, half),
+            ),
+            (cs, {"diagonal": {}}, cf.DiagonalSet(cs)),
         ]
-        for s in sets:
-            doc = set_to_json(s)
-            space = s.space
-            assert set_from_json(space, doc) == s
-
-    def test_spec_shaped_mapping_document(self, e2):
-        doc = {
-            "convex-combination": {
-                "lambda": 0.5,
-                "left": {"projection": {"halfspace": {"normal": [1.0, 0.0], "offset": 0.0}}},
-                "right": {"projection": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}},
-            }
-        }
-        mapping = mapping_from_json(e2, doc)
-        assert isinstance(mapping, cf.ConvexCombinationMap)
-        assert mapping_to_json(mapping) == doc
-
-    def test_product_mappings(self, e2):
-        cs = cf.ConvexCombinationSpace(e2, 0.5)
-        doc = {
-            "pair-map": {
-                "T1": {"identity": {}},
-                "T2": {"constant": {"payload": [1.0, 2.0]}},
-            }
-        }
-        mapping = mapping_from_json(cs, doc)
-        assert isinstance(mapping, cf.PairMap)
-        assert mapping_to_json(mapping) == doc
-        q = mapping_from_json(cs, {"diagonal-projection": {}})
-        assert isinstance(q, cf.ProjectionMap)
+        assert len({next(iter(doc)) for _, doc, _ in cases}) == 9
+        for space, doc, expected in cases:
+            assert set_from_json(space, doc) == expected
 
     def test_diagonal_projection_needs_product(self, e2):
-        with pytest.raises(cf.ConfigError):
-            mapping_from_json(e2, {"diagonal-projection": {}})
+        for doc in ({"diagonal": {}}, {"product-rectangle": {"first": {}, "second": {}}}):
+            with pytest.raises(cf.ConfigError, match="needs a product space"):
+                set_from_json(e2, doc)
 
     def test_unknown_kinds(self, e2):
-        with pytest.raises(cf.ConfigError):
+        with pytest.raises(cf.ConfigError, match="unknown set kind"):
             set_from_json(e2, {"polygon": {}})
-        with pytest.raises(cf.ConfigError):
-            mapping_from_json(e2, {"rotation": {}})
 
 
 class TestExperimentConfig:
@@ -130,43 +129,36 @@ class TestExperimentConfig:
         names = {inst.name for inst in bundled.instances}
         assert {"line-line", "ball-halfspace", "tripod-legs"} <= names
 
-    def test_eps_grid_must_descend(self, e2):
-        doc = {
-            "name": "x",
-            "space": space_to_json(e2),
-            "eps_grid": [0.1, 0.5],
-        }
+    def test_eps_grid_must_descend(self):
+        doc = {"name": "x", "space": E2, "eps_grid": [0.1, 0.5]}
         with pytest.raises(cf.ConfigError):
             instance_from_json(doc, "instances[0]")
 
-    def test_eps_grid_positive(self, e2):
-        doc = {"name": "x", "space": space_to_json(e2), "eps_grid": [1.0, 0.0]}
+    def test_eps_grid_positive(self):
+        doc = {"name": "x", "space": E2, "eps_grid": [1.0, 0.0]}
         with pytest.raises(cf.ConfigError):
             instance_from_json(doc, "instances[0]")
 
-    def test_lambda_domain(self, e2):
-        doc = {"name": "x", "space": space_to_json(e2), "lambda": 1.0}
+    def test_lambda_domain(self):
+        doc = {"name": "x", "space": E2, "lambda": 1.0}
         with pytest.raises(cf.ConfigError):
             instance_from_json(doc, "instances[0]")
 
-    def test_unknown_check_rejected(self, e2):
-        doc = {"name": "x", "space": space_to_json(e2), "checks": ["sorcery"]}
+    def test_unknown_check_rejected(self):
+        doc = {"name": "x", "space": E2, "checks": ["sorcery"]}
         with pytest.raises(cf.ConfigError):
             instance_from_json(doc, "instances[0]")
 
-    def test_duplicate_names_rejected(self, e2):
+    def test_duplicate_names_rejected(self):
         doc = {
             "schema": "1",
             "seed": 1,
-            "instances": [
-                {"name": "x", "space": space_to_json(e2)},
-                {"name": "x", "space": space_to_json(e2)},
-            ],
+            "instances": [{"name": "x", "space": E2}, {"name": "x", "space": E2}],
         }
         with pytest.raises(cf.ConfigError):
             config_from_json(doc)
 
-    def test_error_paths_are_reported(self, e2):
+    def test_error_paths_are_reported(self):
         doc = {
             "schema": "1",
             "instances": [{"name": "x", "space": {"kind": "euclidean"}}],
@@ -178,3 +170,20 @@ class TestExperimentConfig:
     def test_schema_version_checked(self):
         with pytest.raises(cf.ConfigError):
             config_from_json({"schema": "2"})
+
+    @pytest.mark.parametrize(
+        "top, field, path",
+        [
+            ({"samples": {"space": 0}}, {}, "samples.space"),
+            ({"samples": {"mapping": 0}}, {}, "samples.mapping"),
+            ({"samples": {"minimality": 0}}, {}, "samples.minimality"),
+            ({}, {"n_max": 0}, "instances[0].n_max"),
+            ({}, {"grid": {"surface": "boundry"}}, "instances[0].grid.surface"),
+            ({}, {"grid": {"h": 0.0}}, "instances[0].grid.h"),
+        ],
+    )
+    def test_unusable_values_rejected(self, top, field, path):
+        doc = {"instances": [{"name": "x", "space": E2, **field}], **top}
+        with pytest.raises(cf.ConfigError) as err:
+            config_from_json(doc)
+        assert str(err.value).startswith(path + ":")

@@ -1,5 +1,7 @@
 """Picard traces, the explicit rate formulas, and certificate semantics."""
 
+import math
+
 import pytest
 
 import cat0feas as cf
@@ -141,6 +143,21 @@ class TestPicard:
         with pytest.raises(cf.NumericError) as err:
             cf.picard(Exploder(e1), e1.point((1.0,)), 100)
         assert err.value.step == 2  # 1e200 -> 1e400 = inf at the second step
+
+    def test_nan_disk_iterate_reports_step(self, disk):
+        class Halver(cf.Mapping):
+            """Halves the point until it is within 0.1 of the origin, then NaN."""
+
+            kind = "halver"
+            space = disk
+
+            def __call__(self, x):
+                u = x.payload
+                return cf.Point(disk, u / 2 if abs(u) > 0.1 else complex(math.nan, 0.0))
+
+        with pytest.raises(cf.NumericError) as err:
+            cf.picard(Halver(), disk.point((0.5, 0.0)), 100)
+        assert err.value.step == 4  # 0.5 -> 0.25 -> 0.125 -> 0.0625 -> nan
 
     def test_trace_invariant_enforced(self, e2):
         with pytest.raises(cf.DomainError):

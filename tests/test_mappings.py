@@ -14,11 +14,11 @@ coord = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 class TestEvaluate:
     def test_identity(self, e2, rng):
         x = e2.random_point(rng)
-        assert cf.evaluate(cf.IdentityMap(e2), x) == x
+        assert cf.IdentityMap(e2)(x) == x
 
     def test_constant(self, e2, rng):
         c = e2.point((1, -2))
-        assert cf.evaluate(cf.ConstantMap(c), e2.random_point(rng)) == c
+        assert cf.ConstantMap(c)(e2.random_point(rng)) == c
 
     def test_averaged_lines(self, e2):
         a = cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 0.0),))
@@ -147,3 +147,22 @@ class TestFirmNonexpansivityChecker:
                 cf.IdentityMap(e2), e2.random_point(rng), e2.random_point(rng),
                 t_grid=(0.5, 2.0),
             )
+
+
+class TestNegativeControls:
+    def test_reflection_fails_both_checkers(self, e2, rng):
+        # 2 P_A - I is nonexpansive but neither (P2) nor firmly nonexpansive.
+        half = cf.Halfspace(e2, (1.0, 0.0), 0.0)
+
+        class Reflection(cf.Mapping):
+            kind = "reflection"
+            space = e2
+
+            def __call__(self, x):
+                p = half.project(x).payload
+                return e2.point(tuple(2.0 * pi - xi for pi, xi in zip(p, x.payload)))
+
+        reflect = Reflection()
+        pairs = [(e2.random_point(rng, 4.0), e2.random_point(rng, 4.0)) for _ in range(200)]
+        assert max(cf.check_p2(reflect, x, y) for x, y in pairs) > 1.0
+        assert max(cf.check_firmly_nonexpansive(reflect, x, y) for x, y in pairs) > 0.1

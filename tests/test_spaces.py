@@ -189,3 +189,59 @@ class TestPointBasics:
         assert e2.reference_point().payload == (0.0, 0.0)
         assert disk.reference_point().payload == 0j
         assert tripod_space.reference_point() == tripod_space.vertex("O")
+
+
+class SphericalCap(cf.Space):
+    """The cap of angular radius 1.2 about the north pole of the unit sphere.
+
+    Curvature +1, so it is not CAT(0): the comparison checks must reject it.
+    """
+
+    kind = "spherical-cap"
+    tolerance = 1e-9
+
+    def _canonical(self, payload):
+        v = tuple(float(c) for c in payload)
+        norm = math.sqrt(sum(c * c for c in v))
+        return tuple(c / norm for c in v)
+
+    def _distance(self, a, b):
+        cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        return math.atan2(math.hypot(*cross), sum(x * y for x, y in zip(a, b)))
+
+    def _interpolate(self, a, b, t):
+        theta = self._distance(a, b)
+        wa, wb = math.sin((1 - t) * theta), math.sin(t * theta)
+        return self._canonical(wa * x + wb * y for x, y in zip(a, b))
+
+    def _sample(self, rng, scale):
+        polar, azimuth = rng.uniform(0.0, 1.2), rng.uniform(0.0, 2.0 * math.pi)
+        return (
+            math.sin(polar) * math.cos(azimuth),
+            math.sin(polar) * math.sin(azimuth),
+            math.cos(polar),
+        )
+
+    def _reference(self):
+        return (0.0, 0.0, 1.0)
+
+
+class TestNegativeControls:
+    def test_spherical_cap_fails_comparison(self):
+        cap = SphericalCap()
+        rng = random.Random(11)
+        cn_fails = fp_fails = 0
+        for _ in range(200):
+            x, y, z, w = (cap.random_point(rng) for _ in range(4))
+            cn_fails += not cf.check_cn_inequality(cap, z, x, y, rng.random()).ok
+            fp_fails += not cf.check_four_point(cap, x, y, z, w).ok
+        assert cn_fails > 0 and fp_fails > 0
+
+    def test_spherical_cap_geodesics(self):
+        # The control is a geodesic space: its midpoints split distances.
+        cap = SphericalCap()
+        rng = random.Random(12)
+        for _ in range(20):
+            x, y = cap.random_point(rng), cap.random_point(rng)
+            m = cap.interpolate(x, y, 0.5)
+            assert cap.distance(x, m) == pytest.approx(0.5 * cap.distance(x, y), abs=1e-12)
