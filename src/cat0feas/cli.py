@@ -1,12 +1,15 @@
 """Configuration-driven experiment runner.
 
-    cat0-feas verify-space   --config c.json --out dir [--seed N] [--jobs K]
-    cat0-feas verify-mapping --config c.json --out dir [--seed N] [--jobs K]
-    cat0-feas run            --config c.json --out dir [--seed N] [--jobs K]
-    cat0-feas certify        --config c.json --out dir [--seed N] [--jobs K]
+    cat0-feas verify-space   --config c.json --out dir [--seed N]
+    cat0-feas verify-mapping --config c.json --out dir [--seed N]
+    cat0-feas run            --config c.json --out dir [--seed N]
+    cat0-feas certify        --config c.json --out dir [--seed N]
+
+Instances run one after another; ``--jobs K`` is still accepted and ignored.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 some check was
-inconclusive (or a stated hypothesis did not hold), 3 configuration error.
+inconclusive (or a stated hypothesis did not hold), 3 configuration or usage
+error.
 
 Outputs are deterministic for a fixed config and seed: report.json, trace
 CSVs, and certificate JSON files are byte-identical across runs.  Wall-clock
@@ -20,7 +23,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .analysis import best_pair_bruteforce, check_delta_limit, set_distance
@@ -43,16 +45,16 @@ from .mappings import (
     check_p2,
     diagonal_projection,
 )
-from .product import (
-    ConvexCombinationSpace,
-    embed_diagonal,
-    reduction_deviations,
-    squared_diagonal_gap,
-)
+from .product import ConvexCombinationSpace, embed_diagonal, reduction_deviations
 from .sets import DiagonalSet
-from .spaces import PoincareDiskSpace, check_cn_inequality, check_four_point
+from .spaces import REL_TOL, check_cn_inequality, check_four_point
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_CONFIG = 0, 1, 2, 3
+
+# Fixed bounds on the P2 / firm-nonexpansivity residuals and on the diagonal
+# projection's minimality slack and identity residual.
+P2_TOL = 1e-9
+MINIMALITY_TOL = 1e-10
 
 _STATUS_RANK = {
     "pass": 0,
@@ -90,11 +92,6 @@ def _exit_code(status: str) -> int:
     return (EXIT_PASS, EXIT_INCONCLUSIVE, EXIT_FAIL)[rank]
 
 
-def _space_check_tolerance(space, cfg: ExperimentConfig) -> float:
-    base = space.base if isinstance(space, ConvexCombinationSpace) else space
-    return cfg.tol_disk if isinstance(base, PoincareDiskSpace) else cfg.tol_exact
-
-
 def _quantiles(values):
     ordered = sorted(values)
     n = len(ordered)
@@ -103,13 +100,6 @@ def _quantiles(values):
         "p90": ordered[min(n - 1, (9 * n) // 10)],
         "max": ordered[-1],
     }
-
-
-def _map_instances(handler, instances, jobs):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(handler, instances))
-    return [handler(inst) for inst in instances]
 
 
 def _build_map(inst: InstanceConfig):
@@ -165,16 +155,21 @@ def _run_trace(inst: InstanceConfig, n_max=None):
 # -- verify-space ------------------------------------------------------------------
 
 
-def _verify_one_space(name, space, samples, tol, seed):
+def _verify_one_space(name, space, samples, seed):
+    """Sample both curvature inequalities; the row's tolerance is REL_TOL times
+    the largest sum of squared-distance terms among its samples."""
     rng = random.Random(f"{seed}:{name}:space-verify")
     max_fp = -float("inf")
     max_cn = -float("inf")
+    scale = 0.0
     for _ in range(samples):
         x, y, z, w = (space.random_point(rng) for _ in range(4))
-        fp = check_four_point(space, x, y, z, w, tol)
-        cn = check_cn_inequality(space, z, x, y, rng.random(), tol)
+        fp = check_four_point(space, x, y, z, w)
+        cn = check_cn_inequality(space, z, x, y, rng.random())
         max_fp = max(max_fp, fp.residual)
         max_cn = max(max_cn, cn.residual)
+        scale = max(scale, fp.scale, cn.scale)
+    tol = REL_TOL * scale
     ok = max_fp <= tol and max_cn <= tol
     return {
         "name": name,
@@ -186,8 +181,8 @@ def _verify_one_space(name, space, samples, tol, seed):
     }
 
 
-def cmd_verify_space(cfg: ExperimentConfig, seed: int, jobs: int):
-    jobs_ = []
+def cmd_verify_space(cfg: ExperimentConfig, seed: int):
+    rows = []
     seen = set()
     for inst in cfg.instances:
         variants = [(inst.space, None)]
@@ -200,21 +195,16 @@ def cmd_verify_space(cfg: ExperimentConfig, seed: int, jobs: int):
                 continue
             seen.add(space)
             label = space.kind if lam is None else f"{space.base.kind} x lambda={lam}"
-            jobs_.append((f"{inst.name}:{label}", space))
-    results = _map_instances(
-        lambda item: _verify_one_space(
-            item[0], item[1], cfg.space_samples, _space_check_tolerance(item[1], cfg), seed
-        ),
-        jobs_,
-        jobs,
-    )
-    return {"spaces": results}, _worst_status(r["status"] for r in results)
+            rows.append(
+                _verify_one_space(f"{inst.name}:{label}", space, cfg.space_samples, seed)
+            )
+    return {"spaces": rows}, _worst_status(r["status"] for r in rows)
 
 
 # -- verify-mapping -----------------------------------------------------------------
 
 
-def _mapping_report(name, mapping, space, rng, samples, tol, assert_pass, fn_check=False):
+def _mapping_report(name, mapping, space, rng, samples, assert_pass, fn_check=False):
     p2 = []
     fn = []
     for _ in range(samples):
@@ -226,7 +216,9 @@ def _mapping_report(name, mapping, space, rng, samples, tol, assert_pass, fn_che
     if fn:
         entry["firmly_nonexpansive"] = _quantiles(fn)
     if assert_pass:
-        ok = entry["p2"]["max"] <= tol and (not fn or entry["firmly_nonexpansive"]["max"] <= tol)
+        ok = entry["p2"]["max"] <= P2_TOL and (
+            not fn or entry["firmly_nonexpansive"]["max"] <= P2_TOL
+        )
         entry["status"] = "pass" if ok else "fail"
     else:
         entry["status"] = "reported"
@@ -240,19 +232,18 @@ def _verify_mappings_for(inst: InstanceConfig, cfg: ExperimentConfig, seed: int)
     cs = ConvexCombinationSpace(space, inst.lam)
     proj_a, proj_b = ProjectionMap(set_a), ProjectionMap(set_b)
     rows = [
-        _mapping_report("P_A", proj_a, space, rng, cfg.mapping_samples, cfg.tol_p2, True, True),
-        _mapping_report("P_B", proj_b, space, rng, cfg.mapping_samples, cfg.tol_p2, True, True),
-        _mapping_report("identity", IdentityMap(space), space, rng, 100, cfg.tol_p2, True),
+        _mapping_report("P_A", proj_a, space, rng, cfg.mapping_samples, True, True),
+        _mapping_report("P_B", proj_b, space, rng, cfg.mapping_samples, True, True),
+        _mapping_report("identity", IdentityMap(space), space, rng, 100, True),
         _mapping_report(
-            "pair-map", PairMap(cs, proj_a, proj_b), cs, rng, cfg.mapping_samples, cfg.tol_p2, True
+            "pair-map", PairMap(cs, proj_a, proj_b), cs, rng, cfg.mapping_samples, True
         ),
         _mapping_report(
-            "diagonal-projection", diagonal_projection(cs), cs, rng,
-            cfg.mapping_samples, cfg.tol_p2, True,
+            "diagonal-projection", diagonal_projection(cs), cs, rng, cfg.mapping_samples, True
         ),
         _mapping_report(
             "averaged", averaged_projections(set_a, set_b, inst.lam), space, rng,
-            cfg.mapping_samples, cfg.tol_p2, False,
+            cfg.mapping_samples, False,
         ),
     ]
     # Spot-check nearest-point minimality of the diagonal projection.
@@ -276,7 +267,7 @@ def _verify_mappings_for(inst: InstanceConfig, cfg: ExperimentConfig, seed: int)
         "max_slack": worst_slack,
         "max_identity_residual": worst_identity,
         "status": "pass"
-        if worst_slack <= cfg.tol_minimality and worst_identity <= cfg.tol_minimality
+        if worst_slack <= MINIMALITY_TOL and worst_identity <= MINIMALITY_TOL
         else "fail",
     }
     rows.append(minimality)
@@ -285,14 +276,6 @@ def _verify_mappings_for(inst: InstanceConfig, cfg: ExperimentConfig, seed: int)
         "mappings": rows,
         "status": _worst_status(r["status"] for r in rows),
     }
-
-
-def cmd_verify_mapping(cfg: ExperimentConfig, seed: int, jobs: int):
-    instances = [inst for inst in cfg.instances if inst.set_a is not None]
-    results = _map_instances(
-        lambda inst: _verify_mappings_for(inst, cfg, seed), instances, jobs
-    )
-    return {"instances": results}, _worst_status(r["status"] for r in results)
 
 
 # -- run ---------------------------------------------------------------------------
@@ -350,16 +333,10 @@ def _run_one(inst: InstanceConfig, out: Path):
     return row
 
 
-def cmd_run(cfg: ExperimentConfig, seed: int, jobs: int, out: Path):
-    instances = [inst for inst in cfg.instances if inst.set_a is not None]
-    results = _map_instances(lambda inst: _run_one(inst, out), instances, jobs)
-    return {"instances": results}, _worst_status(r["status"] for r in results)
-
-
 # -- certify -----------------------------------------------------------------------
 
 
-def _certify_one(inst: InstanceConfig, cfg: ExperimentConfig, out: Path):
+def _certify_one(inst: InstanceConfig, out: Path):
     set_a, set_b, start = inst.require_sets()
     space = inst.space
     trace = _run_trace(inst)
@@ -411,14 +388,11 @@ def _certify_one(inst: InstanceConfig, cfg: ExperimentConfig, out: Path):
             b_gap = gap0 * gap0
             r = inst.set_dist if inst.set_dist is not None else r_alt
             q_identity = None
-            if r is not None:
-                # Cross-check: squared diagonal-to-rectangle gap in the product
-                # space against lam (1-lam) r^2.
-                cs = ConvexCombinationSpace(space, inst.lam)
-                q_identity = abs(
-                    squared_diagonal_gap(cs, set_a, set_b)
-                    - inst.lam * (1 - inst.lam) * r**2
-                )
+            if r is not None and r_alt is not None:
+                # Cross-check: the squared diagonal-to-rectangle gap in the
+                # product space, lam (1-lam) d(A, B)^2, against lam (1-lam) r^2.
+                weight = inst.lam * (1.0 - inst.lam)
+                q_identity = abs(weight * r_alt * r_alt - weight * r**2)
             if space.distance(start, u_star) > m_val + 1e-12:
                 add("gap-rate", "hypothesis-unsatisfied", M=m_val)
             elif r is None:
@@ -478,19 +452,26 @@ def _certify_one(inst: InstanceConfig, cfg: ExperimentConfig, out: Path):
     return entry
 
 
-def cmd_certify(cfg: ExperimentConfig, seed: int, jobs: int, out: Path):
-    instances = [inst for inst in cfg.instances if inst.set_a is not None]
-    results = _map_instances(
-        lambda inst: _certify_one(inst, cfg, out), instances, jobs
-    )
-    return {"instances": results}, _worst_status(r["status"] for r in results)
-
-
 # -- entry point --------------------------------------------------------------------
 
 
+def cmd_instances(cfg: ExperimentConfig, handler):
+    """Run `handler` on every instance that has sets; the verdict is the worst
+    status among them."""
+    rows = [handler(inst) for inst in cfg.instances if inst.set_a is not None]
+    return {"instances": rows}, _worst_status(r["status"] for r in rows)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, as configuration errors do, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cat0-feas",
         description="verify, run, and certify averaged-projection experiments",
     )
@@ -500,7 +481,7 @@ def _parser():
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel instances")
+        p.add_argument("--jobs", type=int, default=1, help="ignored; instances run serially")
     return parser
 
 
@@ -517,13 +498,14 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "verify-space":
-            body, verdict = cmd_verify_space(cfg, seed, args.jobs)
-        elif args.command == "verify-mapping":
-            body, verdict = cmd_verify_mapping(cfg, seed, args.jobs)
-        elif args.command == "run":
-            body, verdict = cmd_run(cfg, seed, args.jobs, out)
+            body, verdict = cmd_verify_space(cfg, seed)
         else:
-            body, verdict = cmd_certify(cfg, seed, args.jobs, out)
+            handler = {
+                "verify-mapping": lambda inst: _verify_mappings_for(inst, cfg, seed),
+                "run": lambda inst: _run_one(inst, out),
+                "certify": lambda inst: _certify_one(inst, out),
+            }[args.command]
+            body, verdict = cmd_instances(cfg, handler)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

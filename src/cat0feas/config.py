@@ -17,7 +17,10 @@ An experiment document holds these keys (default after "="):
 
     schema = "1"; seed = 0; instances = []
     samples     {"space" = 10000, "mapping" = 1000, "minimality" = 1000}, each >= 1
-    tolerances  {"exact" = 1e-12, "disk" = 1e-8, "p2" = 1e-9, "minimality" = 1e-10}
+
+Check bounds are not configurable: the curvature checks scale theirs with the
+squared distances in each inequality (spaces.REL_TOL), and the P2 and
+minimality bounds are fixed in cli.  A "tolerances" section is rejected.
 
 and each instance these:
 
@@ -34,12 +37,13 @@ and each instance these:
     grid = {"h": 0.001, "window": null, "surface": "auto"}
                                     oracle grid: step > 0, per-dimension [lo, hi]
                                     ranges, "auto" | "boundary" | "full"
-    product_lambdas = []            extra product weights for verify-space
+    product_lambdas = []            extra verify-space product weights, in (0, 1)
     checks = []                     any of "rate", "gap-rate", "delta-limit",
                                     "oracle-agreement"
 
-A null value reads as an absent key.  Every parse error raises ConfigError
-with the JSON path.
+A null value reads as an absent key.  Integer fields (seed, sample counts,
+n_max) take integral numbers only: 3.0 reads as 3, 2.5 is an error.  Every
+parse error raises ConfigError with the JSON path.
 """
 
 from __future__ import annotations
@@ -256,10 +260,6 @@ class ExperimentConfig:
     space_samples: int = 10_000
     mapping_samples: int = 1_000
     minimality_samples: int = 1_000
-    tol_exact: float = 1e-12
-    tol_disk: float = 1e-8
-    tol_p2: float = 1e-9
-    tol_minimality: float = 1e-10
     instances: tuple[InstanceConfig, ...] = ()
 
 
@@ -274,12 +274,21 @@ def _value(doc: dict, key: str, path: str, cast, default=None):
         return default
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         _fail(_join(path, key), f"bad value {value!r}: {exc}")
 
 
+def _integer(value) -> int:
+    """An integral JSON number; int() alone would truncate 2.5 to 2."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("not an integer")
+
+
 def _count(doc: dict, key: str, path: str, default: int) -> int:
-    n = _value(doc, key, path, int, default)
+    n = _value(doc, key, path, _integer, default)
     if n < 1:
         _fail(_join(path, key), f"must be >= 1, got {n}")
     return n
@@ -360,6 +369,9 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         if c not in VALID_CHECKS:
             _fail(path + ".checks", f"unknown check '{c}'")
     rate_doc = _section(doc, "rate", path)
+    product_lambdas = _value(doc, "product_lambdas", path, _floats, ())
+    if not all(0.0 < w < 1.0 for w in product_lambdas):
+        _fail(path + ".product_lambdas", f"weights must lie in (0, 1), got {product_lambdas}")
     return InstanceConfig(
         name=name,
         space=space,
@@ -377,7 +389,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         rate_b=_value(rate_doc, "b", path + ".rate", float),
         rate_m=_value(rate_doc, "M", path + ".rate", float),
         grid=grid,
-        product_lambdas=_value(doc, "product_lambdas", path, _floats, ()),
+        product_lambdas=product_lambdas,
         checks=checks,
     )
 
@@ -388,8 +400,9 @@ def config_from_json(doc) -> ExperimentConfig:
     schema = str(doc.get("schema", SCHEMA_VERSION))
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version '{schema}'")
+    if doc.get("tolerances") is not None:
+        _fail("tolerances", "check bounds are derived, not configured; remove this section")
     samples = _section(doc, "samples")
-    tolerances = _section(doc, "tolerances")
     instances = tuple(
         instance_from_json(inst, f"instances[{i}]")
         for i, inst in enumerate(_value(doc, "instances", "", list, []))
@@ -399,14 +412,10 @@ def config_from_json(doc) -> ExperimentConfig:
         raise ConfigError("instance names must be unique")
     return ExperimentConfig(
         schema=schema,
-        seed=_value(doc, "seed", "", int, 0),
+        seed=_value(doc, "seed", "", _integer, 0),
         space_samples=_count(samples, "space", "samples", 10_000),
         mapping_samples=_count(samples, "mapping", "samples", 1_000),
         minimality_samples=_count(samples, "minimality", "samples", 1_000),
-        tol_exact=_value(tolerances, "exact", "tolerances", float, 1e-12),
-        tol_disk=_value(tolerances, "disk", "tolerances", float, 1e-8),
-        tol_p2=_value(tolerances, "p2", "tolerances", float, 1e-9),
-        tol_minimality=_value(tolerances, "minimality", "tolerances", float, 1e-10),
         instances=instances,
     )
 

@@ -129,14 +129,6 @@ class IterationTrace:
         """Number of recorded residual indices."""
         return len(self.residuals)
 
-    def residual_at(self, n: int) -> float | None:
-        """Residual at step n, using the constant extension when stationary."""
-        if n < len(self.residuals):
-            return self.residuals[n]
-        if self.stationary_from is not None:
-            return 0.0
-        return None
-
 
 def picard(
     mapping: Mapping,

@@ -25,6 +25,12 @@ from .errors import DomainError, SpaceMismatchError
 # Disk points must stay strictly inside the boundary; the metric diverges there.
 DISK_MAX_NORM = 1.0 - 1e-9
 
+# The curvature inequalities are homogeneous of degree 2 in distances, so their
+# rounding error scales with the squared-distance terms.  A residual passes when
+# it is at most REL_TOL (2^-44, 256 machine epsilons) times the sum of those
+# terms.
+REL_TOL = 2.0**-44
+
 
 @dataclass(frozen=True, slots=True)
 class Point:
@@ -44,10 +50,12 @@ class Point:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of an inequality check: verdict plus the signed residual."""
+    """Outcome of an inequality check: verdict, signed residual, and the sum
+    of the squared-distance terms the residual was formed from."""
 
     ok: bool
     residual: float
+    scale: float
 
     def __bool__(self):
         return self.ok
@@ -242,20 +250,18 @@ def check_cn_inequality(
 
     Evaluates d^2(z,g) - [(1-t) d^2(z,x) + t d^2(z,y) - t(1-t) d^2(x,y)];
     nonpositive residual (up to tol) certifies the CAT(0) comparison at this
-    configuration.  Euclidean space attains equality.
+    configuration.  Euclidean space attains equality.  With tol None the bound
+    is REL_TOL times the sum of the four terms.
     """
-    if tol is None:
-        tol = space.tolerance
     space.require_member(z)
     g = space.interpolate(x, y, t).payload
     d = space._distance
     z, x, y = z.payload, x.payload, y.payload
-    residual = d(z, g) ** 2 - (
-        (1.0 - t) * d(z, x) ** 2
-        + t * d(z, y) ** 2
-        - t * (1.0 - t) * d(x, y) ** 2
-    )
-    return CheckResult(residual <= tol, residual)
+    zg = d(z, g) ** 2
+    zx = (1.0 - t) * d(z, x) ** 2
+    zy = t * d(z, y) ** 2
+    xy = t * (1.0 - t) * d(x, y) ** 2
+    return _result(zg - (zx + zy - xy), zg + zx + zy + xy, tol)
 
 
 def check_four_point(
@@ -264,20 +270,18 @@ def check_four_point(
     """Quadrilateral inequality equivalent to the CAT(0) condition.
 
     Evaluates d^2(x,z) + d^2(y,w) - [d^2(x,y) + d^2(y,z) + d^2(z,w) + d^2(w,x)]
-    and passes when it is <= tol.
+    and passes when it is <= tol; with tol None the bound is REL_TOL times the
+    sum of the six squared distances.
     """
-    if tol is None:
-        tol = space.tolerance
     for p in (x, y, z, w):
         space.require_member(p)
     d = space._distance
     x, y, z, w = x.payload, y.payload, z.payload, w.payload
-    residual = (
-        d(x, z) ** 2
-        + d(y, w) ** 2
-        - d(x, y) ** 2
-        - d(y, z) ** 2
-        - d(z, w) ** 2
-        - d(w, x) ** 2
-    )
-    return CheckResult(residual <= tol, residual)
+    xz, yw = d(x, z) ** 2, d(y, w) ** 2
+    xy, yz, zw, wx = d(x, y) ** 2, d(y, z) ** 2, d(z, w) ** 2, d(w, x) ** 2
+    return _result(xz + yw - xy - yz - zw - wx, xz + yw + xy + yz + zw + wx, tol)
+
+
+def _result(residual: float, scale: float, tol: float | None) -> CheckResult:
+    bound = REL_TOL * scale if tol is None else tol
+    return CheckResult(residual <= bound, residual, scale)

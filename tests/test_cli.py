@@ -5,8 +5,15 @@ import math
 
 import pytest
 
-from cat0feas import asymptotic_regularity_rate, best_pair_bruteforce, cli
+from cat0feas import (
+    InconclusiveError,
+    analysis,
+    asymptotic_regularity_rate,
+    best_pair_bruteforce,
+    cli,
+)
 from cat0feas.config import bundled_config_path
+from cat0feas.spaces import REL_TOL
 
 
 def mini_config(**overrides):
@@ -195,6 +202,10 @@ class TestExitCodes:
             ({}, {"rate": {"b": "x"}}, "instances[0].rate.b"),
             ({}, {"eps_grid": "ab"}, "instances[0].eps_grid"),
             ({"instances": [5]}, {}, "instances[0]"),
+            ({"seed": 7.5}, {}, "seed"),
+            ({}, {"n_max": 2.5}, "instances[0].n_max"),
+            ({"samples": {"space": 1.9}}, {}, "samples.space"),
+            ({"tolerances": {"exact": 1e-9}}, {}, "tolerances"),
         ],
     )
     def test_malformed_field_is_3(self, tmp_path, capsys, top, field, path):
@@ -207,6 +218,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-space", "--out", "o"],
+            ["certify", "--config", "c.json", "--out", "o", "--threads", "2"],
+            ["run", "--config", "c.json", "--out", "o", "--jobs", "many"],
+            [],
+        ],
+    )
+    def test_usage_error_is_3(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cat0-feas") and "error:" in err
+
+    def test_help_is_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["certify", "--help"])
+        assert exit_.value.code == 0
+        assert "--jobs" in capsys.readouterr().out
+
+    def test_set_distance_inconclusive_is_2(self, config_path, tmp_path, monkeypatch):
+        # The configured set distance still drives the gap rate; the identity
+        # cross-check, which needs the computed one, is left null.
+        def give_up(*args, **kwargs):
+            raise InconclusiveError("budget exhausted")
+
+        monkeypatch.setattr(cli, "set_distance", give_up)
+        monkeypatch.setattr(analysis, "set_distance", give_up)
+        out = tmp_path / "cert"
+        assert run_cli("certify", config_path, out) == 2
+        report = json.loads((out / "report.json").read_text())
+        tripod = next(r for r in report["instances"] if r["name"] == "tripod-legs")
+        checks = {c["check"]: c for c in tripod["checks"]}
+        assert checks["set-distance"]["status"] == "inconclusive"
+        assert checks["gap-rate"]["status"] == "pass"
+        assert checks["gap-rate"]["q_identity_residual"] is None
+        assert checks["oracle-agreement"]["status"] == "inconclusive"
 
     def test_understated_b_marks_hypothesis(self, tmp_path):
         # b ten times too small: the rate hypothesis d(x0, p) <= b fails, and
@@ -278,6 +329,24 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         out = tmp_path / "short-out"
         assert run_cli("certify", path, out) == 2
+
+
+class TestDerivedTolerance:
+    def test_long_edge_tree_passes(self, tmp_path):
+        # CN rounding on legs of length 100 exceeds 1e-12; the row bound
+        # scales with the squared distances and absorbs it.
+        legs = [["O", leg, 100.0] for leg in "ABC"]
+        space = {"kind": "metric-tree", "vertices": ["O", "A", "B", "C"], "edges": legs}
+        doc = mini_config(instances=[{"name": "long-legs", "space": space}])
+        path = tmp_path / "long-legs.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "long-legs-out"
+        assert run_cli("verify-space", path, out) == 0
+        (row,) = json.loads((out / "report.json").read_text())["spaces"]
+        assert row["max_cn_residual"] > 1e-12
+        assert row["max_cn_residual"] <= row["tolerance"]
+        # REL_TOL times at most six squared distances, each at most 200^2
+        assert row["tolerance"] <= REL_TOL * 6 * 200.0**2
 
 
 class TestModes:

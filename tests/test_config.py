@@ -180,6 +180,8 @@ class TestExperimentConfig:
             ({}, {"n_max": 0}, "instances[0].n_max"),
             ({}, {"grid": {"surface": "boundry"}}, "instances[0].grid.surface"),
             ({}, {"grid": {"h": 0.0}}, "instances[0].grid.h"),
+            ({}, {"product_lambdas": [2.0]}, "instances[0].product_lambdas"),
+            ({}, {"product_lambdas": [0.5, 0.0]}, "instances[0].product_lambdas"),
         ],
     )
     def test_unusable_values_rejected(self, top, field, path):
@@ -187,3 +189,13 @@ class TestExperimentConfig:
         with pytest.raises(cf.ConfigError) as err:
             config_from_json(doc)
         assert str(err.value).startswith(path + ":")
+
+    def test_integral_numbers_read_as_integers(self):
+        doc = {
+            "seed": 7.0,
+            "samples": {"space": 3.0},
+            "instances": [{"name": "x", "space": E2, "n_max": 5.0}],
+        }
+        cfg = config_from_json(doc)
+        assert (cfg.seed, cfg.space_samples, cfg.instances[0].n_max) == (7, 3, 5)
+        assert all(type(v) is int for v in (cfg.seed, cfg.space_samples))

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cat0feas as cf
-from cat0feas.spaces import DISK_MAX_NORM
+from cat0feas.spaces import DISK_MAX_NORM, REL_TOL
 
 T_GRID = [k / 10 for k in range(11)]
 
@@ -245,3 +245,52 @@ class TestNegativeControls:
             x, y = cap.random_point(rng), cap.random_point(rng)
             m = cap.interpolate(x, y, 0.5)
             assert cap.distance(x, m) == pytest.approx(0.5 * cap.distance(x, y), abs=1e-12)
+
+
+class PerturbedPlane(cf.EuclideanSpace):
+    """R^2 with every distance off by a relative amount of at most 1e-10."""
+
+    def _distance(self, a, b):
+        return math.dist(a, b) * (1.0 + 1e-10 * math.sin(sum(a) + sum(b)))
+
+
+class TestRelativeBound:
+    def test_scale_is_the_sum_of_squared_terms(self, e2):
+        x, y, z, w = (e2.point(c) for c in ((0, 0), (1, 0), (1, 1), (0, 1)))
+        fp = cf.check_four_point(e2, x, y, z, w)
+        assert fp.ok and fp.scale == 8.0
+        # g = (0.5, 0); the terms are 1.25, 0.5 * 2, 0.5 * 1 and 0.25 * 1.
+        cn = cf.check_cn_inequality(e2, z, x, y, 0.5)
+        assert cn.ok and cn.scale == pytest.approx(3.0)
+
+    def test_long_edges_pass(self):
+        # Legs of length 100 put CN rounding above 1e-12, so a fixed bound
+        # that small would fail this CAT(0) space from rounding alone.
+        tree = cf.TreeSpace(
+            cf.MetricTree(
+                vertices=("O", "A", "B", "C"),
+                edges=(("O", "A", 100.0), ("O", "B", 100.0), ("O", "C", 100.0)),
+            )
+        )
+        rng = random.Random(7)
+        worst = -math.inf
+        for _ in range(300):
+            x, y, z, w = (tree.random_point(rng) for _ in range(4))
+            assert cf.check_four_point(tree, x, y, z, w).ok
+            cn = cf.check_cn_inequality(tree, z, x, y, rng.random())
+            assert cn.ok
+            worst = max(worst, cn.residual)
+        assert worst > 1e-12
+
+    def test_relative_perturbation_fails(self):
+        plane = PerturbedPlane(2)
+        rng = random.Random(3)
+        fails = 0
+        worst = 0.0
+        for _ in range(200):
+            z, x, y = (plane.random_point(rng) for _ in range(3))
+            cn = cf.check_cn_inequality(plane, z, x, y, rng.random())
+            fails += not cn.ok
+            worst = max(worst, cn.residual / cn.scale)
+        assert fails > 0
+        assert worst > 100 * REL_TOL
