@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Convex sets, metric projections, and the nonexpansivity residuals.
 
-Each set kind carries an exact or certified nearest-point map.  Projections
+Each set kind carries an exact nearest-point map.  Projections
 in CAT(0) spaces are firmly nonexpansive and satisfy the quadratic property
 
     2 d^2(Px, Py) <= d^2(x, Py) + d^2(y, Px) - d^2(x, Px) - d^2(y, Py),

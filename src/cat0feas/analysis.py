@@ -24,6 +24,7 @@ from .sets import ConvexSet, GridSpec
 from .spaces import Point
 
 _BLOCK = 8192  # max entries of one pairwise block
+_PATIENCE = 10  # quiet alternating-projection rounds before set_distance stops
 
 
 @dataclass(frozen=True)
@@ -66,20 +67,19 @@ def set_distance(
     set_b: ConvexSet,
     tol: float = 1e-9,
     max_iter: int = 50_000,
-    start: Point | None = None,
-    patience: int = 10,
 ) -> float:
     """Distance between two convex sets via alternating projections.
 
-    The gap d(x_n, P_B x_n) with x_n in A is a nonincreasing upper bound
-    converging to d(A, B); iteration stops once the bound stabilizes below
-    tol-level improvements.  Raises InconclusiveError (carrying the best
-    bracket seen) if the budget runs out first.
+    Starting from P_A of the space's reference point, the gap d(x_n, P_B x_n)
+    with x_n in A is a nonincreasing upper bound converging to d(A, B);
+    iteration stops once the bound stabilizes below tol-level improvements.
+    Raises InconclusiveError (carrying the best bracket seen) if the budget
+    runs out first.
     """
     if set_a.space != set_b.space:
         raise DomainError("sets must live in the same space")
     space = set_a.space
-    x = set_a.project(start if start is not None else space.reference_point())
+    x = set_a.project(space.reference_point())
     gap = None
     quiet = 0
     for _ in range(max_iter):
@@ -89,7 +89,7 @@ def set_distance(
             improvement = gap - new_gap
             if improvement <= 0.1 * tol:
                 quiet += 1
-                if quiet >= patience:
+                if quiet >= _PATIENCE:
                     return new_gap
             else:
                 quiet = 0
@@ -153,11 +153,11 @@ def _point_sort_key(p: Point):
 
 
 def estimate_asymptotic_center(
-    tail: list[Point], candidates: list[Point] | None = None, tail_start: int = 0
+    tail: list[Point], tail_start: int = 0
 ) -> AsymptoticCenterEstimate:
     """Smallest-enclosing-radius point of a sequence tail, over candidates.
 
-    Default candidates are the tail points themselves plus the geodesic
+    The candidates are the tail points themselves plus the geodesic
     midpoints of all tail pairs; the max-distance objective is convex along
     geodesics, so one midpoint refinement already locates desk-scale centers
     well.  Ties break on a canonical payload order, so the result is invariant
@@ -166,15 +166,14 @@ def estimate_asymptotic_center(
     if not tail:
         raise DomainError("tail must be nonempty")
     space = tail[0].space
-    if candidates is None:
-        candidates = list(tail)
-        seen = set(candidates)
-        for i in range(len(tail)):
-            for j in range(i + 1, len(tail)):
-                mid = space.interpolate(tail[i], tail[j], 0.5)
-                if mid not in seen:
-                    seen.add(mid)
-                    candidates.append(mid)
+    candidates = list(tail)
+    seen = set(candidates)
+    for i in range(len(tail)):
+        for j in range(i + 1, len(tail)):
+            mid = space.interpolate(tail[i], tail[j], 0.5)
+            if mid not in seen:
+                seen.add(mid)
+                candidates.append(mid)
     best = None
     for cand in candidates:
         radius = max(space.distance(cand, x) for x in tail)

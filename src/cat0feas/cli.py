@@ -29,7 +29,6 @@ from .analysis import best_pair_bruteforce, check_delta_limit, set_distance
 from .config import ExperimentConfig, InstanceConfig, load_config
 from .errors import Cat0FeasError, ConfigError, InconclusiveError
 from .iteration import (
-    IterationTrace,
     certify_asymptotic_regularity,
     certify_best_approx_rate,
     picard,
@@ -38,6 +37,7 @@ from .iteration import (
 from .mappings import (
     ComposeMap,
     IdentityMap,
+    Mapping,
     PairMap,
     ProjectionMap,
     averaged_projections,
@@ -102,51 +102,44 @@ def _quantiles(values):
     }
 
 
+class _ProductReduction(Mapping):
+    """x -> first component of Q(U(x, x)): the averaged map computed through
+    its product-space twin, where U is the pair map (P_A, P_B) on the
+    lam-weighted product and Q the projection onto its diagonal."""
+
+    kind = "product-reduction"
+
+    def __init__(self, inst: InstanceConfig):
+        set_a, set_b, _ = inst.require_sets()
+        self.cs = ConvexCombinationSpace(inst.space, inst.lam)
+        self._twin = ComposeMap(
+            diagonal_projection(self.cs),
+            PairMap(self.cs, ProjectionMap(set_a), ProjectionMap(set_b)),
+        )
+
+    @property
+    def space(self):
+        return self.cs.base
+
+    def __call__(self, x):
+        return self._twin(embed_diagonal(self.cs, x)).payload[0]
+
+
 def _build_map(inst: InstanceConfig):
     set_a, set_b, _ = inst.require_sets()
     if inst.mode == "composed":
         return ComposeMap(ProjectionMap(set_a), ProjectionMap(set_b))
+    if inst.mode == "product-reduction":
+        return _ProductReduction(inst)
     return averaged_projections(set_a, set_b, inst.lam)
 
 
-def _twin_trace(inst: InstanceConfig, steps: int, **picard_options):
-    """Picard trace of the product-space twin Q o U, started on the diagonal;
-    its space is the lam-weighted product of the instance space."""
+def _run_trace(inst: InstanceConfig):
     set_a, set_b, start = inst.require_sets()
-    cs = ConvexCombinationSpace(inst.space, inst.lam)
-    qu = ComposeMap(
-        diagonal_projection(cs),
-        PairMap(cs, ProjectionMap(set_a), ProjectionMap(set_b)),
-    )
-    return picard(qu, embed_diagonal(cs, start), steps, **picard_options)
-
-
-def _run_trace(inst: InstanceConfig, n_max=None):
-    set_a, set_b, start = inst.require_sets()
-    steps = inst.n_max if n_max is None else n_max
-    if inst.mode == "product-reduction":
-        # Iterate the product-space twin and read the trace off the diagonal.
-        twin = _twin_trace(inst, steps)
-        points = [p.payload[0] for p in twin.points]
-        space = inst.space
-        return IterationTrace(
-            space=space,
-            points=points,
-            residuals=[space.distance(a, b) for a, b in zip(points, points[1:])],
-            to_fixed_point=(
-                [space.distance(p, inst.fixed_point) for p in points]
-                if inst.fixed_point is not None
-                else None
-            ),
-            aux=[
-                space.distance(set_a.project(p), set_b.project(p)) for p in points
-            ],
-            stationary_from=twin.stationary_from,
-        )
     return picard(
         _build_map(inst),
         start,
-        steps,
+        inst.n_max,
         fixed_point=inst.fixed_point,
         aux_pair=(set_a, set_b),
     )
@@ -311,8 +304,12 @@ def _run_one(inst: InstanceConfig, out: Path):
             steps,
             stop_on_stationary=False,
         )
-        twin = _twin_trace(inst, steps, stop_on_stationary=False)
-        gaps = reduction_deviations(twin.space, base.points, twin.points)
+        reduction = _ProductReduction(inst)
+        twin = picard(reduction, start, steps, stop_on_stationary=False)
+        cs = reduction.cs
+        gaps = reduction_deviations(
+            cs, base.points, [embed_diagonal(cs, y) for y in twin.points]
+        )
         worst = max(
             (gap - 1e-9 * max(n, 1) for n, gap in enumerate(gaps)), default=0.0
         )

@@ -17,10 +17,6 @@ class NotDiagonalError(Cat0FeasError):
     """A product point expected to be (numerically) diagonal is not."""
 
 
-class SolverError(Cat0FeasError):
-    """A numeric subroutine (1-D projection search, ...) failed; message carries diagnostics."""
-
-
 class NumericError(Cat0FeasError):
     """A non-finite value appeared during an iteration.
 

@@ -134,17 +134,15 @@ def picard(
     mapping: Mapping,
     start: Point,
     n_max: int,
-    stop_tol: float = 0.0,
     fixed_point: Point | None = None,
     aux_pair=None,
     stop_on_stationary: bool = True,
 ) -> IterationTrace:
     """Run x_{k+1} = T(x_k) for up to n_max steps and record diagnostics.
 
-    stop_tol = 0 disables residual-based early stopping (the default, so rate
-    certification sees the full horizon).  Exact stationarity is always
-    detected; with stop_on_stationary the loop ends there, since every later
-    iterate is structurally identical.
+    There is no residual-based early stop, so rate certification sees the full
+    horizon.  Exact stationarity is always detected; with stop_on_stationary
+    the loop ends there, since every later iterate is structurally identical.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -183,8 +181,6 @@ def picard(
             if stop_on_stationary:
                 break
         current = nxt
-        if stop_tol > 0.0 and residual < stop_tol:
-            break
 
     return IterationTrace(
         space=space,
@@ -201,6 +197,10 @@ def picard(
 
 # 13,000 bits is at most 3,914 decimal digits.
 _MAX_JSON_BOUND_BITS = 13_000
+
+# A certified value passes at eps plus this slack, which absorbs rounding.
+_REGULARITY_SLACK = 1e-10  # step residuals d(x_n, x_{n+1})
+_GAP_SLACK = 1e-8  # projection gaps minus the set distance
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ def _certify_values(values, stationary_value, bound, eps, slack, horizon, statio
 
 
 def certify_asymptotic_regularity(
-    trace: IterationTrace, b: float, eps_grid, slack: float = 1e-10
+    trace: IterationTrace, b: float, eps_grid
 ) -> list[RateCertificate]:
     """Check d(x_n, x_{n+1}) <= eps for all checkable n >= the regularity rate.
 
@@ -280,7 +280,8 @@ def certify_asymptotic_regularity(
         bound = asymptotic_regularity_rate(b, eps)
         certs.append(
             _certify_values(
-                trace.residuals, 0.0, bound, eps, slack, trace.horizon, stationary
+                trace.residuals, 0.0, bound, eps, _REGULARITY_SLACK, trace.horizon,
+                stationary,
             )
         )
     return certs
@@ -293,7 +294,6 @@ def certify_best_approx_rate(
     r: float,
     eps_grid,
     lam: float,
-    slack: float = 1e-8,
 ) -> list[RateCertificate]:
     """Check d(P_A x_n, P_B x_n) <= r + eps past the projection-gap rate.
 
@@ -314,7 +314,7 @@ def certify_best_approx_rate(
                 final_aux - r,
                 bound,
                 eps,
-                slack,
+                _GAP_SLACK,
                 len(trace.aux),
                 stationary,
             )

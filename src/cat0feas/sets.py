@@ -1,8 +1,8 @@
 """Closed geodesically convex sets with metric projections.
 
-Each set knows its owning space and provides membership, an exact or
-numerically certified nearest-point map, seeded member sampling, and (where it
-makes sense) finite grid sampling for brute-force oracles.
+Each set knows its owning space and provides membership, an exact
+nearest-point map, seeded member sampling, and (where it makes sense) finite
+grid sampling for brute-force oracles.
 
 Projection routes:
   * Euclidean half-spaces, affine flats and balls: closed forms.
@@ -10,8 +10,8 @@ Projection routes:
     segment sits at the arc length given by the Gromov product; the gate into
     a subtree is always one of its vertices).
   * Disk balls: exact, by cutting the geodesic to the center at the radius.
-  * Disk geodesic segments: golden-section search on the geodesic parameter,
-    valid since t -> d(x, gamma(t)) is convex in any CAT(0) space.
+  * Disk geodesic segments: the foot of the perpendicular, in closed form after
+    a Mobius map puts the segment on the real axis, clamped to the ends.
   * Product rectangles: componentwise; the weighted product metric decouples.
   * Diagonal of a product: closed form (c, c) with c = (1-lam)x1 + lam x2.
 """
@@ -26,12 +26,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import DomainError
 from .product import ConvexCombinationSpace
 from .spaces import EuclideanSpace, PoincareDiskSpace, Point, Space
 from .trees import TreeSpace
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# A grid larger than this raises instead of exhausting memory.
+MAX_GRID_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,13 @@ class GridSpec:
     h is the target arc/lattice step.  `window` bounds unbounded Euclidean
     sets (per-dimension (lo, hi) pairs).  `surface` selects full-region or
     boundary-only sampling; "auto" lets each set pick the cheapest faithful
-    option (boundary for 2-D regions, full for 1-D sets).
+    option (boundary for 2-D regions, full for 1-D sets).  No grid may hold
+    more than MAX_GRID_POINTS points.
     """
 
     h: float = 1e-3
     window: tuple[tuple[float, float], ...] | None = None
     surface: str = "auto"
-    max_points: int = 2_000_000
 
     def require_window(self, dim: int) -> tuple[tuple[float, float], ...]:
         if self.window is None:
@@ -330,7 +331,8 @@ class TreeSegment(_Segment):
 
 
 class DiskGeodesicSegment(_Segment):
-    """A geodesic segment in the Poincare disk; projection is a 1-D search."""
+    """A geodesic segment in the Poincare disk; projection drops the
+    perpendicular to its geodesic and clamps the foot to the segment."""
 
     kind = "disk-geodesic-segment"
 
@@ -338,10 +340,25 @@ class DiskGeodesicSegment(_Segment):
         self.space.require_member(x)
         if self.length == 0.0:
             return self.start
-        gamma = lambda t: self.space.interpolate(self.start, self.end, t)
-        f = lambda t: self.space.distance(x, gamma(t))
-        t = _golden_section_min(f, 0.0, 1.0, tol=1e-13)
-        return gamma(t)
+        # The isometry w -> (w - a) / (1 - conj(a) w), followed by a rotation,
+        # puts the segment on [0, r] of the real axis.
+        a = self.start.payload
+        e = (self.end.payload - a) / (1.0 - a.conjugate() * self.end.payload)
+        r = abs(e)
+        rot = e / r
+        z = (x.payload - a) / (1.0 - a.conjugate() * x.payload) / rot
+        # The foot of the perpendicular from z to the real axis: the Klein
+        # abscissa k = 2 Re z / (1 + |z|^2) taken back to the disk,
+        # k / (1 + sqrt(1 - k^2)), with 1 - k^2 written as a product so that
+        # it does not cancel.
+        s = 2.0 * z.real / (1.0 + abs(z) ** 2 + abs(1.0 - z) * abs(1.0 + z))
+        # The distance grows monotonically away from the foot, so clamping
+        # to the ends is exact.
+        if s <= 0.0:
+            return self.start
+        if s >= r:
+            return self.end
+        return Point(self.space, _mobius_shift(a, s * rot))
 
 
 # -- tree sets -------------------------------------------------------------------
@@ -507,8 +524,8 @@ class DiskBall(ConvexSet):
                 )
                 for j in range(n)
             )
-            if len(points) > spec.max_points:
-                raise DomainError("disk ball grid exceeds max_points; coarsen h")
+            if len(points) > MAX_GRID_POINTS:
+                raise DomainError("disk ball grid exceeds MAX_GRID_POINTS; coarsen h")
         return points
 
 
@@ -585,32 +602,12 @@ def _even(n: int) -> int:
     return n + (n % 2)
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section search for the minimizer of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    if not (math.isfinite(fc) and math.isfinite(fd)):
-        raise SolverError(f"non-finite objective in 1-D search: f({c})={fc}, f({d})={fd}")
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _box_lattice(window, spec: GridSpec) -> np.ndarray:
     axes = [np.arange(lo, hi + spec.h, spec.h) for lo, hi in window]
     count = math.prod(len(ax) for ax in axes)
-    if count > spec.max_points:
+    if count > MAX_GRID_POINTS:
         raise DomainError(
-            f"full grid would hold {count} points (> {spec.max_points}); "
+            f"full grid would hold {count} points (> {MAX_GRID_POINTS}); "
             "use boundary sampling or a coarser h"
         )
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -630,8 +627,8 @@ def _flat_grid(space, origin, basis, window, spec: GridSpec) -> list[Point]:
     radius = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in window))
     half = np.arange(0.0, radius + spec.h, spec.h)
     steps = np.concatenate([-half[:0:-1], half])
-    if len(steps) ** len(basis) > spec.max_points:
-        raise DomainError("flat grid exceeds max_points; coarsen h")
+    if len(steps) ** len(basis) > MAX_GRID_POINTS:
+        raise DomainError("flat grid exceeds MAX_GRID_POINTS; coarsen h")
     mesh = np.meshgrid(*([steps] * len(basis)), indexing="ij")
     params = np.stack([m.ravel() for m in mesh], axis=1)
     coords = origin + params @ basis

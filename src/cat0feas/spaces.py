@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class EuclideanSpace(Space):
     """R^dim with the Euclidean metric; geodesics are straight segments."""
 
     dim: int
-    tolerance: float = 1e-9
+    tolerance: ClassVar[float] = 1e-9
     kind = "euclidean"
 
     def __post_init__(self):
@@ -179,7 +179,7 @@ class PoincareDiskSpace(Space):
     near u = v than the equivalent arccosh form.
     """
 
-    tolerance: float = 1e-7
+    tolerance: ClassVar[float] = 1e-7
     kind = "poincare-disk"
 
     def _canonical(self, payload):

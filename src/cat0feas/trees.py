@@ -17,6 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,26 +62,8 @@ class MetricTree:
             raise DomainError("tree needs at least one edge")
         if len(self.edges) != len(self.vertices) - 1:
             raise DomainError("edge count must be vertex count - 1 for a tree")
-        if len(self._components()) != 1:
+        if len(self._bfs(self.vertices[0])[0]) != len(self.vertices):
             raise DomainError("tree graph is not connected")
-
-    def _components(self):
-        seen = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for _, other, _ in self.adjacency[v]:
-                    if other not in comp:
-                        comp.add(other)
-                        queue.append(other)
-            seen |= comp
-            comps.append(comp)
-        return comps
 
     @cached_property
     def adjacency(self) -> dict[str, list[tuple[int, str, float]]]:
@@ -91,24 +74,27 @@ class MetricTree:
             adj[v].append((i, u, length))
         return adj
 
+    def _bfs(self, root: str):
+        """Distance and predecessor maps of the vertices reachable from root."""
+        dist = {root: 0.0}
+        pred = {root: None}
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for _, other, length in self.adjacency[v]:
+                if other not in dist:
+                    dist[other] = dist[v] + length
+                    pred[other] = v
+                    queue.append(other)
+        return dist, pred
+
     @cached_property
     def _bfs_tables(self):
         """Per-root distance and predecessor maps (trees here are desk scale)."""
         dist = {}
         pred = {}
         for root in self.vertices:
-            d = {root: 0.0}
-            p = {root: None}
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for _, other, length in self.adjacency[v]:
-                    if other not in d:
-                        d[other] = d[v] + length
-                        p[other] = v
-                        queue.append(other)
-            dist[root] = d
-            pred[root] = p
+            dist[root], pred[root] = self._bfs(root)
         return dist, pred
 
     def vertex_distance(self, u: str, v: str) -> float:
@@ -150,7 +136,7 @@ class TreeSpace(Space):
     """A finite metric tree viewed as a geodesic space."""
 
     tree: MetricTree
-    tolerance: float = 1e-9
+    tolerance: ClassVar[float] = 1e-9
     kind = "metric-tree"
 
     # -- canonical payloads ---------------------------------------------------

@@ -375,3 +375,20 @@ class TestModes:
         assert run_cli("certify", path, out) == 0
         certs = json.loads((out / "certificates_tripod-legs.json").read_text())
         assert all(c["pass"] for c in certs)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_product_reduction_trace_matches_averaged(self, tmp_path, index):
+        # Both modes compute interpolate(P_A x, P_B x, lam) at every step.
+        traces = {}
+        for mode in ("averaged", "product-reduction"):
+            doc = mini_config()
+            inst = doc["instances"][index]
+            inst["mode"] = mode
+            doc["instances"] = [inst]
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"{mode}-out"
+            assert run_cli("run", path, out) == 0
+            traces[mode] = (out / f"trace_{inst['name']}.csv").read_text()
+        assert traces["averaged"] == traces["product-reduction"]
+        assert len(traces["averaged"].splitlines()) > 2

@@ -116,12 +116,6 @@ class TestPicard:
         for earlier, later in zip(trace.to_fixed_point, trace.to_fixed_point[1:]):
             assert later <= earlier + 1e-9
 
-    def test_stop_tol(self, e2):
-        t_map, _, _ = ball_halfspace_map(e2)
-        trace = cf.picard(t_map, e2.point((5, 5)), 10_000, stop_tol=1e-3)
-        assert trace.residuals[-1] < 1e-3
-        assert len(trace.points) < 100
-
     def test_n_max_domain(self, e2):
         with pytest.raises(cf.DomainError):
             cf.picard(cf.IdentityMap(e2), e2.point((0, 0)), 0)

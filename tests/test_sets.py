@@ -1,8 +1,8 @@
 """Projection correctness for every convex-set kind.
 
 Closed-form expectations are written inline with independent arithmetic;
-numeric projections (disk segments) are cross-checked against a dense
-parameter scan, and tree projections against a fine brute-force grid that
+disk-segment projections are also cross-checked against dense parameter
+scans, and tree projections against a fine brute-force grid that
 uses only the distance function.
 """
 
@@ -146,6 +146,32 @@ class TestDiskProjections:
     def test_segment_endpoints_project_to_themselves(self, disk):
         seg = disk_sets(disk)[0]
         assert disk.distance(seg.project(seg.start), seg.start) <= 1e-9
+
+    @pytest.mark.parametrize("y", [0.5, 0.9, -0.3])
+    def test_segment_symmetric_foot_is_exact(self, disk, y):
+        # The real axis and the imaginary axis meet at right angles in 0, so
+        # the nearest point of [-0.5, 0.5] to iy is the origin.
+        seg = cf.DiskGeodesicSegment(disk, disk.point((-0.5, 0.0)), disk.point((0.5, 0.0)))
+        assert abs(seg.project(disk.point((0.0, y))).payload) <= 1e-14
+
+    def test_segment_foot_is_nearest_point_on_segment(self, disk):
+        rng = random.Random(2718)
+        ts = [k / 2000 for k in range(2001)]
+        for _ in range(10):
+            seg = cf.DiskGeodesicSegment(disk, disk.random_point(rng), disk.random_point(rng))
+            marks = [disk.interpolate(seg.start, seg.end, t) for t in ts]
+            for _ in range(10):
+                x = disk.random_point(rng)
+                got = seg.project(x)
+                assert seg.contains(got, tol=1e-12)
+                dx = disk.distance(x, got)
+                assert all(dx <= disk.distance(x, m) + 1e-12 for m in marks)
+
+    def test_segment_foot_beyond_an_end_returns_that_end(self, disk):
+        seg = cf.DiskGeodesicSegment(disk, disk.point((-0.5, 0.0)), disk.point((0.5, 0.0)))
+        assert seg.project(disk.point((0.8, 0.1))) is seg.end
+        assert seg.project(disk.point((-0.7, -0.4))) is seg.start
+        assert seg.project(seg.end) is seg.end
 
 
 class TestProductSetProjections:
