@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NotDiagonalError
 from .spaces import Point, Space
 
@@ -75,6 +77,28 @@ class ConvexCombinationSpace(Space):
     def _reference(self):
         ref = self.base.reference_point()
         return (ref, ref)
+
+    # Packed product points are pairs (P1, P2) of packed base points.
+
+    def _pack(self, payloads):
+        return (
+            self.base._pack([a.payload for a, _ in payloads]),
+            self.base._pack([b.payload for _, b in payloads]),
+        )
+
+    def _sample_rows(self, rng, n):
+        return (self.base._sample_rows(rng, n), self.base._sample_rows(rng, n))
+
+    def _dist_rows(self, P, Q):
+        d1 = self.base._dist_rows(P[0], Q[0])
+        d2 = self.base._dist_rows(P[1], Q[1])
+        return np.sqrt((1.0 - self.lam) * d1 * d1 + self.lam * d2 * d2)
+
+    def _interp_rows(self, P, Q, t):
+        return (
+            self.base._interp_rows(P[0], Q[0], t),
+            self.base._interp_rows(P[1], Q[1], t),
+        )
 
 
 def embed_diagonal(cs: ConvexCombinationSpace, x: Point) -> Point:

@@ -9,6 +9,15 @@ weighted product construction in :mod:`cat0feas.product`.
 
 Points are immutable values tagged with their owning space, so structural
 equality is decidable and payloads can be hashed and serialized.
+
+Batched callers work on packed arrays instead of Points.  ``_pack`` turns
+payloads into the space's packed array (a pair of its base's for a
+product), and three row kernels act on such arrays: ``_sample_rows(rng, n)``
+draws n points from a ``random.Random``, ``_dist_rows(P, Q)`` gives
+distances elementwise (broadcasting like numpy), and ``_interp_rows(P, Q, t)``
+the geodesic points (1-t)P + tQ row by row.  The best-pair oracle scores
+blocks with ``_pairwise``; ``verify-space`` draws and reduces its samples in
+blocks through the row kernels.
 """
 
 from __future__ import annotations
@@ -66,6 +75,8 @@ class Space(ABC):
 
     Subclasses implement the payload-level primitives; the public methods add
     membership checks, parameter validation, and exact endpoint handling.
+    The spaces shipped here also implement the row kernels of the module
+    docstring.
     """
 
     kind: str
@@ -165,6 +176,16 @@ class EuclideanSpace(Space):
         # Squared distances, expanded so the cross terms are one matmul.
         return P[:, -1:] + Q[:, -1] - 2.0 * (P[:, :-1] @ Q[:, :-1].T)
 
+    def _sample_rows(self, rng, n):
+        return self._pack(2.0 * _random_rows(rng, n * self.dim).reshape(n, self.dim) - 1.0)
+
+    def _dist_rows(self, P, Q):
+        return np.linalg.norm(P[..., :-1] - Q[..., :-1], axis=-1)
+
+    def _interp_rows(self, P, Q, t):
+        X, Y = P[:, :-1], Q[:, :-1]
+        return self._pack(X + t[:, None] * (Y - X))
+
     def _reference(self):
         return (0.0,) * self.dim
 
@@ -228,8 +249,42 @@ class PoincareDiskSpace(Space):
         # The Mobius quotient delta; 2 artanh is monotone in it.
         return np.abs(P[:, None] - Q) / np.abs(1.0 - np.conjugate(P)[:, None] * Q)
 
+    def _sample_rows(self, rng, n):
+        # _sample's draws in its order: the radius, then the angle.
+        u, v = _random_rows(rng, 2 * n).reshape(n, 2).T
+        r, theta = 0.9 * np.sqrt(u), 2.0 * math.pi * v
+        return r * np.cos(theta) + 1j * (r * np.sin(theta))
+
+    def _dist_rows(self, P, Q):
+        # _distance's delta in real arithmetic, so that it rounds as Python's
+        # complex abs and product do (numpy's differ in the last bit, and
+        # artanh near 1 magnifies that bit some 30 times).
+        diff = P - Q
+        cross_re = P.real * Q.real + P.imag * Q.imag  # conj(P) Q
+        cross_im = P.real * Q.imag - P.imag * Q.real
+        delta = np.hypot(diff.real, diff.imag) / np.hypot(1.0 - cross_re, cross_im)
+        return 2.0 * np.arctanh(np.minimum(delta, math.nextafter(1.0, 0.0)))
+
+    def _interp_rows(self, P, Q, t):
+        z = (Q - P) / (1.0 - np.conjugate(P) * Q)
+        m = np.abs(z)
+        # m = 0 gives w = 0 and so P itself, as _interpolate does.
+        w = np.tanh(t * np.arctanh(m)) * (z / np.where(m > 0.0, m, 1.0))
+        return (w + P) / (1.0 + np.conjugate(P) * w)
+
     def _reference(self):
         return 0j
+
+
+def _random_rows(rng, n):
+    """n successive rng.random() draws as an array, bit for bit.
+
+    CPython's random() builds each double from two 32-bit Mersenne Twister
+    outputs a, b as ((a >> 5) 2^26 + (b >> 6)) / 2^53, and getrandbits(64 n)
+    packs the next 2n outputs into one integer, least significant first.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 # -- module-level operation surface ------------------------------------------
@@ -280,6 +335,24 @@ def check_four_point(
     xz, yw = d(x, z) ** 2, d(y, w) ** 2
     xy, yz, zw, wx = d(x, y) ** 2, d(y, z) ** 2, d(z, w) ** 2, d(w, x) ** 2
     return _result(xz + yw - xy - yz - zw - wx, xz + yw + xy + yz + zw + wx, tol)
+
+
+def _cn_rows(space: Space, Z, X, Y, t):
+    """check_cn_inequality on packed rows: (residuals, scales) as arrays."""
+    d = space._dist_rows
+    zg = d(Z, space._interp_rows(X, Y, t)) ** 2
+    zx = (1.0 - t) * d(Z, X) ** 2
+    zy = t * d(Z, Y) ** 2
+    xy = t * (1.0 - t) * d(X, Y) ** 2
+    return zg - (zx + zy - xy), zg + zx + zy + xy
+
+
+def _four_point_rows(space: Space, X, Y, Z, W):
+    """check_four_point on packed rows: (residuals, scales) as arrays."""
+    d = space._dist_rows
+    xz, yw = d(X, Z) ** 2, d(Y, W) ** 2
+    xy, yz, zw, wx = d(X, Y) ** 2, d(Y, Z) ** 2, d(Z, W) ** 2, d(W, X) ** 2
+    return xz + yw - xy - yz - zw - wx, xz + yw + xy + yz + zw + wx
 
 
 def _result(residual: float, scale: float, tol: float | None) -> CheckResult:

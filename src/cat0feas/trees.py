@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError
-from .spaces import Point, Space
+from .spaces import Point, Space, _random_rows
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,18 @@ class MetricTree:
         n = len(self.vertices)
         flat = (dist[u][v] for u in self.vertices for v in self.vertices)
         return np.fromiter(flat, dtype=float, count=n * n).reshape(n, n)
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each edge's first and second vertex (as indices into vertices)
+        and its length."""
+        index = {name: i for i, name in enumerate(self.vertices)}
+        u, v, length = zip(*self.edges)
+        return (
+            np.array([index[name] for name in u], dtype=np.intp),
+            np.array([index[name] for name in v], dtype=np.intp),
+            np.array(length, dtype=float),
+        )
 
     def vertex_path(self, u: str, v: str) -> list[str]:
         """Vertices along the unique path from u to v, inclusive."""
@@ -212,14 +224,22 @@ class TreeSpace(Space):
         return best
 
     def _pack(self, payloads):
-        index = {name: i for i, name in enumerate(self.tree.vertices)}
-        rows = []
-        for payload in payloads:
-            (u, du), (v, dv) = self._endpoint_offsets(payload)
-            rows.append((payload[0], index[u], du, index[v], dv))
-        return np.array(rows, dtype=_PACKED_TREE_POINT)
+        edge = np.array([p[0] for p in payloads], dtype=np.intp)
+        offset = np.array([p[1] for p in payloads], dtype=float)
+        return self._rows(edge, offset)
+
+    def _rows(self, edge, offset):
+        """Packed points at `offset` along edge `edge`, elementwise."""
+        u, v, length = self.tree.edge_arrays
+        P = np.empty(len(edge), dtype=_PACKED_TREE_POINT)
+        P["edge"], P["u"], P["du"] = edge, u[edge], offset
+        P["v"], P["dv"] = v[edge], length[edge] - offset
+        return P
 
     def _pairwise(self, P, Q):
+        return self._dist_rows(P[:, None], Q[None, :])
+
+    def _dist_rows(self, P, Q):
         # Exactly _distance: the least of the four endpoint routes, each
         # summed with one rounding as math.fsum does, or the offset gap on a
         # shared edge.
@@ -227,10 +247,23 @@ class TreeSpace(Space):
         best = None
         for pa, da in (("u", "du"), ("v", "dv")):
             for pb, db in (("u", "du"), ("v", "dv")):
-                route = _sum3(P[da][:, None], D[P[pa][:, None], Q[pb]], Q[db])
+                route = _sum3(P[da], D[P[pa], Q[pb]], Q[db])
                 best = route if best is None else np.minimum(best, route)
-        same_edge = P["edge"][:, None] == Q["edge"]
-        return np.where(same_edge, np.abs(P["du"][:, None] - Q["du"]), best)
+        return np.where(P["edge"] == Q["edge"], np.abs(P["du"] - Q["du"]), best)
+
+    def _interp_rows(self, P, Q, t):
+        a = zip(P["edge"].tolist(), P["du"].tolist())
+        b = zip(Q["edge"].tolist(), Q["du"].tolist())
+        return self._pack([self._interpolate(*args) for args in zip(a, b, t.tolist())])
+
+    def _sample_rows(self, rng, n):
+        # As _sample: the edge proportional to its length, the offset uniform.
+        length = self.tree.edge_arrays[2]
+        ends = np.cumsum(length)
+        r = _random_rows(rng, n) * ends[-1]
+        edge = np.minimum(np.searchsorted(ends, r), len(length) - 1)
+        offset = np.clip(r - (ends - length)[edge], 0.0, length[edge])
+        return self._rows(edge, offset)
 
     def _interpolate(self, a, b, t):
         if a[0] == b[0]:

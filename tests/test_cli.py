@@ -157,19 +157,18 @@ class TestSubcommands:
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, config_path, tmp_path):
-        outs = []
-        for tag in ("a", "b"):
-            out = tmp_path / tag
-            assert run_cli("run", config_path, out) == 0
-            assert run_cli("certify", config_path, out) == 0
-            outs.append(out)
-        for name in (
-            "report.json",
-            "trace_line-line.csv",
-            "trace_tripod-legs.csv",
-            "certificates_line-line.json",
-        ):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        outputs = {
+            "verify-space": ("report.json",),
+            "verify-mapping": ("report.json",),
+            "run": ("report.json", "trace_line-line.csv", "trace_tripod-legs.csv"),
+            "certify": ("report.json", "certificates_line-line.json"),
+        }
+        for command, names in outputs.items():
+            outs = [tmp_path / tag / command for tag in ("a", "b")]
+            for out in outs:
+                assert run_cli(command, config_path, out) == 0
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_seed_override_changes_sampling_only(self, config_path, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -178,7 +177,10 @@ class TestDeterminism:
         r1 = json.loads((out1 / "report.json").read_text())
         r2 = json.loads((out2 / "report.json").read_text())
         assert r1["verdict"] == r2["verdict"] == "pass"
-        assert r1["spaces"][0]["max_cn_residual"] != r2["spaces"][0]["max_cn_residual"]
+        # Not max_cn_residual: on R^2 it is rounding noise that takes a handful
+        # of values (a few 2^-52 multiples), so two seeds can share it.
+        fp1, fp2 = (r["spaces"][0]["max_four_point_residual"] for r in (r1, r2))
+        assert fp1 != fp2
 
 
 class TestExitCodes:

@@ -3,12 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cat0feas as cf
-from cat0feas.spaces import DISK_MAX_NORM, REL_TOL
+from cat0feas import cli
+from cat0feas.spaces import DISK_MAX_NORM, REL_TOL, _random_rows
 
 T_GRID = [k / 10 for k in range(11)]
 
@@ -253,6 +255,21 @@ class PerturbedPlane(cf.EuclideanSpace):
     def _distance(self, a, b):
         return math.dist(a, b) * (1.0 + 1e-10 * math.sin(sum(a) + sum(b)))
 
+    def _dist_rows(self, P, Q):
+        X, Y = P[..., :-1], Q[..., :-1]
+        return np.linalg.norm(X - Y, axis=-1) * (1.0 + 1e-10 * np.sin(X.sum(-1) + Y.sum(-1)))
+
+
+class NaNPlane(cf.EuclideanSpace):
+    """R^2 whose row kernel gives NaN for one pair of a block shorter than
+    verify-space's blocks, that is, only in the last block of a row."""
+
+    def _dist_rows(self, P, Q):
+        d = super()._dist_rows(P, Q)
+        if len(d) < cli._BLOCK:
+            d[7] = math.nan
+        return d
+
 
 class TestRelativeBound:
     def test_scale_is_the_sum_of_squared_terms(self, e2):
@@ -294,3 +311,125 @@ class TestRelativeBound:
             worst = max(worst, cn.residual / cn.scale)
         assert fails > 0
         assert worst > 100 * REL_TOL
+
+    def test_relative_perturbation_fails_a_verify_space_row(self):
+        row = cli._verify_one_space("perturbed", PerturbedPlane(2), 200, 3)
+        assert row["status"] == "fail"
+        assert row["max_cn_residual"] > row["tolerance"]
+
+    def test_nan_residual_fails_a_verify_space_row(self):
+        # The first block is clean; a running max that dropped NaN would pass.
+        row = cli._verify_one_space("nan", NaNPlane(2), cli._BLOCK + 10, 3)
+        assert row["status"] == "fail"
+        assert math.isnan(row["max_four_point_residual"])
+        assert math.isnan(row["max_cn_residual"])
+
+
+# -- row kernels -------------------------------------------------------------
+
+
+def _row_points(space, rows):
+    """The points packed in `rows`; space.point canonicalizes (and so
+    validates) each payload."""
+    if isinstance(space, cf.ConvexCombinationSpace):
+        firsts, seconds = (_row_points(space.base, r) for r in rows)
+        return [space.pair(a, b) for a, b in zip(firsts, seconds)]
+    if isinstance(space, cf.TreeSpace):
+        payloads = zip(rows["edge"].tolist(), rows["du"].tolist())
+    elif isinstance(space, cf.EuclideanSpace):
+        payloads = rows[:, :-1].tolist()
+    else:
+        payloads = rows.tolist()
+    return [space.point(p) for p in payloads]
+
+
+def _leaves(rows):
+    """The packed arrays in `rows`, with product pairs flattened."""
+    if isinstance(rows, tuple):
+        return [leaf for part in rows for leaf in _leaves(part)]
+    return [rows]
+
+
+def _exact(space):
+    """Tree distances are fsum-exact in both kernels; R^n and disk ones may
+    differ in the last bits."""
+    while isinstance(space, cf.ConvexCombinationSpace):
+        space = space.base
+    return isinstance(space, cf.TreeSpace)
+
+
+ULP = np.finfo(float).eps
+
+
+@pytest.fixture(
+    params=["e2", "e5", "disk", "tripod_space", "caterpillar", "product", "product-of-product"]
+)
+def row_space(request):
+    if request.param == "product":
+        return cf.ConvexCombinationSpace(request.getfixturevalue("caterpillar"), 0.3)
+    if request.param == "product-of-product":
+        inner = cf.ConvexCombinationSpace(request.getfixturevalue("disk"), 0.25)
+        return cf.ConvexCombinationSpace(inner, 0.6)
+    return request.getfixturevalue(request.param)
+
+
+class TestRowKernels:
+    N = 300
+
+    def _rows(self, space, seed):
+        rng = random.Random(seed)
+        P, Q = space._sample_rows(rng, self.N), space._sample_rows(rng, self.N)
+        return P, Q, _random_rows(rng, self.N)
+
+    def test_random_rows_are_successive_draws(self):
+        batched, scalar = random.Random("a:1"), random.Random("a:1")
+        for n in (1, 2, 5, 1000):
+            assert _random_rows(batched, n).tolist() == [scalar.random() for _ in range(n)]
+        assert batched.random() == scalar.random()
+
+    def test_sampled_rows_are_points(self, row_space):
+        P, _, _ = self._rows(row_space, 1)
+        pts = _row_points(row_space, P)
+        assert len(pts) == self.N
+        # Packing the canonical payloads gives the rows back.
+        repacked = row_space._pack([p.payload for p in pts])
+        for a, b in zip(_leaves(P), _leaves(repacked)):
+            assert np.array_equal(a, b)
+
+    def test_disk_samples_stay_inside_radius_0_9(self, disk):
+        rows = disk._sample_rows(random.Random(2), 5000)
+        assert np.abs(rows).max() <= 0.9
+
+    def test_dist_rows_match_distance(self, row_space):
+        P, Q, _ = self._rows(row_space, 2)
+        xs, ys = _row_points(row_space, P), _row_points(row_space, Q)
+        expected = [row_space._distance(x.payload, y.payload) for x, y in zip(xs, ys)]
+        # One packed point against many broadcasts, as the minimality check uses it.
+        first = row_space._pack([xs[0].payload])
+        cases = [
+            (row_space._dist_rows(P, Q), expected),
+            (
+                row_space._dist_rows(first, Q),
+                [row_space._distance(xs[0].payload, y.payload) for y in ys],
+            ),
+        ]
+        for got, want in cases:
+            if _exact(row_space):
+                assert got.tolist() == want
+            else:
+                np.testing.assert_allclose(got, want, rtol=4 * ULP, atol=0.0)
+
+    def test_interp_rows_match_interpolate(self, row_space):
+        P, Q, t = self._rows(row_space, 3)
+        xs, ys = _row_points(row_space, P), _row_points(row_space, Q)
+        got = _row_points(row_space, row_space._interp_rows(P, Q, t))
+        want = [row_space.interpolate(x, y, s) for x, y, s in zip(xs, ys, t.tolist())]
+        if _exact(row_space):
+            assert got == want
+        else:
+            # numpy's complex division rounds differently from Python's, and
+            # the disk's tanh(t artanh m) magnifies that by up to 1/(1 - m^2),
+            # about 100 for the sampled radius 0.9.
+            for g, w, x, y in zip(got, want, xs, ys):
+                bound = 256 * ULP * (1.0 + row_space.distance(x, y))
+                assert row_space.distance(g, w) <= bound
