@@ -5,7 +5,10 @@ nearest-point map, seeded member sampling, and (where it makes sense) finite
 grid sampling for brute-force oracles.
 
 Projection routes:
-  * Euclidean half-spaces, affine flats and balls: closed forms.
+  * Euclidean half-spaces, affine flats and balls: closed forms in plain
+    Python on coordinate tuples, since a numpy call on a 2-vector costs more
+    than the arithmetic; numpy builds only their grids (and the flat's
+    orthonormal basis, once).
   * Tree segments and subtrees: exact path arithmetic (the nearest point of a
     segment sits at the arc length given by the Gromov product; the gate into
     a subtree is always one of its vertices).
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,27 +101,33 @@ class Halfspace(ConvexSet):
     kind = "halfspace"
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        if n.shape != (self.owner.dim,):
-            raise DomainError("normal dimension mismatch")
-        if not np.linalg.norm(n) > 0.0:
+        n = _finite_coords(self.normal, self.owner.dim, "halfspace normal")
+        offset = float(self.offset)
+        if not math.isfinite(offset):
+            raise DomainError(f"halfspace offset must be finite, got {offset}")
+        if not any(n):
             raise DomainError("halfspace normal must be nonzero")
-        object.__setattr__(self, "normal", tuple(float(c) for c in n))
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "normal", n)
+        object.__setattr__(self, "offset", offset)
+        if not math.isfinite(self._unit[1]):
+            raise DomainError("halfspace offset / |normal| overflows")
 
     @property
     def space(self):
         return self.owner
 
     @cached_property
-    def _unit(self):
-        n = np.asarray(self.normal)
-        norm = float(np.linalg.norm(n))
-        return n / norm, self.offset / norm
+    def _unit(self) -> tuple[tuple[float, ...], float]:
+        # Dividing by the largest |component| first keeps the norm clear of
+        # overflow and of subnormal rounding.
+        big = max(map(abs, self.normal))
+        scaled = [c / big for c in self.normal]
+        norm = math.hypot(*scaled)
+        return tuple(c / norm for c in scaled), self.offset / big / norm
 
     def _gap(self, coords) -> float:
         u, c = self._unit
-        return float(np.dot(u, coords)) - c
+        return sum(map(operator.mul, u, coords)) - c
 
     def contains(self, x, tol=None):
         self.space.require_member(x)
@@ -125,13 +135,12 @@ class Halfspace(ConvexSet):
         return self._gap(x.payload) <= tol
 
     def project(self, x):
-        self.space.require_member(x)
+        self.owner.require_member(x)
         gap = self._gap(x.payload)
         if gap <= 0.0:
             return x
         u, _ = self._unit
-        coords = np.asarray(x.payload) - gap * u
-        return Point(self.space, tuple(float(c) for c in coords))
+        return Point(self.owner, tuple([xi - gap * ui for xi, ui in zip(x.payload, u)]))
 
     def grid(self, spec):
         win = spec.require_window(self.space.dim)
@@ -139,10 +148,11 @@ class Halfspace(ConvexSet):
             # The boundary hyperplane, anchored at its foot c u so that
             # axis-aligned nearest points are sampled exactly.
             u, c = self._unit
+            u = np.asarray(u)
             basis = np.linalg.svd(u.reshape(1, -1), full_matrices=True)[2][1:]
             return _flat_grid(self.space, c * u, basis, win, spec)
-        pts = _box_lattice(win, spec)
-        return [Point(self.space, tuple(p)) for p in pts if self._gap(p) <= 0.0]
+        pts = map(tuple, _box_lattice(win, spec).tolist())
+        return [Point(self.space, p) for p in pts if self._gap(p) <= 0.0]
 
 
 @dataclass(frozen=True)
@@ -155,14 +165,9 @@ class AffineSubspace(ConvexSet):
     kind = "affine-subspace"
 
     def __post_init__(self):
-        a = tuple(float(c) for c in self.anchor)
-        if len(a) != self.owner.dim:
-            raise DomainError("anchor dimension mismatch")
-        rows = tuple(tuple(float(c) for c in row) for row in self.basis)
-        for row in rows:
-            if len(row) != self.owner.dim:
-                raise DomainError("basis vector dimension mismatch")
-        object.__setattr__(self, "anchor", a)
+        dim = self.owner.dim
+        object.__setattr__(self, "anchor", _finite_coords(self.anchor, dim, "affine anchor"))
+        rows = tuple(_finite_coords(row, dim, "affine basis vector") for row in self.basis)
         object.__setattr__(self, "basis", rows)
 
     @property
@@ -179,12 +184,17 @@ class AffineSubspace(ConvexSet):
         keep = s > 1e-12 * max(s[0], 1.0)
         return vt[: int(np.count_nonzero(keep))]
 
+    @cached_property
+    def _rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self._orthonormal.tolist()))
+
     def project(self, x):
-        self.space.require_member(x)
-        q = self._orthonormal
-        diff = np.asarray(x.payload) - np.asarray(self.anchor)
-        coords = np.asarray(self.anchor) + q.T @ (q @ diff)
-        return Point(self.space, tuple(float(c) for c in coords))
+        self.owner.require_member(x)
+        a, rows = self.anchor, self._rows
+        diff = [xi - ai for xi, ai in zip(x.payload, a)]
+        coefs = [sum(map(operator.mul, q, diff)) for q in rows]
+        coords = [ai + sum([c * q[j] for c, q in zip(coefs, rows)]) for j, ai in enumerate(a)]
+        return Point(self.owner, tuple(coords))
 
     def contains(self, x, tol=None):
         tol = self.space.tolerance if tol is None else tol
@@ -208,26 +218,26 @@ class EuclideanBall(ConvexSet):
     kind = "ball"
 
     def __post_init__(self):
-        c = tuple(float(v) for v in self.center)
-        if len(c) != self.owner.dim:
-            raise DomainError("center dimension mismatch")
-        if not self.radius > 0.0:
-            raise DomainError("ball radius must be positive")
+        c = _finite_coords(self.center, self.owner.dim, "ball center")
+        radius = float(self.radius)
+        if not (radius > 0.0 and math.isfinite(radius)):
+            raise DomainError(f"ball radius must be positive and finite, got {radius}")
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def space(self):
         return self.owner
 
     def project(self, x):
-        self.space.require_member(x)
-        diff = np.asarray(x.payload) - np.asarray(self.center)
-        norm = float(np.linalg.norm(diff))
+        # The same norm as `contains`, so members come back unchanged.
+        self.owner.require_member(x)
+        c = self.center
+        norm = math.dist(x.payload, c)
         if norm <= self.radius:
             return x
-        coords = np.asarray(self.center) + (self.radius / norm) * diff
-        return Point(self.space, tuple(float(c) for c in coords))
+        s = self.radius / norm
+        return Point(self.owner, tuple([ci + s * (xi - ci) for xi, ci in zip(x.payload, c)]))
 
     def contains(self, x, tol=None):
         self.space.require_member(x)
@@ -235,11 +245,10 @@ class EuclideanBall(ConvexSet):
         return math.dist(x.payload, self.center) <= self.radius + tol
 
     def sample(self, rng, scale: float = 2.0):
-        direction = np.array([rng.gauss(0.0, 1.0) for _ in range(self.owner.dim)])
-        norm = float(np.linalg.norm(direction)) or 1.0
-        r = self.radius * rng.random() ** (1.0 / self.owner.dim)
-        coords = np.asarray(self.center) + (r / norm) * direction
-        return Point(self.space, tuple(float(c) for c in coords))
+        direction = [rng.gauss(0.0, 1.0) for _ in range(self.owner.dim)]
+        norm = math.hypot(*direction) or 1.0
+        s = self.radius * rng.random() ** (1.0 / self.owner.dim) / norm
+        return Point(self.owner, tuple([ci + s * di for ci, di in zip(self.center, direction)]))
 
     def grid(self, spec):
         if self.owner.dim == 2 and spec.surface in ("auto", "boundary"):
@@ -596,6 +605,15 @@ class DiagonalSet(ConvexSet):
 
 
 # -- helpers ------------------------------------------------------------------------
+
+
+def _finite_coords(values, dim: int, what: str) -> tuple[float, ...]:
+    coords = tuple(float(c) for c in values)
+    if len(coords) != dim:
+        raise DomainError(f"{what} has {len(coords)} coordinates, space has dim {dim}")
+    if not all(map(math.isfinite, coords)):
+        raise DomainError(f"{what} must be finite, got {coords}")
+    return coords
 
 
 def _even(n: int) -> int:

@@ -222,6 +222,29 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "field, where",
+        [
+            ({"halfspace": {"normal": [math.inf, 0.0], "offset": -2.0}}, "normal"),
+            ({"halfspace": {"normal": [-1.0, 0.0], "offset": math.nan}}, "offset"),
+            ({"affine-subspace": {"anchor": [0.0, math.inf], "basis": [[1.0, 0.0]]}}, "anchor"),
+            ({"affine-subspace": {"anchor": [0.0, 1.0], "basis": [[1.0, -math.inf]]}}, "basis"),
+            ({"ball": {"center": [math.nan, 0.0], "radius": 1.0}}, "center"),
+            ({"ball": {"center": [0.0, 0.0], "radius": math.inf}}, "radius"),
+        ],
+    )
+    def test_non_finite_set_parameter_is_3(self, tmp_path, capsys, field, where):
+        # json reads Infinity and NaN; the set constructors refuse them.
+        doc = mini_config()
+        doc["instances"][0]["B"] = field
+        bad = tmp_path / "non-finite.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", bad, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: instances[0].B:")
+        assert where in err and "finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["verify-space", "--out", "o"],

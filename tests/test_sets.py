@@ -1,6 +1,7 @@
 """Projection correctness for every convex-set kind.
 
 Closed-form expectations are written inline with independent arithmetic;
+the scalar Euclidean projections are also compared with numpy formulas;
 disk-segment projections are also cross-checked against dense parameter
 scans, and tree projections against a fine brute-force grid that
 uses only the distance function.
@@ -9,10 +10,12 @@ uses only the distance function.
 import math
 import random
 
+import numpy as np
 import pytest
 
 import cat0feas as cf
 from cat0feas import GridSpec
+from cat0feas.spaces import REL_TOL
 
 
 def euclidean_sets(e2):
@@ -76,6 +79,185 @@ class TestEuclideanProjections:
             cf.Halfspace(e2, (0.0, 0.0), 1.0)
         with pytest.raises(cf.DomainError):
             cf.EuclideanBall(e2, (0.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda e2: cf.Halfspace(e2, (math.inf, 0.0), 1.0),
+            lambda e2: cf.Halfspace(e2, (1.0, math.nan), 1.0),
+            lambda e2: cf.Halfspace(e2, (1.0, 0.0), -math.inf),
+            lambda e2: cf.Halfspace(e2, (1e-320, 0.0), 2.0),  # offset / |normal| overflows
+            lambda e2: cf.AffineSubspace(e2, (0.0, math.inf), ((1.0, 0.0),)),
+            lambda e2: cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 0.0), (math.nan, 1.0))),
+            lambda e2: cf.EuclideanBall(e2, (-math.inf, 0.0), 1.0),
+            lambda e2: cf.EuclideanBall(e2, (0.0, 0.0), math.inf),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, e2, make):
+        with pytest.raises(cf.DomainError, match="finite|overflows"):
+            make(e2)
+
+    @pytest.mark.parametrize(
+        "normal, offset, reference",
+        [
+            # math.hypot and the max-component scaling keep these exact; the
+            # norm of the unscaled vector overflows or underflows.
+            ((1e308, 1e308), 1e308, ((1.0, 1.0), 1.0)),
+            ((1e308, 1e308), 0.0, ((1.0, 1.0), 0.0)),
+            ((1e-320, 0.0), 2 * 1e-320, ((1.0, 0.0), 2.0)),
+            ((1e-320, 0.0), 0.0, ((1.0, 0.0), 0.0)),
+            ((1e-320, 1e-320), 0.0, ((1.0, 1.0), 0.0)),
+        ],
+    )
+    def test_normal_scale_does_not_matter(self, e2, normal, offset, reference):
+        hs, ref = cf.Halfspace(e2, normal, offset), cf.Halfspace(e2, *reference)
+        rng = random.Random(2)
+        for _ in range(50):
+            x = e2.random_point(rng, 4.0)
+            assert hs.project(x) == ref.project(x)
+            assert hs.contains(x, tol=0.0) == ref.contains(x, tol=0.0)
+
+
+def _numpy_halfspace(hs, x):
+    n = np.asarray(hs.normal)
+    norm = float(np.linalg.norm(n))
+    u, c = n / norm, hs.offset / norm
+    gap = float(np.dot(u, x)) - c
+    if gap <= 0.0:
+        return x
+    return tuple(float(v) for v in np.asarray(x) - gap * u)
+
+
+def _numpy_affine(flat, x):
+    q, a = flat._orthonormal, np.asarray(flat.anchor)
+    return tuple(float(v) for v in a + q.T @ (q @ (np.asarray(x) - a)))
+
+
+def _numpy_ball(ball, x):
+    diff = np.asarray(x) - np.asarray(ball.center)
+    norm = float(np.linalg.norm(diff))
+    if norm <= ball.radius:
+        return x
+    return tuple(float(v) for v in np.asarray(ball.center) + (ball.radius / norm) * diff)
+
+
+def _numpy_ball_sample(ball, rng):
+    direction = np.array([rng.gauss(0.0, 1.0) for _ in range(len(ball.center))])
+    norm = float(np.linalg.norm(direction)) or 1.0
+    r = ball.radius * rng.random() ** (1.0 / len(ball.center))
+    return tuple(float(v) for v in np.asarray(ball.center) + (r / norm) * direction)
+
+
+def _euclidean_cases(dim, shift, rng):
+    """Seeded sets of every Euclidean kind near `shift`, each with test points:
+    random ones, ones on the boundary, and ones inside."""
+    space = cf.EuclideanSpace(dim)
+    base = [shift] * dim
+
+    def near(spread):
+        return tuple(b + rng.uniform(-spread, spread) for b in base)
+
+    normal = tuple(rng.gauss(0.0, 1.0) for _ in range(dim))
+    foot = near(1.0)
+    hs = cf.Halfspace(space, normal, sum(n * f for n, f in zip(normal, foot)))
+    axis = cf.Halfspace(space, (1.0,) + (0.0,) * (dim - 1), foot[0])
+    rows = tuple(tuple(rng.gauss(0.0, 1.0) for _ in range(dim)) for _ in range(max(dim - 2, 1)))
+    flat = cf.AffineSubspace(space, near(1.0), rows)
+    point_set = cf.AffineSubspace(space, near(1.0), ())
+    ball = cf.EuclideanBall(space, near(1.0), rng.uniform(0.5, 2.0))
+    cases = []
+    for cset in (hs, axis, flat, point_set, ball):
+        pts = [near(3.0) for _ in range(40)]
+        pts += [cset.project(space.point(p)).payload for p in pts[:20]]
+        if cset is ball:
+            for _ in range(20):
+                d = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+                s = ball.radius / math.hypot(*d)
+                pts.append(tuple(c + s * v for c, v in zip(ball.center, d)))
+        if cset is axis:
+            pts += [(foot[0],) + near(3.0)[1:] for _ in range(10)]
+        cases.append((cset, [space.point(p) for p in pts]))
+    return cases
+
+
+NUMPY_FORMS = {
+    cf.Halfspace: _numpy_halfspace,
+    cf.AffineSubspace: _numpy_affine,
+    cf.EuclideanBall: _numpy_ball,
+}
+
+
+class TestEuclideanScalarForms:
+    """The plain-Python projections against the numpy formulas they replace."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_projections_match_numpy(self, dim, shift):
+        rng = random.Random(f"scalar:{dim}:{shift}")
+        for cset, points in _euclidean_cases(dim, shift, rng):
+            for x in points:
+                got = cset.project(x).payload
+                want = NUMPY_FORMS[type(cset)](cset, x.payload)
+                mag = max(1.0, *map(abs, x.payload), *map(abs, want))
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 8 * math.ulp(mag), (cset, x, got, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_members_come_back_unchanged(self, dim, shift):
+        rng = random.Random(f"members:{dim}:{shift}")
+        for cset, points in _euclidean_cases(dim, shift, rng):
+            if isinstance(cset, cf.AffineSubspace):
+                continue
+            members = 0
+            for x in points:
+                inside = cset.contains(x, tol=0.0)
+                members += inside
+                assert (cset.project(x) is x) == inside
+            assert members >= 10
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_p2_residual_within_relative_tolerance(self, dim):
+        # P2 holds exactly for a metric projection; the residual is rounding,
+        # bounded relative to the sum of its squared-distance terms.  The
+        # points sit near the sets, at the scale of their distances.
+        rng = random.Random(f"p2:{dim}")
+        for cset, points in _euclidean_cases(dim, 0.0, rng):
+            space, proj = cset.space, cf.ProjectionMap(cset)
+            for x, y in zip(points, reversed(points)):
+                tx, ty = proj(x), proj(y)
+                d2 = [space.distance(a, b) ** 2 for a, b in ((x, ty), (y, tx), (x, tx), (y, ty))]
+                scale = 2.0 * space.distance(tx, ty) ** 2 + sum(d2)
+                assert cf.check_p2(proj, x, y) <= REL_TOL * scale
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_ball_sample_keeps_the_random_stream(self, dim):
+        space = cf.EuclideanSpace(dim)
+        ball = cf.EuclideanBall(space, tuple(0.5 * k for k in range(dim)), 1.5)
+        ours, theirs = random.Random(9), random.Random(9)
+        for _ in range(200):
+            got = ball.sample(ours).payload
+            want = _numpy_ball_sample(ball, theirs)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 8 * math.ulp(max(1.0, abs(w)))
+            assert ours.getstate() == theirs.getstate()
+
+    def test_payloads_are_float_tuples(self, e2, e5):
+        rng = random.Random(4)
+        spec = GridSpec(h=0.25, window=((-1.0, 1.0),) * 2)
+        payloads = []
+        for cset in euclidean_sets(e2) + [cf.Halfspace(e2, (1.0, 1.0), 0.5)]:
+            for surface in ("boundary", "full"):
+                payloads += [p.payload for p in cset.grid(GridSpec(spec.h, spec.window, surface))]
+            for _ in range(20):
+                payloads.append(cset.sample(rng).payload)
+                payloads.append(cset.project(e2.random_point(rng, 3.0)).payload)
+        for cset, _ in _euclidean_cases(5, 0.0, rng):
+            payloads += [cset.sample(rng).payload for _ in range(5)]
+            payloads += [cset.project(e5.random_point(rng, 3.0)).payload for _ in range(5)]
+        assert len(payloads) > 400
+        for p in payloads:
+            assert type(p) is tuple and all(type(c) is float for c in p), p
 
 
 class TestTreeProjections:
