@@ -33,7 +33,7 @@ a = cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 0.0),))
 b_set = cf.AffineSubspace(e2, (0.0, 1.0), ((1.0, 0.0),))
 t_map = cf.averaged_projections(a, b_set, 0.5)
 start = e2.point((0.0, 4.0))
-trace = cf.picard(t_map, start, 2000, fixed_point=e2.point((0.0, 0.5)))
+trace = cf.picard(t_map, start, 2000)
 
 print("\nline/line trace: residuals", trace.residuals[:3],
       "stationary from step", trace.stationary_from)
@@ -51,14 +51,12 @@ for cert in cf.certify_asymptotic_regularity(trace, b_val, [1, 0.5, 0.1, 0.01]):
 ball = cf.EuclideanBall(e2, (0.0, 0.0), 1.0)
 half = cf.Halfspace(e2, (-1.0, 0.0), -2.0)
 start = e2.point((5.0, 5.0))
-trace = cf.picard(
-    cf.averaged_projections(ball, half, 0.5), start, 20_000, aux_pair=(ball, half)
-)
+trace = cf.picard(cf.averaged_projections(ball, half, 0.5), start, 20_000)
+gaps = [e2.distance(ball.project(x), half.project(x)) for x in trace.points]
 m_val = e2.distance(start, e2.point((1.5, 0.0)))
-gap0 = e2.distance(ball.project(start), half.project(start))
 print("\nball/halfplane projection-gap certificates (r = 1):")
 for cert in cf.certify_best_approx_rate(
-    trace, m_val, gap0 * gap0, 1.0, [1, 0.5, 0.25], 0.5
+    trace, gaps, m_val, gaps[0] ** 2, 1.0, [1, 0.5, 0.25], 0.5
 ):
     print(
         f"  eps={cert.epsilon:<5} bound n >= {cert.bound_n:<10} "

@@ -34,7 +34,6 @@ from .iteration import (
     certify_asymptotic_regularity,
     certify_best_approx_rate,
     picard,
-    trace_rows,
 )
 from .mappings import (
     ComposeMap,
@@ -141,14 +140,15 @@ def _build_map(inst: InstanceConfig):
 
 
 def _run_trace(inst: InstanceConfig):
-    set_a, set_b, start = inst.require_sets()
-    return picard(
-        _build_map(inst),
-        start,
-        inst.n_max,
-        fixed_point=inst.fixed_point,
-        aux_pair=(set_a, set_b),
-    )
+    _, _, start = inst.require_sets()
+    return picard(_build_map(inst), start, inst.n_max)
+
+
+def _gaps(inst: InstanceConfig, points):
+    """d(P_A x, P_B x) for each point x."""
+    set_a, set_b, _ = inst.require_sets()
+    distance = inst.space.distance
+    return [distance(set_a.project(x), set_b.project(x)) for x in points]
 
 
 # -- verify-space ------------------------------------------------------------------
@@ -289,41 +289,53 @@ def _verify_mappings_for(inst: InstanceConfig, cfg: ExperimentConfig, seed: int)
 # -- run ---------------------------------------------------------------------------
 
 
-def _write_trace_csv(path: Path, trace):
+def _write_trace_csv(path: Path, residuals, dist_to_p, aux_dist):
+    """One row per iterate; the last iterate has no residual, and dist_to_p is
+    empty without a fixed point."""
     lines = ["n,residual,dist_to_p,aux_dist"]
-    for n, res, dist, aux in trace_rows(trace):
-        cells = [str(n)] + [
-            "" if v is None else repr(v) for v in (res, dist, aux)
+    for n, aux in enumerate(aux_dist):
+        cells = [
+            repr(residuals[n]) if n < len(residuals) else "",
+            repr(dist_to_p[n]) if dist_to_p is not None else "",
+            repr(aux),
         ]
-        lines.append(",".join(cells))
+        lines.append(",".join([str(n)] + cells))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _padded(points, length):
+    """The first `length` points of an orbit and of its constant extension."""
+    return points[:length] + points[-1:] * (length - len(points))
 
 
 def _run_one(inst: InstanceConfig, out: Path):
     set_a, set_b, start = inst.require_sets()
+    space = inst.space
     trace = _run_trace(inst)
-    _write_trace_csv(out / f"trace_{inst.name}.csv", trace)
+    aux_dist = _gaps(inst, trace.points)
+    p = inst.fixed_point
+    dist_to_p = [space.distance(x, p) for x in trace.points] if p is not None else None
+    _write_trace_csv(out / f"trace_{inst.name}.csv", trace.residuals, dist_to_p, aux_dist)
     row = {
         "name": inst.name,
         "mode": inst.mode,
         "steps": len(trace.points) - 1,
         "stationary_from": trace.stationary_from,
         "final_residual": trace.residuals[-1] if trace.residuals else 0.0,
-        "final_aux": trace.aux[-1] if trace.aux else None,
+        "final_aux": aux_dist[-1],
     }
     if inst.mode in ("averaged", "product-reduction"):
+        # Both orbits stop at their first exact fixed point; the constant
+        # extension stands for the steps they skip.
         steps = min(200, inst.n_max)
-        base = picard(
-            averaged_projections(set_a, set_b, inst.lam),
-            start,
-            steps,
-            stop_on_stationary=False,
-        )
+        base = picard(averaged_projections(set_a, set_b, inst.lam), start, steps)
         reduction = _ProductReduction(inst)
-        twin = picard(reduction, start, steps, stop_on_stationary=False)
+        twin = picard(reduction, start, steps)
         cs = reduction.cs
         gaps = reduction_deviations(
-            cs, base.points, [embed_diagonal(cs, y) for y in twin.points]
+            cs,
+            _padded(base.points, steps + 1),
+            [embed_diagonal(cs, y) for y in _padded(twin.points, steps + 1)],
         )
         worst = max(
             (gap - 1e-9 * max(n, 1) for n, gap in enumerate(gaps)), default=0.0
@@ -333,11 +345,8 @@ def _run_one(inst: InstanceConfig, out: Path):
         row["status"] = "pass" if row["reduction_ok"] else "fail"
     else:
         row["status"] = "pass"
-    if trace.to_fixed_point is not None:
-        drift = max(
-            (b - a for a, b in zip(trace.to_fixed_point, trace.to_fixed_point[1:])),
-            default=0.0,
-        )
+    if dist_to_p is not None:
+        drift = max((b - a for a, b in zip(dist_to_p, dist_to_p[1:])), default=0.0)
         row["fejer_max_drift"] = max(drift, 0.0)
         row["fejer_monotone"] = drift <= 1e-9
         if not row["fejer_monotone"]:
@@ -379,9 +388,8 @@ def _certify_one(inst: InstanceConfig, out: Path):
                 )
                 add("rate", _worst_status(c.status for c in certs), b=b)
 
-    needs_pair = {"gap-rate", "delta-limit"} & set(inst.checks)
     r_alt = None
-    if needs_pair or "oracle-agreement" in inst.checks:
+    if {"gap-rate", "oracle-agreement"} & set(inst.checks):
         try:
             r_alt = set_distance(set_a, set_b)
         except InconclusiveError as exc:
@@ -396,8 +404,6 @@ def _certify_one(inst: InstanceConfig, out: Path):
             a_star, b_star = pair
             u_star = space.interpolate(a_star, b_star, inst.lam)
             m_val = inst.rate_m if inst.rate_m is not None else space.distance(start, u_star)
-            gap0 = space.distance(set_a.project(start), set_b.project(start))
-            b_gap = gap0 * gap0
             r = inst.set_dist if inst.set_dist is not None else r_alt
             q_identity = None
             if r is not None and r_alt is not None:
@@ -410,8 +416,10 @@ def _certify_one(inst: InstanceConfig, out: Path):
             elif r is None:
                 add("gap-rate", "inconclusive", reason="set distance unavailable")
             else:
+                gaps = _gaps(inst, trace.points)
+                b_gap = gaps[0] * gaps[0]
                 certs = certify_best_approx_rate(
-                    trace, m_val, b_gap, r, inst.gap_eps_grid, inst.lam
+                    trace, gaps, m_val, b_gap, r, inst.gap_eps_grid, inst.lam
                 )
                 entry["certificates"].extend(
                     {"quantity": "projection-gap", **c.to_json()} for c in certs

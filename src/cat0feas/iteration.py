@@ -100,29 +100,22 @@ def composed_projection_gap_rate(M: float, b: float, eps: float) -> int:
 
 @dataclass
 class IterationTrace:
-    """Recorded Picard iterates with per-step diagnostics.
+    """Recorded Picard iterates and their step residuals.
 
-    residuals[n] = d(x_n, x_{n+1}); to_fixed_point[n] = d(x_n, p) when a
-    reference fixed point is supplied; aux[n] = d(P_A x_n, P_B x_n) when a set
-    pair is supplied.  ``stationary_from`` is the first index at which the
-    next iterate equals the current one structurally; from there on the
-    infinite extension of the trace is constant.
+    residuals[n] = d(x_n, x_{n+1}).  ``stationary_from`` is the first index at
+    which the next iterate equals the current one structurally; from there on
+    the infinite extension of the trace is constant.
     """
 
     space: Space
     points: list[Point]
     residuals: list[float] = field(default_factory=list)
-    to_fixed_point: list[float] | None = None
-    aux: list[float] | None = None
     stationary_from: int | None = None
 
     def __post_init__(self):
         if len(self.residuals) != max(len(self.points) - 1, 0):
             raise DomainError("residual count must be iterate count - 1")
-        for name, values in (("residual", self.residuals), ("aux", self.aux or [])):
-            for v in values:
-                if not (math.isfinite(v) and v >= 0.0):
-                    raise DomainError(f"non-finite or negative {name} value {v}")
+        _require_nonnegative("residual", self.residuals)
 
     @property
     def horizon(self) -> int:
@@ -130,38 +123,26 @@ class IterationTrace:
         return len(self.residuals)
 
 
-def picard(
-    mapping: Mapping,
-    start: Point,
-    n_max: int,
-    fixed_point: Point | None = None,
-    aux_pair=None,
-    stop_on_stationary: bool = True,
-) -> IterationTrace:
-    """Run x_{k+1} = T(x_k) for up to n_max steps and record diagnostics.
+def _require_nonnegative(name, values):
+    for v in values:
+        if not (math.isfinite(v) and v >= 0.0):
+            raise DomainError(f"non-finite or negative {name} value {v}")
+
+
+def picard(mapping: Mapping, start: Point, n_max: int) -> IterationTrace:
+    """Run x_{k+1} = T(x_k) for up to n_max steps and record the orbit.
 
     There is no residual-based early stop, so rate certification sees the full
-    horizon.  Exact stationarity is always detected; with stop_on_stationary
-    the loop ends there, since every later iterate is structurally identical.
+    horizon.  The loop ends at the first exact fixed point, since every later
+    iterate is structurally identical.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     space = mapping.space
     space.require_member(start)
-    if fixed_point is not None:
-        space.require_member(fixed_point)
-
-    proj_a = proj_b = None
-    if aux_pair is not None:
-        set_a, set_b = aux_pair
-        proj_a, proj_b = set_a.project, set_b.project
 
     points = [start]
     residuals: list[float] = []
-    dists = [space.distance(start, fixed_point)] if fixed_point is not None else None
-    aux = (
-        [space.distance(proj_a(start), proj_b(start))] if proj_a is not None else None
-    )
     stationary_from = None
 
     current = start
@@ -172,23 +153,13 @@ def picard(
             raise NumericError(f"non-finite iterate at step {step + 1}", step=step + 1)
         points.append(nxt)
         residuals.append(residual)
-        if dists is not None:
-            dists.append(space.distance(nxt, fixed_point))
-        if aux is not None:
-            aux.append(space.distance(proj_a(nxt), proj_b(nxt)))
         if nxt == current:
             stationary_from = step
-            if stop_on_stationary:
-                break
+            break
         current = nxt
 
     return IterationTrace(
-        space=space,
-        points=points,
-        residuals=residuals,
-        to_fixed_point=dists,
-        aux=aux,
-        stationary_from=stationary_from,
+        space=space, points=points, residuals=residuals, stationary_from=stationary_from
     )
 
 
@@ -289,6 +260,7 @@ def certify_asymptotic_regularity(
 
 def certify_best_approx_rate(
     trace: IterationTrace,
+    gaps: list[float],
     M: float,
     b: float,
     r: float,
@@ -297,41 +269,21 @@ def certify_best_approx_rate(
 ) -> list[RateCertificate]:
     """Check d(P_A x_n, P_B x_n) <= r + eps past the projection-gap rate.
 
-    Preconditions: the trace recorded aux distances; d(x0, u*) <= M for the
-    lifted best pair; d(P_A x0, P_B x0)^2 <= b.
+    gaps[n] = d(P_A x_n, P_B x_n) for every recorded iterate x_n of the trace.
+    Preconditions: d(x0, u*) <= M for the lifted best pair;
+    d(P_A x0, P_B x0)^2 <= b.
     """
-    if trace.aux is None:
-        raise DomainError("trace has no recorded projection-gap distances")
+    if len(gaps) != len(trace.points):
+        raise DomainError("gap count must be iterate count")
+    _require_nonnegative("gap", gaps)
     certs = []
     stationary = trace.stationary_from is not None
-    final_aux = trace.aux[-1]
+    shifted = [v - r for v in gaps]
     for eps in eps_grid:
         bound = averaged_projection_gap_rate(M, b, eps, lam)
-        shifted = [v - r for v in trace.aux]
         certs.append(
             _certify_values(
-                shifted,
-                final_aux - r,
-                bound,
-                eps,
-                _GAP_SLACK,
-                len(trace.aux),
-                stationary,
+                shifted, shifted[-1], bound, eps, _GAP_SLACK, len(gaps), stationary
             )
         )
     return certs
-
-
-def trace_rows(trace: IterationTrace):
-    """Rows (n, residual, dist_to_p, aux_dist) for CSV export; None for gaps."""
-    rows = []
-    for n in range(len(trace.points)):
-        rows.append(
-            (
-                n,
-                trace.residuals[n] if n < len(trace.residuals) else None,
-                trace.to_fixed_point[n] if trace.to_fixed_point is not None else None,
-                trace.aux[n] if trace.aux is not None else None,
-            )
-        )
-    return rows

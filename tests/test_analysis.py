@@ -262,8 +262,7 @@ class TestAsymptoticCenter:
     def test_convergent_tail_near_limit(self, e2):
         a = cf.EuclideanBall(e2, (0.0, 0.0), 1.0)
         b = cf.Halfspace(e2, (-1.0, 0.0), -2.0)
-        trace = cf.picard(cf.averaged_projections(a, b, 0.5), e2.point((5, 5)), 400,
-                          stop_on_stationary=False)
+        trace = cf.picard(cf.averaged_projections(a, b, 0.5), e2.point((5, 5)), 400)
         est = cf.estimate_asymptotic_center(trace.points[-50:])
         assert e2.distance(est.center, e2.point((1.5, 0.0))) <= 1e-4
 

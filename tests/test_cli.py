@@ -6,13 +6,16 @@ import math
 import pytest
 
 from cat0feas import (
+    EuclideanBall,
     InconclusiveError,
     analysis,
     asymptotic_regularity_rate,
+    averaged_projections,
     best_pair_bruteforce,
     cli,
+    picard,
 )
-from cat0feas.config import bundled_config_path
+from cat0feas.config import bundled_config_path, load_config
 from cat0feas.spaces import REL_TOL
 
 
@@ -283,6 +286,59 @@ class TestExitCodes:
         assert checks["gap-rate"]["status"] == "pass"
         assert checks["gap-rate"]["q_identity_residual"] is None
         assert checks["oracle-agreement"]["status"] == "inconclusive"
+
+    def test_delta_limit_alone_skips_set_distance(self, tmp_path, monkeypatch):
+        # Only gap-rate and oracle-agreement read the alternating-projection
+        # set distance, so a delta-limit-only instance never computes it.
+        def give_up(*args, **kwargs):
+            raise InconclusiveError("budget exhausted")
+
+        monkeypatch.setattr(cli, "set_distance", give_up)
+        doc = mini_config()
+        inst = doc["instances"][1]
+        inst["checks"] = ["delta-limit"]
+        doc["instances"] = [inst]
+        path = tmp_path / "delta.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "delta-out"
+        assert run_cli("certify", path, out) == 0
+        (row,) = json.loads((out / "report.json").read_text())["instances"]
+        assert [c["check"] for c in row["checks"]] == ["delta-limit"]
+
+    def test_rate_only_projects_through_the_mapping(self, tmp_path, monkeypatch):
+        # Without gap-rate, certify projects each iterate once per set, inside
+        # the averaged map, and computes no projection gaps.
+        doc = mini_config()
+        doc["instances"] = [
+            {
+                "name": "two-balls",
+                "space": {"kind": "euclidean", "dim": 2},
+                "A": {"ball": {"center": [0.0, 0.0], "radius": 1.0}},
+                "B": {"ball": {"center": [3.0, 0.0], "radius": 1.0}},
+                "start": [5.0, 5.0],
+                "fixed_point": [1.5, 0.0],
+                "n_max": 3000,
+                "checks": ["rate"],
+            }
+        ]
+        path = tmp_path / "balls.json"
+        path.write_text(json.dumps(doc))
+        inst = load_config(path).instances[0]
+        trace = picard(
+            averaged_projections(inst.set_a, inst.set_b, inst.lam), inst.start, 3000
+        )
+        assert trace.stationary_from is not None
+        steps = len(trace.points) - 1
+        calls = []
+        project = EuclideanBall.project
+
+        def counting(self, x):
+            calls.append(x)
+            return project(self, x)
+
+        monkeypatch.setattr(EuclideanBall, "project", counting)
+        assert run_cli("certify", path, tmp_path / "balls-out") == 0
+        assert len(calls) == 2 * steps
 
     def test_understated_b_marks_hypothesis(self, tmp_path):
         # b ten times too small: the rate hypothesis d(x0, p) <= b fails, and

@@ -1,11 +1,13 @@
 """Picard traces, the explicit rate formulas, and certificate semantics."""
 
+import json
 import math
 
 import pytest
 
 import cat0feas as cf
-from cat0feas.iteration import IterationTrace, trace_rows
+from cat0feas import cli
+from cat0feas.iteration import IterationTrace
 
 
 def line_line_map(e2):
@@ -18,6 +20,38 @@ def ball_halfspace_map(e2):
     a = cf.EuclideanBall(e2, (0.0, 0.0), 1.0)
     b = cf.Halfspace(e2, (-1.0, 0.0), -2.0)
     return cf.averaged_projections(a, b, 0.5), a, b
+
+
+def run_csv(tmp_path, instance):
+    """`cat0-feas run` on one averaged instance in R^2: the trace CSV's rows
+    as lists of cells, and the instance's report row."""
+    doc = {
+        "schema": "1",
+        "instances": [
+            {"name": "i", "space": {"kind": "euclidean", "dim": 2}, **instance}
+        ],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "trace_i.csv").read_text().splitlines()
+    assert lines[0] == "n,residual,dist_to_p,aux_dist"
+    (row,) = json.loads((out / "report.json").read_text())["instances"]
+    return [line.split(",") for line in lines[1:]], row
+
+
+def assert_csv_matches(e2, rows, report_row, t_map, a, b, start, n_max, p):
+    """Every CSV cell equals its value computed from a separate Picard run."""
+    trace = cf.picard(t_map, start, n_max)
+    assert len(rows) == len(trace.points)
+    for n, (cells, x) in enumerate(zip(rows, trace.points)):
+        residual = repr(trace.residuals[n]) if n < trace.horizon else ""
+        gap = repr(e2.distance(a.project(x), b.project(x)))
+        assert cells == [str(n), residual, repr(e2.distance(x, p)), gap]
+    assert repr(report_row["final_aux"]) == rows[-1][3]
+    assert report_row["steps"] == trace.horizon
+    assert report_row["stationary_from"] == trace.stationary_from
 
 
 class TestRateFormulas:
@@ -88,18 +122,27 @@ class TestPicard:
         assert trace.stationary_from == 0
         assert trace.residuals == [0.0]
 
-    def test_line_line_one_step(self, e2):
+    def test_line_line_one_step(self, e2, tmp_path):
         t_map, a, b = line_line_map(e2)
-        trace = cf.picard(
-            t_map, e2.point((0, 4)), 50,
-            fixed_point=e2.point((0, 0.5)), aux_pair=(a, b),
-        )
+        start, p = e2.point((0, 4)), e2.point((0, 0.5))
+        trace = cf.picard(t_map, start, 50)
         assert trace.points[1].payload == (0.0, 0.5)
+        # the first stationary index; the loop stops right after it
         assert trace.stationary_from == 1
-        assert trace.residuals[0] == 3.5
-        assert trace.residuals[1] == 0.0
-        assert trace.to_fixed_point[0] == 3.5
-        assert trace.aux[1] == 1.0  # the two line projections stay 1 apart
+        assert trace.residuals == [3.5, 0.0]
+        rows, report_row = run_csv(
+            tmp_path,
+            {
+                "A": {"affine-subspace": {"anchor": [0.0, 0.0], "basis": [[1.0, 0.0]]}},
+                "B": {"affine-subspace": {"anchor": [0.0, 1.0], "basis": [[1.0, 0.0]]}},
+                "start": [0.0, 4.0],
+                "fixed_point": [0.0, 0.5],
+                "n_max": 50,
+            },
+        )
+        assert_csv_matches(e2, rows, report_row, t_map, a, b, start, 50, p)
+        assert rows[0][2] == "3.5"
+        assert rows[1][3] == "1.0"  # the two line projections stay 1 apart
 
     def test_ball_halfspace_limit(self, e2):
         t_map, a, b = ball_halfspace_map(e2)
@@ -110,10 +153,9 @@ class TestPicard:
 
     def test_fejer_monotone_with_fixed_point(self, e2):
         t_map, a, b = ball_halfspace_map(e2)
-        trace = cf.picard(
-            t_map, e2.point((5, 5)), 2000, fixed_point=e2.point((1.5, 0.0))
-        )
-        for earlier, later in zip(trace.to_fixed_point, trace.to_fixed_point[1:]):
+        trace = cf.picard(t_map, e2.point((5, 5)), 2000)
+        dists = [e2.distance(x, e2.point((1.5, 0.0))) for x in trace.points]
+        for earlier, later in zip(dists, dists[1:]):
             assert later <= earlier + 1e-9
 
     def test_n_max_domain(self, e2):
@@ -157,16 +199,25 @@ class TestPicard:
         with pytest.raises(cf.DomainError):
             IterationTrace(space=e2, points=[e2.point((0, 0))], residuals=[1.0, 2.0])
 
-    def test_csv_rows_shape(self, e2):
-        t_map, a, b = line_line_map(e2)
-        trace = cf.picard(
-            t_map, e2.point((0, 4)), 50,
-            fixed_point=e2.point((0, 0.5)), aux_pair=(a, b),
+    def test_csv_rows_shape(self, e2, tmp_path):
+        # a trace cut off before stationarity: one row per iterate
+        t_map, a, b = ball_halfspace_map(e2)
+        rows, report_row = run_csv(
+            tmp_path,
+            {
+                "A": {"ball": {"center": [0.0, 0.0], "radius": 1.0}},
+                "B": {"halfspace": {"normal": [-1.0, 0.0], "offset": -2.0}},
+                "start": [5.0, 5.0],
+                "fixed_point": [1.5, 0.0],
+                "n_max": 300,
+            },
         )
-        rows = trace_rows(trace)
-        assert rows[0][0] == 0
-        assert rows[-1][1] is None  # no residual for the final iterate
-        assert all(len(r) == 4 for r in rows)
+        assert len(rows) == 301 and report_row["stationary_from"] is None
+        assert rows[-1][1] == ""  # no residual for the final iterate
+        assert_csv_matches(
+            e2, rows, report_row, t_map, a, b, e2.point((5, 5)), 300,
+            e2.point((1.5, 0.0)),
+        )
 
 
 class TestCertificates:
@@ -176,14 +227,17 @@ class TestCertificates:
         assert all(c.passed for c in certs)
 
     def test_recorded_horizon_pass(self, e2):
-        # horizon beyond the bound: the ordinary check path
-        t_map, _, _ = line_line_map(e2)
-        trace = cf.picard(t_map, e2.point((0, 0.75)), 60, stop_on_stationary=False)
-        b = 0.25  # d(x0, fix) = 0.25
+        # synthetic non-stationary trace whose horizon passes the bound: the
+        # recorded residuals alone decide the certificate
+        residuals = [0.25 / 2**k for k in range(8)]
+        pts = [e2.point((0.0, sum(residuals[:k]))) for k in range(9)]
+        trace = IterationTrace(space=e2, points=pts, residuals=residuals)
+        b = 0.25
         bound = cf.asymptotic_regularity_rate(b, 1.0)
         assert bound < trace.horizon
         (cert,) = cf.certify_asymptotic_regularity(trace, b, [1.0])
         assert cert.passed and cert.bound_n == bound
+        assert not cert.stationary
 
     def test_stationary_extension_pass(self, e2):
         t_map, _, _ = line_line_map(e2)
@@ -215,22 +269,24 @@ class TestCertificates:
     def test_gap_certificates_ball_halfspace(self, e2):
         t_map, a, b = ball_halfspace_map(e2)
         start = e2.point((5, 5))
-        trace = cf.picard(t_map, start, 20_000, aux_pair=(a, b))
+        trace = cf.picard(t_map, start, 20_000)
         assert trace.stationary_from is not None
         m_val = e2.distance(start, e2.point((1.5, 0.0)))
-        gap0 = e2.distance(a.project(start), b.project(start))
+        gaps = [e2.distance(a.project(x), b.project(x)) for x in trace.points]
         certs = cf.certify_best_approx_rate(
-            trace, m_val, gap0 * gap0, 1.0, [1, 0.5, 0.25], 0.5
+            trace, gaps, m_val, gaps[0] ** 2, 1.0, [1, 0.5, 0.25], 0.5
         )
         assert all(c.passed for c in certs)
-        # the certified quantity settles at r itself: final aux == 1 exactly
-        assert trace.aux[-1] == 1.0
+        # the certified quantity settles at r itself: the final gap is 1 exactly
+        assert gaps[-1] == 1.0
 
-    def test_gap_requires_aux(self, e2):
+    def test_gap_rejects_bad_values(self, e2):
         t_map, _, _ = ball_halfspace_map(e2)
         trace = cf.picard(t_map, e2.point((5, 5)), 10)
-        with pytest.raises(cf.DomainError):
-            cf.certify_best_approx_rate(trace, 1.0, 1.0, 1.0, [1.0], 0.5)
+        for gaps in ([2.0] * 10 + [math.nan], [2.0] * 10 + [math.inf],
+                     [2.0] * 10 + [-1.0], [2.0] * 10):
+            with pytest.raises(cf.DomainError):
+                cf.certify_best_approx_rate(trace, gaps, 1.0, 1.0, 1.0, [1.0], 0.5)
 
     def test_certificate_json_fields(self, e2):
         trace = cf.picard(cf.IdentityMap(e2), e2.point((0, 0)), 5)
