@@ -21,9 +21,11 @@ import numpy as np
 from .errors import DomainError, InconclusiveError
 from .iteration import IterationTrace
 from .sets import ConvexSet, GridSpec
-from .spaces import Point
+from .spaces import EuclideanSpace, Point, PoincareDiskSpace
+from .trees import TreeSpace
 
-_BLOCK = 8192  # max entries of one pairwise block
+_CHUNK = 64  # consecutive grid points per chunk of the pruned oracle
+_UNIT = 2.0**-53  # unit roundoff of binary64
 _PATIENCE = 10  # quiet alternating-projection rounds before set_distance stops
 
 
@@ -35,6 +37,7 @@ class BestPairResult:
     b: Point
     dist: float
     method: str
+    pairs_scored: int  # grid pairs whose kernel value the search computed
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,19 @@ def best_pair_bruteforce(
     Independent of the projection implementations; the reported distance is
     within one grid step per set of the true set distance for sets whose
     nearest pair lies on the sampled region (boundaries suffice for distinct,
-    non-nested convex sets).  The space's batched kernel scores the grid
-    pairs in blocks of at most ``_BLOCK`` entries; the winning pair's
-    distance is reported as ``space.distance`` gives it.
+    non-nested convex sets).  The winner is the pair with the least kernel
+    value (the space's ``_pairwise``), ties going to the first pair in
+    row-major order; its distance is reported as ``space.distance`` gives it.
+
+    The search is exact but pruned, as metric-tree nearest-neighbour searches
+    are (Uhlmann 1991, Yianilos 1993).  Each grid is cut into chunks of at
+    most ``_CHUNK`` consecutive points (`_chunks`), each with a middle member
+    as centre c and a radius rho.  Every pair between two chunks lies at
+    distance at least d(c_A, c_B) - rho_A - rho_B.  Chunk pairs are scored in
+    order of that bound, lowered by the rounding error of the distances it is
+    made of and turned into the least kernel value any of its pairs can take
+    (`_rounding_model`).  The scan stops at the first chunk pair whose least
+    value exceeds the best value so far: no later pair can win or tie.
     """
     if set_a.space != set_b.space:
         raise DomainError("sets must live in the same space")
@@ -123,23 +136,130 @@ def best_pair_bruteforce(
     if not pts_a or not pts_b:
         raise DomainError("empty grid; widen the window or refine the grid step")
     space = set_a.space
-    A = space._pack([p.payload for p in pts_a])
-    B = space._pack([p.payload for p in pts_b])
-    # Blocks of whole rows, or slices of one row when B alone exceeds the
-    # block; argmin takes the first minimum in row-major order and later
-    # blocks must be strictly smaller, so ties go to the first pair overall.
-    rows = max(1, _BLOCK // len(B))
-    cols = min(len(B), _BLOCK)
+    A, B = _packed_grids(space, pts_a, pts_b)
+    error, least_value = _rounding_model(space, A, B)
+    starts_a, sizes_a, centres_a, radii_a = _chunks(space, A, spec.h)
+    starts_b, sizes_b, centres_b, radii_b = _chunks(space, B, spec.h)
+    d = space._dist_rows(centres_a[:, None], centres_b[None, :])
+    ra, rb = radii_a[:, None], radii_b[None, :]
+    # gamma_4 covers rounding the sums and differences below.
+    slack = error(d) + error(ra) + error(rb) + _gamma(4) * (d + ra + rb)
+    floor = least_value(d - ra - rb - slack).ravel()
     best = (math.inf, 0, 0)
-    for lo in range(0, len(A), rows):
-        for col in range(0, len(B), cols):
-            block = space._pairwise(A[lo : lo + rows], B[col : col + cols])
-            i, j = divmod(int(np.argmin(block)), block.shape[1])
-            if block[i, j] < best[0]:
-                best = (block[i, j], lo + i, col + j)
+    scored = 0
+    for k in np.argsort(floor, kind="stable"):
+        if floor[k] > best[0]:
+            break
+        ia, ib = divmod(int(k), len(starts_b))
+        lo_a, lo_b = starts_a[ia], starts_b[ib]
+        block = space._pairwise(A[lo_a : lo_a + sizes_a[ia]], B[lo_b : lo_b + sizes_b[ib]])
+        scored += block.size
+        # argmin takes the block's first minimum, which is its least (i, j).
+        i, j = divmod(int(np.argmin(block)), block.shape[1])
+        best = min(best, (block[i, j], lo_a + i, lo_b + j))
     _, i, j = best
     a, b = pts_a[i], pts_b[j]
-    return BestPairResult(a=a, b=b, dist=space.distance(a, b), method="brute-force-grid")
+    return BestPairResult(
+        a=a, b=b, dist=space.distance(a, b), method="brute-force-grid", pairs_scored=scored
+    )
+
+
+def _packed_grids(space, pts_a, pts_b):
+    """Both grids packed for the space's kernels.
+
+    Euclidean grids are first moved by one shared origin, the centre of
+    their joint bounding box.  Translation is an isometry, and the expanded
+    kernel |a|^2 + |b|^2 - 2 a.b then cancels at the size of the grids rather
+    than of their distance from the origin.
+    """
+    if not isinstance(space, EuclideanSpace):
+        return space._pack([p.payload for p in pts_a]), space._pack([p.payload for p in pts_b])
+    X = np.array([p.payload for p in pts_a], dtype=float)
+    Y = np.array([p.payload for p in pts_b], dtype=float)
+    lo = np.minimum(X.min(axis=0), Y.min(axis=0))
+    hi = np.maximum(X.max(axis=0), Y.max(axis=0))
+    origin = 0.5 * (lo + hi)
+    X -= origin
+    Y -= origin
+    return space._pack(X), space._pack(Y)
+
+
+def _chunks(space, P, h):
+    """Starts, sizes, centres (middle members) and radii of P's chunks.
+
+    A grid follows its curves in steps of at most h, so a step longer than
+    2h ends a run (a jump between edges, rows or separate vertices); runs are
+    cut into chunks of at most _CHUNK consecutive points.  Any cut keeps the
+    search exact; these keep the radii small.
+    """
+    jumps = np.flatnonzero(space._dist_rows(P[:-1], P[1:]) > 2.0 * h) + 1
+    runs = np.concatenate(([0], jumps, [len(P)]))
+    run_start = np.repeat(runs[:-1], np.diff(runs))
+    starts = np.flatnonzero((np.arange(len(P)) - run_start) % _CHUNK == 0)
+    sizes = np.diff(np.append(starts, len(P)))
+    centres = starts + (sizes - 1) // 2
+    radii = np.maximum.reduceat(space._dist_rows(P[np.repeat(centres, sizes)], P), starts)
+    return starts, sizes, P[centres], radii
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), the relative error of n roundings
+    (Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1)."""
+    return n * _UNIT / (1.0 - n * _UNIT)
+
+
+def _rounding_model(space, A, B):
+    """(error, least_value) for the oracle's pruning on packed grids A, B.
+
+    error(x) bounds |x - d| for a distance x that ``_dist_rows`` computed in
+    place of the exact distance d of two grid points; it grows with x, so a
+    chunk's true radius is at most rho + error(rho).  least_value(l) is at
+    most the kernel value ``_pairwise`` computes for any grid pair at exact
+    distance >= l.  With u = 2^-53 and gamma_n as in `_gamma`:
+
+    * R^n (grids centred by `_packed_grids`): each distance is a difference,
+      n squares, a sum and a square root, so x = d (1 + t) with
+      |t| <= gamma_{n+2}, and error(x) = 2 gamma_{n+2} x.  The kernel value
+      rounds the norms, the dot product and two sums, within
+      gamma_{n+2} (|a| + |b|)^2 <= gamma_{n+2} (R_A + R_B)^2 of d^2, with R
+      the largest norm of a grid.  Four more roundings cover R, computed from
+      the rounded squared norms, and the floor l^2 - E itself:
+      E = gamma_{n+6} (R_A + R_B)^2.
+    * Metric trees with V vertices: a vertex distance sums at most V - 2
+      edge lengths, and a route adds an arc rounded once and sums once
+      more, so x = d (1 + t) with |t| <= gamma_V for the kernel and for
+      ``_dist_rows`` alike: error(x) = 2 gamma_V x and least_value(l) =
+      l (1 - gamma_{V+3}), three roundings more for the floor.
+    * The Poincare disk: both kernels compute the Mobius quotient
+      delta = |a - b| / |1 - conj(a) b| = tanh(d / 2).  The numerator rounds
+      as gamma_2, the product conj(a) b within gamma_2 |a| |b| per part,
+      which the subtraction from 1 magnifies by at most 1 / (1 - M^2), M the
+      largest modulus on the grids; with the division, delta has relative
+      error eta = gamma_6 / (1 - M^2) (one unit for computing M^2).  Through
+      x = 2 artanh(delta), whose slope is 2 / (1 - delta^2) = 2 cosh^2(x / 2),
+      that is at most eta sinh(x), plus gamma_3 x for artanh and the clamp;
+      twice that bounds the error in both directions while
+      6 eta cosh^2(x / 2) <= 1, and beyond it error(x) is infinite (such
+      chunk pairs are never pruned).  least_value(l) = tanh(l / 2) (1 - 2 eta).
+    """
+    if isinstance(space, EuclideanSpace):
+        eta = _gamma(space.dim + 2)
+        reach = math.sqrt(A[:, -1].max()) + math.sqrt(B[:, -1].max())
+        E = _gamma(space.dim + 6) * reach * reach
+        return (lambda x: 2.0 * eta * x), (lambda l: np.maximum(l, 0.0) ** 2 - E)
+    if isinstance(space, TreeSpace):
+        V = len(space.tree.vertices)
+        return (lambda x: 2.0 * _gamma(V) * x), (lambda l: l * (1.0 - _gamma(V + 3)))
+    if isinstance(space, PoincareDiskSpace):
+        M = max(np.abs(A).max(), np.abs(B).max())
+        eta = _gamma(6) / (1.0 - M * M)
+
+        def error(x):
+            bound = 2.0 * (eta * np.sinh(x) + _gamma(3) * x)
+            return np.where(6.0 * eta * np.cosh(0.5 * x) ** 2 <= 1.0, bound, np.inf)
+
+        return error, (lambda l: np.tanh(0.5 * l) * (1.0 - 2.0 * eta))
+    raise DomainError(f"no grid oracle for {space.kind} spaces")
 
 
 def _point_sort_key(p: Point):

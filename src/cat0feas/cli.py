@@ -326,12 +326,15 @@ def _run_one(inst: InstanceConfig, out: Path):
     }
     if inst.mode in ("averaged", "product-reduction"):
         # Both orbits stop at their first exact fixed point; the constant
-        # extension stands for the steps they skip.
+        # extension stands for the steps they skip.  The main trace is one of
+        # the two orbits, so only the other is computed here.
         steps = min(200, inst.n_max)
-        base = picard(averaged_projections(set_a, set_b, inst.lam), start, steps)
-        reduction = _ProductReduction(inst)
-        twin = picard(reduction, start, steps)
-        cs = reduction.cs
+        if inst.mode == "averaged":
+            base, twin = trace, picard(_ProductReduction(inst), start, steps)
+        else:
+            base = picard(averaged_projections(set_a, set_b, inst.lam), start, steps)
+            twin = trace
+        cs = ConvexCombinationSpace(space, inst.lam)
         gaps = reduction_deviations(
             cs,
             _padded(base.points, steps + 1),
@@ -448,6 +451,7 @@ def _certify_one(inst: InstanceConfig, out: Path):
             max_tail_distance=verdict.max_tail_distance,
             center_distance=verdict.center_distance,
             bruteforce_dist=pair.dist,
+            oracle_pairs_scored=pair.pairs_scored,
         )
 
     if "oracle-agreement" in inst.checks:
@@ -463,6 +467,7 @@ def _certify_one(inst: InstanceConfig, out: Path):
                 bruteforce=pair.dist,
                 difference=gap,
                 budget=budget,
+                oracle_pairs_scored=pair.pairs_scored,
             )
 
     entry["status"] = _worst_status(statuses) if statuses else "pass"

@@ -15,9 +15,10 @@ payloads into the space's packed array (a pair of its base's for a
 product), and three row kernels act on such arrays: ``_sample_rows(rng, n)``
 draws n points from a ``random.Random``, ``_dist_rows(P, Q)`` gives
 distances elementwise (broadcasting like numpy), and ``_interp_rows(P, Q, t)``
-the geodesic points (1-t)P + tQ row by row.  The best-pair oracle scores
-blocks with ``_pairwise``; ``verify-space`` draws and reduces its samples in
-blocks through the row kernels.
+the geodesic points (1-t)P + tQ row by row.  The best-pair oracle bounds
+chunks of grid points with ``_dist_rows`` and scores chunk pairs with
+``_pairwise``; ``verify-space`` draws and reduces its samples in blocks
+through the row kernels.
 """
 
 from __future__ import annotations

@@ -1,14 +1,18 @@
 """Set-distance routes, best-pair oracles, asymptotic centers, limit checks."""
 
+import importlib.util
 import math
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cat0feas as cf
 from cat0feas import GridSpec, analysis
+from cat0feas.config import config_from_json
 
 
 class TestSetDistance:
@@ -123,6 +127,17 @@ class TestBruteforce:
         expected = math.sqrt(0.25) * result.dist
         assert cs.distance(lifted, pair) == pytest.approx(expected, abs=1e-8)
 
+    @pytest.mark.parametrize("offset", [1e6, 1e7])
+    def test_far_from_origin(self, e2, offset):
+        # Expanded on raw coordinates, |a|^2 + |b|^2 - 2ab cancelled at the
+        # size of the offset and returned 2.000042988 at 1e6.
+        a = cf.EuclideanBall(e2, (offset, offset), 1.0)
+        b = cf.EuclideanBall(e2, (offset + 4.0, offset), 1.0)
+        result = cf.best_pair_bruteforce(a, b, GridSpec(h=1e-3))
+        assert result.dist == 2.0
+        assert result.a.payload == (offset + 1.0, offset)
+        assert result.b.payload == (offset + 3.0, offset)
+
     def test_empty_grid_error(self, e2):
         a = cf.Halfspace(e2, (1.0, 0.0), 0.0)
         with pytest.raises(cf.DomainError):
@@ -140,22 +155,37 @@ def loop_best_pair(space, pts_a, pts_b):
     return best
 
 
-def check_against_loop(set_a, set_b, spec, same_pair):
-    """The batched oracle, at several block sizes, against the double loop.
+def full_scan(set_a, set_b, spec):
+    """The unpruned scan: the first pair of least kernel value."""
+    space = set_a.space
+    pts_a, pts_b = set_a.grid(spec), set_b.grid(spec)
+    values = space._pairwise(*analysis._packed_grids(space, pts_a, pts_b))
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    return pts_a[i], pts_b[j]
 
-    The small blocks split each row in two, or hold three whole rows, so
-    ties are also resolved across block boundaries.
+
+def check_against_loop(set_a, set_b, spec, same_pair):
+    """The pruned oracle, at several chunk sizes, against the double loop.
+
+    Chunks of one point have radius 0; chunks of three split the grid runs,
+    so ties are also resolved across chunk boundaries.  Every chunk size must
+    pick the pair of the unpruned scan.  The loop ranks by `space.distance`,
+    so its pair is required only where the kernel values are exact too.
     """
     space = set_a.space
-    pts_b = set_b.grid(spec)
-    dist, a, b = loop_best_pair(space, set_a.grid(spec), pts_b)
-    for block in (max(1, len(pts_b) - 1), 3 * len(pts_b) + 1, analysis._BLOCK):
-        with mock.patch.object(analysis, "_BLOCK", block):
+    pts_a, pts_b = set_a.grid(spec), set_b.grid(spec)
+    dist, a, b = loop_best_pair(space, pts_a, pts_b)
+    full = full_scan(set_a, set_b, spec)
+    for chunk in (1, 3, analysis._CHUNK):
+        with mock.patch.object(analysis, "_CHUNK", chunk):
             result = cf.best_pair_bruteforce(set_a, set_b, spec)
-        assert abs(result.dist - dist) <= 1e-12
+        assert (result.a, result.b) == full
         assert result.dist == space.distance(result.a, result.b)
+        assert abs(result.dist - dist) <= 1e-12
+        assert 0 < result.pairs_scored <= len(pts_a) * len(pts_b)
         if same_pair:
             assert (result.a, result.b) == (a, b)
+    return result
 
 
 @st.composite
@@ -236,6 +266,175 @@ class TestBatchedKernels:
         set_a = cf.DiskBall(disk, u, radius)
         set_b = cf.DiskGeodesicSegment(disk, disk.point(v), disk.point(w))
         check_against_loop(set_a, set_b, GridSpec(h=h), same_pair=False)
+
+
+class Cloud(cf.ConvexSet):
+    """A finite point list posing as a set; the oracle reads only its grid."""
+
+    kind = "cloud"
+
+    def __init__(self, points):
+        self.points = points
+
+    @property
+    def space(self):
+        return self.points[0].space
+
+    def contains(self, x, tol=None):
+        return x in self.points
+
+    def project(self, x):
+        raise NotImplementedError
+
+    def grid(self, spec):
+        return list(self.points)
+
+
+@st.composite
+def clouds(draw):
+    """Two small point lists in R^1..3, at a possibly large offset, or on a
+    small tree, and a grid step.  Euclidean coordinates are multiples of 1/8, so the kernel
+    values are exact and ties (repeated points among them) are exact too."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        space = cf.EuclideanSpace(dim)
+        offset = draw(st.sampled_from([0.0, -3.0, 1e6]))
+        coord = st.integers(-24, 24).map(lambda k: offset + k / 8)
+        point = st.tuples(*[coord] * dim).map(space.point)
+    else:
+        tree = cf.MetricTree(
+            ("a", "b", "c", "d"), (("a", "b", 1.0), ("b", "c", 0.3), ("b", "d", 2.5))
+        )
+        space = cf.TreeSpace(tree)
+        point = st.builds(
+            lambda e, f: space.at(e, f * tree.edges[e][2]),
+            st.integers(0, 2),
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        )
+    pts = st.lists(point, min_size=1, max_size=40)
+    # A step of 100 never ends a run, so chunks hold scattered points; a step
+    # of 1e-3 makes most points a chunk of their own.
+    spec = GridSpec(h=draw(st.sampled_from([1e-3, 100.0])))
+    return Cloud(draw(pts)), Cloud(draw(pts)), spec
+
+
+class TestPrunedOracle:
+    """The chunked search returns the pair of the double loop."""
+
+    def test_parallel_lines_tie(self, e2):
+        # Every aligned pair is at distance exactly 1; the first one wins.
+        a = cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 0.0),))
+        b = cf.AffineSubspace(e2, (0.0, 1.0), ((1.0, 0.0),))
+        spec = GridSpec(h=0.125, window=((-2.0, 2.0), (-2.0, 2.0)))
+        result = check_against_loop(a, b, spec, same_pair=True)
+        assert result.a.payload == (-2.0, 0.0) and result.dist == 1.0
+
+    def test_overlapping_lattices(self, e2):
+        # x <= 0.5 and x >= 0 share five lattice columns: ties at distance 0.
+        a = cf.Halfspace(e2, (1.0, 0.0), 0.5)
+        b = cf.Halfspace(e2, (-1.0, 0.0), 0.0)
+        spec = GridSpec(h=0.125, window=((-1.0, 1.0), (-1.0, 1.0)), surface="full")
+        result = check_against_loop(a, b, spec, same_pair=True)
+        assert result.dist == 0.0
+
+    def test_overlapping_trees(self, caterpillar):
+        a = cf.TreeSegment(caterpillar, caterpillar.at(0, 0.5), caterpillar.at(3, 1.0))
+        b = cf.Subtree(caterpillar, ("B", "C", "D"))
+        result = check_against_loop(a, b, GridSpec(h=0.1), same_pair=True)
+        assert result.dist == 0.0
+
+    @pytest.mark.parametrize("h, exact", [(0.125, True), (0.1, False)])
+    def test_full_lattices(self, e2, h, exact):
+        # Lattice chunks wrap from one column to the next, so their radii are
+        # far larger than a run along a curve.
+        a = cf.Halfspace(e2, (1.0, 0.0), 0.0)
+        b = cf.Halfspace(e2, (-1.0, -0.25), -0.5)
+        spec = GridSpec(h=h, window=((-1.0, 1.0), (-1.0, 1.0)), surface="full")
+        check_against_loop(a, b, spec, same_pair=exact)
+
+    def test_disk_balls_near_boundary(self, disk):
+        # Moduli up to 1 - 4e-9: the Mobius quotient's rounding grows like
+        # 1 / (1 - M^2).  The nearest pair lies on the real axis.
+        a = cf.DiskBall(disk, complex(1.0 - 1e-8, 0.0), 1.0)
+        b = cf.DiskBall(disk, complex(1.0 - 1e-6, 0.0), 1.0)
+        assert max(abs(p.payload) for p in a.grid(GridSpec(h=0.1))) > 1.0 - 4e-9
+        check_against_loop(a, b, GridSpec(h=0.1), same_pair=True)
+
+    def test_disk_balls_far_apart_near_boundary(self, disk):
+        # Distances near 34, where the quotient rounds to within 1e-15 of 1:
+        # the distance bounds are unusable, so no chunk pair is pruned, and
+        # the pair is still the unpruned scan's.
+        a = cf.DiskBall(disk, complex(1.0 - 1e-8, 0.0), 1.0)
+        b = cf.DiskBall(disk, complex(1.0 - 1e-8, 0.0) * complex(0.8, 0.6), 1.0)
+        spec = GridSpec(h=0.1)
+        full = full_scan(a, b, spec)
+        for chunk in (1, 3, analysis._CHUNK):
+            with mock.patch.object(analysis, "_CHUNK", chunk):
+                result = cf.best_pair_bruteforce(a, b, spec)
+            assert (result.a, result.b) == full
+
+    def test_tree_with_long_edges(self):
+        tree = cf.MetricTree(
+            ("r", "x", "y", "z", "w"),
+            (("r", "x", 1000.0), ("r", "y", 0.001), ("y", "z", 750.0), ("y", "w", 1e-3)),
+        )
+        space = cf.TreeSpace(tree)
+        a = cf.TreeSegment(space, space.at(0, 10.0), space.at(0, 1000.0))
+        b = cf.Subtree(space, ("y", "z", "w"))
+        result = check_against_loop(a, b, GridSpec(h=7.5), same_pair=True)
+        assert result.a == space.at(0, 10.0) and result.b == space.vertex("y")
+
+    @pytest.mark.parametrize("ratio, scored", [(4.0, 1), (0.5, 2)])
+    def test_near_tie_at_the_margin(self, e2, ratio, scored):
+        # p sits eps off the bisector of the lattice points q1 = (0, 0) and
+        # q2 = (h, 0), nearer q2; d(p, q1)^2 - d(p, q2)^2 = 2 h eps = ratio E,
+        # with E the kernel's rounding bound.  With one point per chunk, q2 is
+        # scored first; q1 is pruned when the gap is twice the margin 2E, and
+        # scored when it is a quarter of it.
+        h = 0.125
+        line = cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 0.0),))
+        spec = GridSpec(h=h, window=((-1.0, 1.0), (-1.0, 1.0)))
+
+        def singleton(x):
+            return cf.AffineSubspace(e2, (x, 1.0), ())
+
+        probe = singleton(h / 2)
+        A, B = analysis._packed_grids(e2, probe.grid(spec), line.grid(spec))
+        E = -analysis._rounding_model(e2, A, B)[1](0.0)
+        a = singleton(h / 2 + ratio * E / (2 * h))
+        with mock.patch.object(analysis, "_CHUNK", 1):
+            result = cf.best_pair_bruteforce(a, line, spec)
+        assert result.b.payload == (h, 0.0)
+        assert result.pairs_scored == scored
+        check_against_loop(a, line, spec, same_pair=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(clouds())
+    def test_random_clouds(self, case):
+        # Unordered points: chunks are not runs along a curve, their radii
+        # are large, and repeated points make exact ties.
+        check_against_loop(*case, same_pair=True)
+
+
+class TestPrunedWork:
+    """Deterministic work counts: the pruning really cuts the scan."""
+
+    def test_default_ball_ball(self, instances):
+        inst = instances["ball-ball"]
+        result = cf.best_pair_bruteforce(inst.set_a, inst.set_b, inst.grid)
+        pairs = len(inst.set_a.grid(inst.grid)) * len(inst.set_b.grid(inst.grid))
+        assert result.pairs_scored < 0.05 * pairs
+
+    def test_big_tree_seed_3(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        (inst,) = config_from_json(workloads.big_tree_config(3)).instances
+        result = cf.best_pair_bruteforce(inst.set_a, inst.set_b, inst.grid)
+        pairs = len(inst.set_a.grid(inst.grid)) * len(inst.set_b.grid(inst.grid))
+        assert pairs > 500_000
+        assert result.pairs_scored < 0.05 * pairs
 
 
 class TestAsymptoticCenter:

@@ -129,10 +129,12 @@ class TestSubcommands:
 
     def test_certify_runs_oracle_once_per_instance(self, tmp_path, monkeypatch):
         calls = []
+        results = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return best_pair_bruteforce(*args, **kwargs)
+            results.append(best_pair_bruteforce(*args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(cli, "best_pair_bruteforce", counting)
         out = tmp_path / "cert"
@@ -143,8 +145,11 @@ class TestSubcommands:
             if {"delta-limit", "oracle-agreement"} & {c["check"] for c in r["checks"]}
         ]
         assert len(calls) == len(oracle_users) == 6
-        for row in oracle_users:
+        for row, result in zip(oracle_users, results):
             checks = {c["check"]: c for c in row["checks"]}
+            for name in ("delta-limit", "oracle-agreement"):
+                if name in checks:
+                    assert checks[name]["oracle_pairs_scored"] == result.pairs_scored
             if "delta-limit" in checks and "oracle-agreement" in checks:
                 assert (
                     checks["delta-limit"]["bruteforce_dist"]
@@ -456,6 +461,33 @@ class TestModes:
         assert run_cli("certify", path, out) == 0
         certs = json.loads((out / "certificates_tripod-legs.json").read_text())
         assert all(c["pass"] for c in certs)
+
+    @pytest.mark.parametrize(
+        "mode, kinds",
+        [
+            ("averaged", ["convex-combination", "product-reduction"]),
+            ("product-reduction", ["product-reduction", "convex-combination"]),
+            ("composed", ["compose"]),
+        ],
+    )
+    def test_run_computes_each_orbit_once(self, tmp_path, monkeypatch, mode, kinds):
+        # The reduction check compares the averaged orbit with its product
+        # twin; the main trace is one of the two, so run computes the other.
+        calls = []
+
+        def recording(mapping, start, n_max):
+            calls.append(mapping.kind)
+            return picard(mapping, start, n_max)
+
+        monkeypatch.setattr(cli, "picard", recording)
+        doc = mini_config()
+        inst = doc["instances"][1]
+        inst["mode"] = mode
+        doc["instances"] = [inst]
+        path = tmp_path / "modes.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", path, tmp_path / "modes-out") == 0
+        assert calls == kinds
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_product_reduction_trace_matches_averaged(self, tmp_path, index):
