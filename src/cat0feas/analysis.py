@@ -115,7 +115,7 @@ def best_pair_bruteforce(
     within one grid step per set of the true set distance for sets whose
     nearest pair lies on the sampled region (boundaries suffice for distinct,
     non-nested convex sets).  The winner is the pair with the least kernel
-    value (the space's ``_pairwise``), ties going to the first pair in
+    value (the space's ``_kernel_rows``), ties going to the first pair in
     row-major order; its distance is reported as ``space.distance`` gives it.
 
     The search is exact but pruned, as metric-tree nearest-neighbour searches
@@ -136,7 +136,8 @@ def best_pair_bruteforce(
     if not pts_a or not pts_b:
         raise DomainError("empty grid; widen the window or refine the grid step")
     space = set_a.space
-    A, B = _packed_grids(space, pts_a, pts_b)
+    A = space._pack([p.payload for p in pts_a])
+    B = space._pack([p.payload for p in pts_b])
     error, least_value = _rounding_model(space, A, B)
     starts_a, sizes_a, centres_a, radii_a = _chunks(space, A, spec.h)
     starts_b, sizes_b, centres_b, radii_b = _chunks(space, B, spec.h)
@@ -152,7 +153,8 @@ def best_pair_bruteforce(
             break
         ia, ib = divmod(int(k), len(starts_b))
         lo_a, lo_b = starts_a[ia], starts_b[ib]
-        block = space._pairwise(A[lo_a : lo_a + sizes_a[ia]], B[lo_b : lo_b + sizes_b[ib]])
+        rows_a, rows_b = A[lo_a : lo_a + sizes_a[ia]], B[lo_b : lo_b + sizes_b[ib]]
+        block = space._kernel_rows(rows_a[:, None], rows_b[None, :])
         scored += block.size
         # argmin takes the block's first minimum, which is its least (i, j).
         i, j = divmod(int(np.argmin(block)), block.shape[1])
@@ -162,26 +164,6 @@ def best_pair_bruteforce(
     return BestPairResult(
         a=a, b=b, dist=space.distance(a, b), method="brute-force-grid", pairs_scored=scored
     )
-
-
-def _packed_grids(space, pts_a, pts_b):
-    """Both grids packed for the space's kernels.
-
-    Euclidean grids are first moved by one shared origin, the centre of
-    their joint bounding box.  Translation is an isometry, and the expanded
-    kernel |a|^2 + |b|^2 - 2 a.b then cancels at the size of the grids rather
-    than of their distance from the origin.
-    """
-    if not isinstance(space, EuclideanSpace):
-        return space._pack([p.payload for p in pts_a]), space._pack([p.payload for p in pts_b])
-    X = np.array([p.payload for p in pts_a], dtype=float)
-    Y = np.array([p.payload for p in pts_b], dtype=float)
-    lo = np.minimum(X.min(axis=0), Y.min(axis=0))
-    hi = np.maximum(X.max(axis=0), Y.max(axis=0))
-    origin = 0.5 * (lo + hi)
-    X -= origin
-    Y -= origin
-    return space._pack(X), space._pack(Y)
 
 
 def _chunks(space, P, h):
@@ -214,28 +196,34 @@ def _rounding_model(space, A, B):
     error(x) bounds |x - d| for a distance x that ``_dist_rows`` computed in
     place of the exact distance d of two grid points; it grows with x, so a
     chunk's true radius is at most rho + error(rho).  least_value(l) is at
-    most the kernel value ``_pairwise`` computes for any grid pair at exact
+    most the value ``_kernel_rows`` computes for any grid pair at exact
     distance >= l.  With u = 2^-53 and gamma_n as in `_gamma`:
 
-    * R^n (grids centred by `_packed_grids`): each distance is a difference,
-      n squares, a sum and a square root, so x = d (1 + t) with
-      |t| <= gamma_{n+2}, and error(x) = 2 gamma_{n+2} x.  The kernel value
-      rounds the norms, the dot product and two sums, within
-      gamma_{n+2} (|a| + |b|)^2 <= gamma_{n+2} (R_A + R_B)^2 of d^2, with R
-      the largest norm of a grid.  Four more roundings cover R, computed from
-      the rounded squared norms, and the floor l^2 - E itself:
-      E = gamma_{n+6} (R_A + R_B)^2.
-    * Metric trees with V vertices: a vertex distance sums at most V - 2
-      edge lengths, and a route adds an arc rounded once and sums once
-      more, so x = d (1 + t) with |t| <= gamma_V for the kernel and for
-      ``_dist_rows`` alike: error(x) = 2 gamma_V x and least_value(l) =
-      l (1 - gamma_{V+3}), three roundings more for the floor.
-    * The Poincare disk: both kernels compute the Mobius quotient
+    * R^n: the kernel rounds each of the n differences and squares and each
+      of the n - 1 sums of nonnegative terms, so it is d^2 (1 + t) with
+      |t| <= gamma_{n+2}; ``_dist_rows`` takes its square root, one more
+      rounding, so x = d (1 + t') with |t'| <= gamma_{n+2} as well, and
+      error(x) = 2 gamma_{n+2} x.  Squaring l, scaling it and forming the
+      constant round four times more, which gamma_{n+6} covers:
+      least_value(l) = l^2 (1 - gamma_{n+6}), zero for l <= 0.
+    * Metric trees with V vertices: a vertex distance in the table sums the
+      at most V - 1 lengths of its path, one at a time; an arc to an
+      endpoint is an offset or a length minus one, rounded once; a route
+      (arc + arc) + D rounds twice more.  So each route, and the least of
+      them (or the offset gap of a shared edge, rounded once), is
+      x = d (1 + t) with |t| <= gamma_{V+1}: error(x) = 2 gamma_{V+1} x.
+      The floor l (1 - gamma_{V+4}) rounds three times, in the product and
+      the constant: least_value(l) = l (1 - gamma_{V+4}).
+    * The Poincare disk: the kernel is the Mobius quotient
       delta = |a - b| / |1 - conj(a) b| = tanh(d / 2).  The numerator rounds
-      as gamma_2, the product conj(a) b within gamma_2 |a| |b| per part,
-      which the subtraction from 1 magnifies by at most 1 / (1 - M^2), M the
-      largest modulus on the grids; with the division, delta has relative
-      error eta = gamma_6 / (1 - M^2) (one unit for computing M^2).  Through
+      as gamma_2.  The two parts of conj(a) b each round two products and a
+      sum, an error of modulus at most sqrt(2) gamma_2 |a| |b| <= 3 u M^2
+      together, M the largest modulus on the grids.  The exact 1 - conj(a) b
+      has modulus at least 1 - M^2, so that is a relative 3 u M^2 / (1 - M^2),
+      and the subtraction, hypot and the division round three times more.
+      So delta has relative error at most 5 u + 3 u M^2 / (1 - M^2)
+      <= 5 u / (1 - M^2), and eta = gamma_6 / (1 - M^2) keeps one unit for
+      computing M^2.  Through
       x = 2 artanh(delta), whose slope is 2 / (1 - delta^2) = 2 cosh^2(x / 2),
       that is at most eta sinh(x), plus gamma_3 x for artanh and the clamp;
       twice that bounds the error in both directions while
@@ -243,13 +231,11 @@ def _rounding_model(space, A, B):
       chunk pairs are never pruned).  least_value(l) = tanh(l / 2) (1 - 2 eta).
     """
     if isinstance(space, EuclideanSpace):
-        eta = _gamma(space.dim + 2)
-        reach = math.sqrt(A[:, -1].max()) + math.sqrt(B[:, -1].max())
-        E = _gamma(space.dim + 6) * reach * reach
-        return (lambda x: 2.0 * eta * x), (lambda l: np.maximum(l, 0.0) ** 2 - E)
+        eta, floor = _gamma(space.dim + 2), 1.0 - _gamma(space.dim + 6)
+        return (lambda x: 2.0 * eta * x), (lambda l: np.maximum(l, 0.0) ** 2 * floor)
     if isinstance(space, TreeSpace):
         V = len(space.tree.vertices)
-        return (lambda x: 2.0 * _gamma(V) * x), (lambda l: l * (1.0 - _gamma(V + 3)))
+        return (lambda x: 2.0 * _gamma(V + 1) * x), (lambda l: l * (1.0 - _gamma(V + 4)))
     if isinstance(space, PoincareDiskSpace):
         M = max(np.abs(A).max(), np.abs(B).max())
         eta = _gamma(6) / (1.0 - M * M)

@@ -39,7 +39,8 @@ and each instance these:
                                     ranges, "auto" | "boundary" | "full"
     product_lambdas = []            extra verify-space product weights, in (0, 1)
     checks = []                     any of "rate", "gap-rate", "delta-limit",
-                                    "oracle-agreement"
+                                    "oracle-agreement"; only the last in
+                                    "composed" mode, whose map is not averaged
 
 A null value reads as an absent key.  Integer fields (seed, sample counts,
 n_max) take integral numbers only: 3.0 reads as 3, 2.5 is an error.  Every
@@ -218,6 +219,8 @@ def set_from_json(space: Space, doc, path: str = "set") -> ConvexSet:
 
 
 VALID_CHECKS = ("rate", "gap-rate", "delta-limit", "oracle-agreement")
+# The rate theorems and the limit (1-lam) a* + lam b* hold for the averaged map.
+AVERAGED_CHECKS = ("rate", "gap-rate", "delta-limit")
 VALID_MODES = ("averaged", "composed", "product-reduction")
 VALID_SURFACES = ("auto", "boundary", "full")
 
@@ -368,6 +371,11 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
     for c in checks:
         if c not in VALID_CHECKS:
             _fail(path + ".checks", f"unknown check '{c}'")
+        if mode == "composed" and c in AVERAGED_CHECKS:
+            _fail(
+                path + ".checks",
+                f"'{c}' certifies averaged maps, and the composed map P_A P_B is not averaged",
+            )
     rate_doc = _section(doc, "rate", path)
     product_lambdas = _value(doc, "product_lambdas", path, _floats, ())
     if not all(0.0 < w < 1.0 for w in product_lambdas):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -254,7 +255,8 @@ class EuclideanBall(ConvexSet):
         if self.owner.dim == 2 and spec.surface in ("auto", "boundary"):
             # Even count keeps the sampling antipodally symmetric, so axis
             # directions toward a partner set are hit exactly.
-            n = _even(max(8, math.ceil(2.0 * math.pi * self.radius / spec.h)))
+            n = _even(max(8, _steps(2.0 * math.pi * self.radius, spec.h)))
+            _cap(n, "ball boundary")
             cx, cy = self.center
             return [
                 Point(
@@ -314,7 +316,8 @@ class _Segment(ConvexSet):
     def grid(self, spec):
         if self.length == 0.0:
             return [self.start]
-        n = max(1, math.ceil(self.length / spec.h))
+        n = max(1, _steps(self.length, spec.h))
+        _cap(n + 1, "segment")
         return [
             self.space.interpolate(self.start, self.end, k / n) for k in range(n + 1)
         ]
@@ -447,15 +450,20 @@ class Subtree(ConvexSet):
         return self.owner.at(self._edges_in[-1], lengths[-1])
 
     def grid(self, spec):
+        lengths = [self.owner.tree.edges[i][2] for i in self._edges_in]
+        counts = [max(1, _steps(length, spec.h)) for length in lengths]
+        _cap(len(self.vertex_names) + sum(counts) - len(counts), "subtree")
         points = [self.owner.vertex(v) for v in self.vertex_names]
-        for i in self._edges_in:
-            length = self.owner.tree.edges[i][2]
-            n = max(1, math.ceil(length / spec.h))
+        for i, length, n in zip(self._edges_in, lengths, counts):
             points.extend(self.owner.at(i, length * k / n) for k in range(1, n))
         return points
 
 
 # -- disk sets --------------------------------------------------------------------
+
+
+# The largest radius whose circumference 2 pi sinh(r) is a finite double.
+_MAX_DISK_RADIUS = math.asinh(sys.float_info.max / (2.0 * math.pi))
 
 
 def _mobius_shift(c: complex, w: complex) -> complex:
@@ -474,8 +482,8 @@ class DiskBall(ConvexSet):
 
     def __post_init__(self):
         center = self.owner._canonical(self.center)
-        if not self.radius > 0.0:
-            raise DomainError("disk ball radius must be positive")
+        if not 0.0 < self.radius <= _MAX_DISK_RADIUS:
+            raise DomainError(f"disk ball radius {self.radius} not in (0, {_MAX_DISK_RADIUS:.6g}]")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -516,15 +524,17 @@ class DiskBall(ConvexSet):
         ]
 
     def grid(self, spec):
-        circumference = 2.0 * math.pi * math.sinh(self.radius)
         if spec.surface in ("auto", "boundary"):
-            n = _even(max(8, math.ceil(circumference / spec.h)))
+            n = _even(max(8, _steps(2.0 * math.pi * math.sinh(self.radius), spec.h)))
+            _cap(n, "disk ball boundary")
             return self.boundary_points(n)
+        rings = max(1, _steps(self.radius, spec.h))
+        _cap(1 + 8 * rings, "disk ball")  # every ring has at least 8 points
+        radii = [self.radius * k / rings for k in range(1, rings + 1)]
+        counts = [_even(max(8, _steps(2.0 * math.pi * math.sinh(s), spec.h))) for s in radii]
+        _cap(1 + sum(counts), "disk ball")
         points = [self._center_point]
-        rings = max(1, math.ceil(self.radius / spec.h))
-        for k in range(1, rings + 1):
-            s = self.radius * k / rings
-            n = _even(max(8, math.ceil(2.0 * math.pi * math.sinh(s) / spec.h)))
+        for s, n in zip(radii, counts):
             rho = math.tanh(0.5 * s)
             points.extend(
                 Point(
@@ -533,8 +543,6 @@ class DiskBall(ConvexSet):
                 )
                 for j in range(n)
             )
-            if len(points) > MAX_GRID_POINTS:
-                raise DomainError("disk ball grid exceeds MAX_GRID_POINTS; coarsen h")
         return points
 
 
@@ -620,14 +628,22 @@ def _even(n: int) -> int:
     return n + (n % 2)
 
 
-def _box_lattice(window, spec: GridSpec) -> np.ndarray:
-    axes = [np.arange(lo, hi + spec.h, spec.h) for lo, hi in window]
-    count = math.prod(len(ax) for ax in axes)
+def _steps(length: float, h: float) -> int:
+    """ceil(length / h), or MAX_GRID_POINTS + 1 if more (length / h may be inf,
+    which ceil refuses).  np.arange(start, stop, h) has _steps(stop - start, h)."""
+    q = length / h
+    return math.ceil(q) if q <= MAX_GRID_POINTS else MAX_GRID_POINTS + 1
+
+
+def _cap(count: int, what: str) -> None:
+    """Raise before a grid of `count` points is built, if that is too many."""
     if count > MAX_GRID_POINTS:
-        raise DomainError(
-            f"full grid would hold {count} points (> {MAX_GRID_POINTS}); "
-            "use boundary sampling or a coarser h"
-        )
+        raise DomainError(f"{what} grid would hold over {MAX_GRID_POINTS} points; coarsen h")
+
+
+def _box_lattice(window, spec: GridSpec) -> np.ndarray:
+    _cap(math.prod(_steps(hi + spec.h - lo, spec.h) for lo, hi in window), "full")
+    axes = [np.arange(lo, hi + spec.h, spec.h) for lo, hi in window]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -643,10 +659,9 @@ def _flat_grid(space, origin, basis, window, spec: GridSpec) -> list[Point]:
     """Lattice of step h through `origin` on origin + span(basis), clipped to
     the window; the rows of `basis` are orthonormal."""
     radius = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in window))
+    _cap((2 * _steps(radius + spec.h, spec.h) - 1) ** len(basis), "flat")
     half = np.arange(0.0, radius + spec.h, spec.h)
     steps = np.concatenate([-half[:0:-1], half])
-    if len(steps) ** len(basis) > MAX_GRID_POINTS:
-        raise DomainError("flat grid exceeds MAX_GRID_POINTS; coarsen h")
     mesh = np.meshgrid(*([steps] * len(basis)), indexing="ij")
     params = np.stack([m.ravel() for m in mesh], axis=1)
     coords = origin + params @ basis

@@ -11,14 +11,21 @@ Points are immutable values tagged with their owning space, so structural
 equality is decidable and payloads can be hashed and serialized.
 
 Batched callers work on packed arrays instead of Points.  ``_pack`` turns
-payloads into the space's packed array (a pair of its base's for a
-product), and three row kernels act on such arrays: ``_sample_rows(rng, n)``
-draws n points from a ``random.Random``, ``_dist_rows(P, Q)`` gives
-distances elementwise (broadcasting like numpy), and ``_interp_rows(P, Q, t)``
-the geodesic points (1-t)P + tQ row by row.  The best-pair oracle bounds
-chunks of grid points with ``_dist_rows`` and scores chunk pairs with
-``_pairwise``; ``verify-space`` draws and reduces its samples in blocks
-through the row kernels.
+payloads into the space's packed array (coordinate rows in R^n, complex
+numbers on the disk, edge records on trees, a pair of its base's for a
+product).  Row kernels act on such arrays elementwise, broadcasting like
+numpy: ``_sample_rows(rng, n)`` draws n points from a ``random.Random``,
+``_dist_rows(P, Q)`` gives distances and ``_interp_rows(P, Q, t)`` the
+geodesic points (1-t)P + tQ; ``verify-space`` draws and reduces its samples
+in blocks through them.
+
+A space with a grid oracle has one pair kernel ``_kernel_rows(P, Q)``,
+monotone in the distance, from which ``_dist_rows`` is computed: the squared
+distance summed one coordinate at a time in R^n, the Mobius quotient
+tanh(d/2) on the disk, the distance itself on trees.  Its value depends only
+on the pair, so it is exactly symmetric and the same for any block shape.
+The best-pair oracle bounds chunks of grid points with ``_dist_rows`` and
+ranks pairs by ``_kernel_rows``.
 """
 
 from __future__ import annotations
@@ -169,23 +176,24 @@ class EuclideanSpace(Space):
         return tuple(rng.uniform(-scale, scale) for _ in range(self.dim))
 
     def _pack(self, payloads):
-        # Coordinates plus a trailing column of squared norms.
-        X = np.asarray(payloads, dtype=float)
-        return np.column_stack([X, np.einsum("ij,ij->i", X, X)])
+        return np.asarray(payloads, dtype=float)
 
-    def _pairwise(self, P, Q):
-        # Squared distances, expanded so the cross terms are one matmul.
-        return P[:, -1:] + Q[:, -1] - 2.0 * (P[:, :-1] @ Q[:, :-1].T)
+    def _kernel_rows(self, P, Q):
+        # Squared distances, one coordinate at a time.
+        total = 0.0
+        for k in range(self.dim):
+            diff = P[..., k] - Q[..., k]
+            total = total + diff * diff
+        return total
 
     def _sample_rows(self, rng, n):
-        return self._pack(2.0 * _random_rows(rng, n * self.dim).reshape(n, self.dim) - 1.0)
+        return 2.0 * _random_rows(rng, n * self.dim).reshape(n, self.dim) - 1.0
 
     def _dist_rows(self, P, Q):
-        return np.linalg.norm(P[..., :-1] - Q[..., :-1], axis=-1)
+        return np.sqrt(self._kernel_rows(P, Q))
 
     def _interp_rows(self, P, Q, t):
-        X, Y = P[:, :-1], Q[:, :-1]
-        return self._pack(X + t[:, None] * (Y - X))
+        return P + t[:, None] * (Q - P)
 
     def _reference(self):
         return (0.0,) * self.dim
@@ -246,24 +254,24 @@ class PoincareDiskSpace(Space):
     def _pack(self, payloads):
         return np.asarray(payloads, dtype=complex)
 
-    def _pairwise(self, P, Q):
-        # The Mobius quotient delta; 2 artanh is monotone in it.
-        return np.abs(P[:, None] - Q) / np.abs(1.0 - np.conjugate(P)[:, None] * Q)
-
     def _sample_rows(self, rng, n):
         # _sample's draws in its order: the radius, then the angle.
         u, v = _random_rows(rng, 2 * n).reshape(n, 2).T
         r, theta = 0.9 * np.sqrt(u), 2.0 * math.pi * v
         return r * np.cos(theta) + 1j * (r * np.sin(theta))
 
-    def _dist_rows(self, P, Q):
-        # _distance's delta in real arithmetic, so that it rounds as Python's
-        # complex abs and product do (numpy's differ in the last bit, and
-        # artanh near 1 magnifies that bit some 30 times).
+    def _kernel_rows(self, P, Q):
+        # _distance's Mobius quotient delta = tanh(d / 2) in real arithmetic,
+        # so that it rounds as Python's complex abs and product do (numpy's
+        # differ in the last bit, and artanh near 1 magnifies that bit some
+        # 30 times).
         diff = P - Q
         cross_re = P.real * Q.real + P.imag * Q.imag  # conj(P) Q
         cross_im = P.real * Q.imag - P.imag * Q.real
-        delta = np.hypot(diff.real, diff.imag) / np.hypot(1.0 - cross_re, cross_im)
+        return np.hypot(diff.real, diff.imag) / np.hypot(1.0 - cross_re, cross_im)
+
+    def _dist_rows(self, P, Q):
+        delta = self._kernel_rows(P, Q)
         return 2.0 * np.arctanh(np.minimum(delta, math.nextafter(1.0, 0.0)))
 
     def _interp_rows(self, P, Q, t):

@@ -2,8 +2,15 @@
 
 A tree is a connected acyclic graph with positive edge lengths.  Points live
 on edges as ``(edge_index, offset)`` with the offset measured from the edge's
-first vertex.  Distances and geodesics are computed by exact path arithmetic,
-so projections and iteration residuals on trees carry no discretization error.
+first vertex.  Distances and geodesics are computed by path arithmetic on one
+table of vertex distances, so projections and iteration residuals on trees
+carry no discretization error.
+
+The table comes from a single breadth-first search (`MetricTree._bfs_tables`)
+and is exactly symmetric, so the distance between two points is one
+expression in the pair, (arc + arc) + vertex distance, that the scalar
+``_distance`` and the batched ``_dist_rows`` evaluate alike: the same bits
+for either argument order and for any block shape.
 
 Canonical form: a point sitting exactly on a vertex is always represented on
 the smallest-index incident edge (offset 0 if the vertex is that edge's first
@@ -14,7 +21,6 @@ geometric equality.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -32,7 +38,9 @@ class MetricTree:
     Attributes:
         vertices: vertex identifiers (strings), unique.
         edges: triples ``(u, v, length)``; the graph must be connected and
-            acyclic.
+            acyclic, each length positive and finite.  A route between two
+            points sums at most twice the total length, so twice the total
+            must be finite too.
     """
 
     vertices: tuple[str, ...]
@@ -53,8 +61,8 @@ class MetricTree:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             length = float(length)
-            if not length > 0.0:
-                raise DomainError(f"edge {e} must have positive length")
+            if not (length > 0.0 and math.isfinite(length)):
+                raise DomainError(f"edge {e} must have a positive finite length")
             norm_edges.append((u, v, length))
         object.__setattr__(self, "edges", tuple(norm_edges))
         object.__setattr__(self, "vertices", tuple(names))
@@ -62,7 +70,10 @@ class MetricTree:
             raise DomainError("tree needs at least one edge")
         if len(self.edges) != len(self.vertices) - 1:
             raise DomainError("edge count must be vertex count - 1 for a tree")
-        if len(self._bfs(self.vertices[0])[0]) != len(self.vertices):
+        total = sum(length for _, _, length in self.edges)
+        if not math.isfinite(2.0 * total):
+            raise DomainError(f"total edge length {total} overflows when doubled")
+        if len(self._bfs()) != len(self.vertices):
             raise DomainError("tree graph is not connected")
 
     @cached_property
@@ -74,70 +85,65 @@ class MetricTree:
             adj[v].append((i, u, length))
         return adj
 
-    def _bfs(self, root: str):
-        """Distance and predecessor maps of the vertices reachable from root."""
-        dist = {root: 0.0}
-        pred = {root: None}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for _, other, length in self.adjacency[v]:
-                if other not in dist:
-                    dist[other] = dist[v] + length
-                    pred[other] = v
-                    queue.append(other)
-        return dist, pred
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.vertices)}
 
     @cached_property
-    def _bfs_tables(self):
-        """Per-root distance and predecessor maps (trees here are desk scale)."""
-        dist = {}
-        pred = {}
-        for root in self.vertices:
-            dist[root], pred[root] = self._bfs(root)
-        return dist, pred
-
-    def vertex_distance(self, u: str, v: str) -> float:
-        return self._bfs_tables[0][u][v]
-
-    @cached_property
-    def distance_matrix(self) -> np.ndarray:
-        """D[i, j] = vertex_distance(vertices[i], vertices[j]).
-
-        Row i is the BFS table rooted at vertex i; the tables need not be
-        exactly symmetric in floating point, so D need not be either.
-        """
-        dist = self._bfs_tables[0]
-        n = len(self.vertices)
-        flat = (dist[u][v] for u in self.vertices for v in self.vertices)
-        return np.fromiter(flat, dtype=float, count=n * n).reshape(n, n)
+    def edge_ends(self) -> tuple[tuple[int, int, float], ...]:
+        """Each edge's first and second vertex (as indices into vertices)
+        and its length."""
+        index = self._index
+        return tuple((index[u], index[v], length) for u, v, length in self.edges)
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each edge's first and second vertex (as indices into vertices)
-        and its length."""
-        index = {name: i for i, name in enumerate(self.vertices)}
-        u, v, length = zip(*self.edges)
-        return (
-            np.array([index[name] for name in u], dtype=np.intp),
-            np.array([index[name] for name in v], dtype=np.intp),
-            np.array(length, dtype=float),
-        )
+        """`edge_ends` as three arrays."""
+        u, v, length = zip(*self.edge_ends)
+        return np.array(u, dtype=np.intp), np.array(v, dtype=np.intp), np.array(length)
 
-    def vertex_path(self, u: str, v: str) -> list[str]:
-        """Vertices along the unique path from u to v, inclusive."""
-        pred = self._bfs_tables[1][u]
-        path = [v]
-        while path[-1] != u:
-            path.append(pred[path[-1]])
-        path.reverse()
-        return path
+    def _bfs(self) -> list[tuple[int, int, int]]:
+        """(vertex, parent, edge) as indices for each vertex reachable from
+        vertices[0], in breadth-first order; the root's parent and edge are -1."""
+        order = [(0, -1, -1)]
+        seen = {0}
+        for vertex, _, _ in order:  # the loop also visits what it appends
+            for edge, other, _ in self.adjacency[self.vertices[vertex]]:
+                child = self._index[other]
+                if child not in seen:
+                    seen.add(child)
+                    order.append((child, vertex, edge))
+        return order
 
-    def edge_between(self, u: str, v: str) -> int:
-        for i, other, _ in self.adjacency[u]:
-            if other == v:
-                return i
-        raise DomainError(f"no edge between {u} and {v}")
+    @cached_property
+    def _bfs_tables(self):
+        """Vertex distances D and next edges N from one breadth-first search.
+
+        A vertex c found after the vertices W hangs from its parent p in W by
+        an edge e of length l, and its path to each w in W runs through p.
+        So D[c, w] = D[w, c] = D[p, w] + l, N[c, w] = e (the first edge from
+        c toward w), and N[w, c] = N[w, p] except N[p, c] = e.  D is exactly
+        symmetric, and each entry sums the positive lengths along its path.
+
+        Returns D as an array for the row kernels, and D and N as nested
+        lists for the scalar code (whose values must stay Python numbers).
+        """
+        order = self._bfs()
+        n = len(order)
+        D = np.zeros((n, n))
+        N = np.full((n, n), -1, dtype=np.intp)
+        rank = {vertex: k for k, (vertex, _, _) in enumerate(order)}
+        # Row and column k belong to the k-th vertex found.
+        for k, (_, parent, edge) in enumerate(order[1:], start=1):
+            p = rank[parent]
+            D[k, :k] = D[p, :k] + self.edges[edge][2]
+            D[:k, k] = D[k, :k]
+            N[k, :k] = edge
+            N[:k, k] = N[:k, p]
+            N[p, k] = edge
+        back = np.array([rank[v] for v in range(n)])
+        D, N = D[np.ix_(back, back)], N[np.ix_(back, back)]
+        return D, D.tolist(), N.tolist()
 
     def incident_edges(self, v: str) -> list[int]:
         return sorted(i for i, _, _ in self.adjacency[v])
@@ -197,12 +203,6 @@ class TreeSpace(Space):
 
     # -- metric ----------------------------------------------------------------
 
-    def _endpoint_offsets(self, payload):
-        """((vertex, arc length to it), ...) for both endpoints of the edge."""
-        edge, offset = payload
-        u, v, length = self.tree.edges[edge]
-        return ((u, offset), (v, length - offset))
-
     def _distance(self, a, b):
         if a[0] == b[0]:
             return abs(a[1] - b[1])
@@ -210,15 +210,18 @@ class TreeSpace(Space):
 
     def _route(self, a, b):
         """The shortest of the four endpoint routes between edge payloads:
-        (length, exit vertex, entry vertex, arc to exit, arc from entry)."""
-        dist = self.tree._bfs_tables[0]
-        ends_b = self._endpoint_offsets(b)
+        (length, exit vertex, entry vertex, arc to exit, arc from entry),
+        with vertices as indices.  Each route is (arc + arc) + D[exit, entry],
+        as in `_dist_rows`."""
+        _, dist, _ = self.tree._bfs_tables
+        ends = self.tree.edge_ends
+        ua, va, la = ends[a[0]]
+        ub, vb, lb = ends[b[0]]
         best = None
-        for pa, da in self._endpoint_offsets(a):
-            from_pa = dist[pa]
-            for pb, db in ends_b:
-                # fsum keeps the candidate sums symmetric in the arguments
-                cand = math.fsum((da, from_pa[pb], db))
+        for pa, da in ((ua, a[1]), (va, la - a[1])):
+            row = dist[pa]
+            for pb, db in ((ub, b[1]), (vb, lb - b[1])):
+                cand = (da + db) + row[pb]
                 if best is None or cand < best[0]:
                     best = (cand, pa, pb, da, db)
         return best
@@ -236,20 +239,18 @@ class TreeSpace(Space):
         P["v"], P["dv"] = v[edge], length[edge] - offset
         return P
 
-    def _pairwise(self, P, Q):
-        return self._dist_rows(P[:, None], Q[None, :])
-
     def _dist_rows(self, P, Q):
-        # Exactly _distance: the least of the four endpoint routes, each
-        # summed with one rounding as math.fsum does, or the offset gap on a
-        # shared edge.
-        D = self.tree.distance_matrix
+        # Exactly _distance: the least of the four endpoint routes, or the
+        # offset gap on a shared edge.
+        D = self.tree._bfs_tables[0]
         best = None
         for pa, da in (("u", "du"), ("v", "dv")):
             for pb, db in (("u", "du"), ("v", "dv")):
-                route = _sum3(P[da], D[P[pa], Q[pb]], Q[db])
+                route = (P[da] + Q[db]) + D[P[pa], Q[pb]]
                 best = route if best is None else np.minimum(best, route)
         return np.where(P["edge"] == Q["edge"], np.abs(P["du"] - Q["du"]), best)
+
+    _kernel_rows = _dist_rows  # the oracle ranks tree pairs by distance
 
     def _interp_rows(self, P, Q, t):
         a = zip(P["edge"].tolist(), P["du"].tolist())
@@ -266,9 +267,10 @@ class TreeSpace(Space):
         return self._rows(edge, offset)
 
     def _interpolate(self, a, b, t):
+        edges = self.tree.edge_ends
         if a[0] == b[0]:
             edge = a[0]
-            length = self.tree.edges[edge][2]
+            length = edges[edge][2]
             offset = a[1] + t * (b[1] - a[1])
             return self._canonical((edge, min(max(offset, 0.0), length)))
         total, exit_v, entry_v, da, db = self._route(a, b)
@@ -276,22 +278,24 @@ class TreeSpace(Space):
         # First leg: from the point to its exit vertex along its own edge.
         if s <= da:
             edge, offset = a
-            u, _, length = self.tree.edges[edge]
+            u, _, length = edges[edge]
             new_offset = offset - s if exit_v == u else offset + s
             return self._canonical((edge, min(max(new_offset, 0.0), length)))
         s -= da
-        # Middle legs: whole edges along the vertex path.
-        path = self.tree.vertex_path(exit_v, entry_v)
-        for p, q in zip(path, path[1:]):
-            edge = self.tree.edge_between(p, q)
-            u, _, length = self.tree.edges[edge]
+        # Middle legs: whole edges, following the next-edge table.
+        next_edge = self.tree._bfs_tables[2]
+        p = exit_v
+        while p != entry_v:
+            edge = next_edge[p][entry_v]
+            u, v, length = edges[edge]
             if s <= length:
                 offset = s if p == u else length - s
                 return self._canonical((edge, min(max(offset, 0.0), length)))
             s -= length
+            p = v if p == u else u
         # Last leg: from the entry vertex toward the target point.
         edge, offset = b
-        u, _, length = self.tree.edges[edge]
+        u, _, length = edges[edge]
         s = min(s, db)
         new_offset = s if entry_v == u else length - s
         return self._canonical((edge, min(max(new_offset, 0.0), length)))
@@ -316,28 +320,6 @@ class TreeSpace(Space):
 _PACKED_TREE_POINT = np.dtype(
     [("edge", np.intp), ("u", np.intp), ("du", float), ("v", np.intp), ("dv", float)]
 )
-
-
-def _two_sum(a, b):
-    """s = fl(a + b) and the exact rounding error e, so a + b = s + e."""
-    s = a + b
-    b_virtual = s - a
-    return s, (a - (s - b_virtual)) + (b - b_virtual)
-
-
-def _sum3(a, b, c):
-    """Elementwise a + b + c rounded once, bit-equal to math.fsum((a, b, c))
-    for nonnegative terms (path lengths here)."""
-    s, e1 = _two_sum(a, b)
-    t, e2 = _two_sum(s, c)
-    e, e3 = _two_sum(e1, e2)
-    hi, lo = _two_sum(t, e)
-    # a + b + c = hi + lo + e3 exactly, and without cancellation |e3| is far
-    # below an ulp of hi.  So hi is correctly rounded unless lo is exactly
-    # half an ulp and e3 pushes past it; round away then, as fsum does.
-    up = hi + 2.0 * lo
-    past_half = ((lo > 0) & (e3 > 0)) | ((lo < 0) & (e3 < 0))
-    return np.where(past_half & (up - hi == 2.0 * lo), up, hi)
 
 
 def tripod(leg: float = 1.0) -> TreeSpace:

@@ -3,8 +3,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 import cat0feas as cf
+
+# Print the reproduction blob of every falsifying example: the example
+# database (.hypothesis/) is not kept in version control, so an example
+# found in one run would otherwise be lost to the next.
+settings.register_profile("cat0feas", print_blob=True)
+settings.load_profile("cat0feas")
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cat0feas as cf
@@ -159,7 +159,8 @@ def full_scan(set_a, set_b, spec):
     """The unpruned scan: the first pair of least kernel value."""
     space = set_a.space
     pts_a, pts_b = set_a.grid(spec), set_b.grid(spec)
-    values = space._pairwise(*analysis._packed_grids(space, pts_a, pts_b))
+    A, B = (space._pack([p.payload for p in pts]) for pts in (pts_a, pts_b))
+    values = space._kernel_rows(A[:, None], B[None, :])
     i, j = np.unravel_index(np.argmin(values), values.shape)
     return pts_a[i], pts_b[j]
 
@@ -241,12 +242,17 @@ class TestBatchedKernels:
         radii=st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)),
         h=st.sampled_from([0.1, 0.15, 0.2]),
     )
+    # Here a kernel whose rounding depended on the block shape picked, with
+    # chunks of three, another pair than the full scan.
+    @example(
+        dim=3,
+        centers=[-1.5952009568966883, 0, 0, -1.8358497564916174, 0.84375, -1.0],
+        radii=(0.368240393946215, 0.8443392306364956),
+        h=0.1,
+    )
     def test_euclidean_kernel_matches_loop(self, dim, centers, radii, h):
         space = cf.EuclideanSpace(dim)
         ca, cb = centers[:dim], centers[3 : 3 + dim]
-        # Separated balls: squared distances expanded as |a|^2 + |b|^2 - 2ab
-        # lose too much to cancellation near coincident points.
-        assume(math.dist(ca, cb) >= radii[0] + radii[1] + 0.1)
         set_a = cf.EuclideanBall(space, ca, radii[0])
         set_b = cf.EuclideanBall(space, cb, radii[1])
         # In 3-D the grid fills the ball; a step no longer than the radius
@@ -266,6 +272,30 @@ class TestBatchedKernels:
         set_a = cf.DiskBall(disk, u, radius)
         set_b = cf.DiskGeodesicSegment(disk, disk.point(v), disk.point(w))
         check_against_loop(set_a, set_b, GridSpec(h=h), same_pair=False)
+
+
+class TestKernelBlocks:
+    """A kernel value depends only on its pair, so every block the pruned
+    scan scores holds the bits of the full block, and the transposed block
+    holds them too."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["line-line", "ball-halfspace", "ball-ball", "tripod-legs", "disk-overlap",
+         "disk-disjoint"],
+    )
+    def test_sub_blocks_equal_full_block(self, instances, name):
+        inst = instances[name]
+        kernel = inst.space._kernel_rows
+        grids = (s.grid(inst.grid)[:1500] for s in (inst.set_a, inst.set_b))
+        A, B = (inst.space._pack([p.payload for p in pts]) for pts in grids)
+        full = kernel(A[:, None], B[None, :])
+        assert np.array_equal(kernel(B[:, None], A[None, :]).T, full)
+        for rows, cols in ((64, 64), (37, 101), (1, len(B))):
+            for i in range(0, len(A), rows):
+                for j in range(0, len(B), cols):
+                    block = kernel(A[i : i + rows, None], B[None, j : j + cols])
+                    assert np.array_equal(block, full[i : i + rows, j : j + cols])
 
 
 class Cloud(cf.ConvexSet):
@@ -387,21 +417,18 @@ class TestPrunedOracle:
     @pytest.mark.parametrize("ratio, scored", [(4.0, 1), (0.5, 2)])
     def test_near_tie_at_the_margin(self, e2, ratio, scored):
         # p sits eps off the bisector of the lattice points q1 = (0, 0) and
-        # q2 = (h, 0), nearer q2; d(p, q1)^2 - d(p, q2)^2 = 2 h eps = ratio E,
-        # with E the kernel's rounding bound.  With one point per chunk, q2 is
-        # scored first; q1 is pruned when the gap is twice the margin 2E, and
-        # scored when it is a quarter of it.
+        # q2 = (h, 0), nearer q2; d(p, q1)^2 - d(p, q2)^2 = 2 h eps = ratio m,
+        # with m the margin by which the least kernel value the oracle
+        # allows q1 falls below d(p, q1)^2.  With one point per chunk, q2 is
+        # scored first; q1 is pruned when the gap is four times the margin,
+        # and scored when it is half of it.
         h = 0.125
         line = cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 0.0),))
         spec = GridSpec(h=h, window=((-1.0, 1.0), (-1.0, 1.0)))
-
-        def singleton(x):
-            return cf.AffineSubspace(e2, (x, 1.0), ())
-
-        probe = singleton(h / 2)
-        A, B = analysis._packed_grids(e2, probe.grid(spec), line.grid(spec))
-        E = -analysis._rounding_model(e2, A, B)[1](0.0)
-        a = singleton(h / 2 + ratio * E / (2 * h))
+        error, least_value = analysis._rounding_model(e2, None, None)
+        d = math.hypot(h / 2, 1.0)
+        margin = d * d - least_value(d - error(d) - analysis._gamma(4) * d)
+        a = cf.AffineSubspace(e2, (h / 2 + ratio * margin / (2 * h), 1.0), ())
         with mock.patch.object(analysis, "_CHUNK", 1):
             result = cf.best_pair_bruteforce(a, line, spec)
         assert result.b.payload == (h, 0.0)

@@ -253,6 +253,72 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command, index, edit, path",
+        [
+            ("certify", 4, ("A", "disk-ball", "radius", math.inf), "instances[4].A"),
+            ("certify", 4, ("B", "disk-ball", "radius", 1e300), "instances[4].B"),
+            ("run", 3, ("space", "edges", 1, 2, 1e308), "instances[3].space"),
+            ("certify", 3, ("space", "edges", 1, 2, 1e308), "instances[3].space"),
+            ("verify-mapping", 3, ("space", "edges", 1, 2, 1e308), "instances[3].space"),
+            ("certify", 3, ("space", "edges", 0, 2, math.inf), "instances[3].space"),
+        ],
+    )
+    def test_non_finite_geometry_is_3(self, tmp_path, capsys, command, index, edit, path):
+        # On the bundled config: a disk ball whose circumference overflows, and
+        # tree edges whose total length does.
+        doc = json.loads(bundled_config_path().read_text())
+        *keys, last, value = edit
+        target = doc["instances"][index]
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        bad = tmp_path / "non-finite-geometry.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(command, bad, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:")
+        assert "Traceback" not in err
+
+    def test_grid_too_fine_is_refused_before_it_is_built(self, tmp_path, capsys):
+        # ball-ball's boundary grid at this step would need 2 pi / 5e-324
+        # points, a count that overflows; a cap checked after building ran
+        # without end at h = 1e-300.
+        doc = json.loads(bundled_config_path().read_text())
+        (inst,) = [i for i in doc["instances"] if i["name"] == "ball-ball"]
+        inst["grid"] = {"h": 5e-324}
+        doc["instances"] = [inst]
+        path = tmp_path / "fine-grid.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("certify", path, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ball boundary grid would hold over 2000000 points")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("check", ["rate", "gap-rate", "delta-limit"])
+    def test_composed_mode_refuses_averaged_checks(self, tmp_path, capsys, check):
+        # P_A P_B is not averaged: neither the rate theorems nor the limit
+        # (1 - lam) a* + lam b* apply to its orbit.
+        doc = json.loads(bundled_config_path().read_text())
+        doc["instances"][2].update(mode="composed", checks=[check, "oracle-agreement"])
+        bad = tmp_path / "composed.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("certify", bad, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: instances[2].checks:")
+        assert check in err
+
+    def test_composed_mode_allows_oracle_agreement(self, tmp_path):
+        doc = mini_config()
+        inst = dict(doc["instances"][0], mode="composed", checks=["oracle-agreement"])
+        doc["instances"] = [inst]
+        path = tmp_path / "composed.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("certify", path, out) == 0
+        (row,) = json.loads((out / "report.json").read_text())["instances"]
+        assert [c["check"] for c in row["checks"]] == ["oracle-agreement"]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["verify-space", "--out", "o"],
@@ -483,6 +549,9 @@ class TestModes:
         doc = mini_config()
         inst = doc["instances"][1]
         inst["mode"] = mode
+        if mode == "composed":
+            # The averaged-map checks are refused for the composed map.
+            inst["checks"] = ["oracle-agreement"]
         doc["instances"] = [inst]
         path = tmp_path / "modes.json"
         path.write_text(json.dumps(doc))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cat0feas as cf
-from cat0feas import GridSpec
+from cat0feas import GridSpec, sets
 from cat0feas.spaces import REL_TOL
 
 
@@ -421,3 +421,50 @@ class TestProjectionProperties:
                 y, z = cset.sample(rng), cset.sample(rng)
                 for t in (0.25, 0.5, 0.75):
                     assert cset.contains(space.interpolate(y, z, t), tol=1e-7)
+
+
+def grid_sets():
+    """One set per grid route, and the surface its grid is asked for."""
+    e2, disk, tri = cf.EuclideanSpace(2), cf.PoincareDiskSpace(), cf.tripod()
+    return [
+        (cf.EuclideanBall(e2, (0.0, 0.0), 1.0), "auto"),
+        (cf.EuclideanBall(e2, (0.0, 0.0), 1.0), "full"),
+        (cf.Halfspace(e2, (1.0, 0.0), 0.0), "boundary"),
+        (cf.Halfspace(e2, (1.0, 0.0), 0.0), "full"),
+        (cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 1.0),)), "auto"),
+        (cf.TreeSegment(tri, tri.vertex("A"), tri.vertex("B")), "auto"),
+        (cf.DiskGeodesicSegment(disk, disk.point((0.0, 0.0)), disk.point((0.5, 0.0))), "auto"),
+        (cf.Subtree(tri, ("O", "A", "B")), "auto"),
+        (cf.DiskBall(disk, 0j, 1.0), "auto"),
+        (cf.DiskBall(disk, 0j, 1.0), "full"),
+    ]
+
+
+class TestGridCap:
+    """Every grid counts its points before it builds them."""
+
+    @pytest.mark.parametrize("cset, surface", grid_sets())
+    def test_cap_holds_for_every_grid(self, cset, surface, monkeypatch):
+        spec = GridSpec(h=0.01, window=((-1.0, 1.0),) * 2, surface=surface)
+        assert len(cset.grid(spec)) > 50
+        monkeypatch.setattr(sets, "MAX_GRID_POINTS", 50)
+        with pytest.raises(cf.DomainError, match="grid would hold over 50 points"):
+            cset.grid(spec)
+
+    @pytest.mark.parametrize("cset, surface", grid_sets())
+    def test_tiny_step_is_refused(self, cset, surface):
+        # length / 5e-324 overflows to inf, which math.ceil refuses.
+        spec = GridSpec(h=5e-324, window=((-1.0, 1.0),) * 2, surface=surface)
+        with pytest.raises(cf.DomainError, match="grid would hold over"):
+            cset.grid(spec)
+
+
+class TestDiskBallRadius:
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 1e300, 709.0, 0.0, -1.0])
+    def test_rejects_radius_without_finite_circumference(self, disk, radius):
+        with pytest.raises(cf.DomainError, match="disk ball radius"):
+            cf.DiskBall(disk, 0j, radius)
+
+    def test_largest_radius_has_a_finite_circumference(self, disk):
+        ball = cf.DiskBall(disk, 0j, sets._MAX_DISK_RADIUS)
+        assert math.isfinite(2.0 * math.pi * math.sinh(ball.radius))

@@ -256,8 +256,7 @@ class PerturbedPlane(cf.EuclideanSpace):
         return math.dist(a, b) * (1.0 + 1e-10 * math.sin(sum(a) + sum(b)))
 
     def _dist_rows(self, P, Q):
-        X, Y = P[..., :-1], Q[..., :-1]
-        return np.linalg.norm(X - Y, axis=-1) * (1.0 + 1e-10 * np.sin(X.sum(-1) + Y.sum(-1)))
+        return np.linalg.norm(P - Q, axis=-1) * (1.0 + 1e-10 * np.sin(P.sum(-1) + Q.sum(-1)))
 
 
 class NaNPlane(cf.EuclideanSpace):
@@ -336,8 +335,6 @@ def _row_points(space, rows):
         return [space.pair(a, b) for a, b in zip(firsts, seconds)]
     if isinstance(space, cf.TreeSpace):
         payloads = zip(rows["edge"].tolist(), rows["du"].tolist())
-    elif isinstance(space, cf.EuclideanSpace):
-        payloads = rows[:, :-1].tolist()
     else:
         payloads = rows.tolist()
     return [space.point(p) for p in payloads]
@@ -351,8 +348,8 @@ def _leaves(rows):
 
 
 def _exact(space):
-    """Tree distances are fsum-exact in both kernels; R^n and disk ones may
-    differ in the last bits."""
+    """Tree distances are one expression in both kernels; R^n and disk ones
+    may differ in the last bits (math.dist, artanh)."""
     while isinstance(space, cf.ConvexCombinationSpace):
         space = space.base
     return isinstance(space, cf.TreeSpace)

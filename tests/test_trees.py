@@ -4,11 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 import cat0feas as cf
-from cat0feas.trees import _sum3
 
 
 class TestMetricTreeValidation:
@@ -125,26 +122,53 @@ class TestTreeGeometry:
 
 
 class TestBatchedKernel:
-    @given(st.tuples(*[st.floats(0.0, 1e6)] * 3))
-    @example((0.1, 0.2, 0.3))
-    @example((1e-16, 1.0, 1e16))  # halfway after two roundings; fsum rounds up
-    @example((1e16, 1.0, 1e-16))
-    def test_sum3_matches_fsum(self, terms):
-        assert _sum3(*(np.array([t]) for t in terms))[0] == math.fsum(terms)
+    # Lengths whose path sums depend on the summation order.
+    ORDER_SENSITIVE = cf.MetricTree(
+        vertices=("X", "A", "B", "C", "D", "Y", "E"),
+        edges=(("X", "A", 0.4), ("A", "B", 0.1), ("B", "C", 0.2),
+               ("C", "D", 0.3), ("D", "Y", 0.6), ("B", "E", 0.7)),
+    )
+
+    def test_table_is_symmetric(self):
+        tree = self.ORDER_SENSITIVE
+        assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        D = tree._bfs_tables[0]
+        assert np.array_equal(D, D.T)
+        a, d = tree.vertices.index("A"), tree.vertices.index("D")
+        assert D[a, d] == pytest.approx(0.6, rel=1e-15)
 
     def test_pairwise_equals_distance(self, rng):
-        # Every block entry, not only the minimum, is bit-equal to distance,
-        # on lengths whose path sums depend on the summation order.
-        tree = cf.MetricTree(
-            vertices=("X", "A", "B", "C", "D", "Y", "E"),
-            edges=(("X", "A", 0.4), ("A", "B", 0.1), ("B", "C", 0.2),
-                   ("C", "D", 0.3), ("D", "Y", 0.6), ("B", "E", 0.7)),
-        )
-        assert tree.vertex_distance("A", "D") != tree.vertex_distance("D", "A")
-        space = cf.TreeSpace(tree)
+        # Every block entry, not only the minimum, is bit-equal to distance
+        # in either argument order.
+        space = cf.TreeSpace(self.ORDER_SENSITIVE)
         pts = [space.random_point(rng) for _ in range(40)]
-        pts += [space.vertex(v) for v in tree.vertices]
+        pts += [space.vertex(v) for v in self.ORDER_SENSITIVE.vertices]
         packed = space._pack([p.payload for p in pts])
-        block = space._pairwise(packed[:30], packed)
-        expected = [[space.distance(a, b) for b in pts] for a in pts[:30]]
-        assert block.tolist() == expected
+        block = space._kernel_rows(packed[:30, None], packed[None, :])
+        assert block.tolist() == [[space.distance(a, b) for b in pts] for a in pts[:30]]
+        assert block.tolist() == [[space.distance(b, a) for b in pts] for a in pts[:30]]
+
+    def test_scalar_tables_hold_python_floats(self):
+        # Trace files write repr() of distances, which must not read np.float64(...).
+        _, dist, next_edge = self.ORDER_SENSITIVE._bfs_tables
+        assert type(dist[1][4]) is float and type(next_edge[1][4]) is int
+
+
+class TestNonFiniteLengths:
+    @pytest.mark.parametrize("length", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_edge(self, length):
+        with pytest.raises(cf.DomainError, match="positive finite length"):
+            cf.MetricTree(vertices=("A", "B", "C"), edges=(("A", "B", 1.0), ("B", "C", length)))
+
+    @pytest.mark.parametrize("lengths", [(1e308, 1e308), (1e308, 1.0)])
+    def test_rejects_overflowing_total(self, lengths):
+        # A route adds up to two arcs to a path, so twice the total must be finite.
+        edges = (("A", "B", lengths[0]), ("B", "C", lengths[1]))
+        with pytest.raises(cf.DomainError, match="overflows"):
+            cf.MetricTree(vertices=("A", "B", "C"), edges=edges)
+
+    def test_accepts_large_finite_total(self):
+        edges = (("A", "B", 4e307), ("B", "C", 4e307))
+        tree = cf.MetricTree(vertices=("A", "B", "C"), edges=edges)
+        space = cf.TreeSpace(tree)
+        assert space.distance(space.vertex("A"), space.vertex("C")) == 8e307
