@@ -131,13 +131,11 @@ def best_pair_bruteforce(
     if set_a.space != set_b.space:
         raise DomainError("sets must live in the same space")
     spec = grid_spec if grid_spec is not None else GridSpec()
-    pts_a = set_a.grid(spec)
-    pts_b = set_b.grid(spec)
-    if not pts_a or not pts_b:
+    grid_a, grid_b = set_a.grid(spec), set_b.grid(spec)
+    if not grid_a or not grid_b:
         raise DomainError("empty grid; widen the window or refine the grid step")
     space = set_a.space
-    A = space._pack([p.payload for p in pts_a])
-    B = space._pack([p.payload for p in pts_b])
+    A, B = grid_a.rows, grid_b.rows
     error, least_value = _rounding_model(space, A, B)
     starts_a, sizes_a, centres_a, radii_a = _chunks(space, A, spec.h)
     starts_b, sizes_b, centres_b, radii_b = _chunks(space, B, spec.h)
@@ -160,7 +158,7 @@ def best_pair_bruteforce(
         i, j = divmod(int(np.argmin(block)), block.shape[1])
         best = min(best, (block[i, j], lo_a + i, lo_b + j))
     _, i, j = best
-    a, b = pts_a[i], pts_b[j]
+    a, b = grid_a[i], grid_b[j]
     return BestPairResult(
         a=a, b=b, dist=space.distance(a, b), method="brute-force-grid", pairs_scored=scored
     )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import best_pair_bruteforce, check_delta_limit, set_distance
 from .config import ExperimentConfig, InstanceConfig, load_config
-from .errors import Cat0FeasError, ConfigError, InconclusiveError
+from .errors import Cat0FeasError, ConfigError, GridSizeError, InconclusiveError
 from .iteration import (
     certify_asymptotic_regularity,
     certify_best_approx_rate,
@@ -438,9 +438,11 @@ def _certify_one(inst: InstanceConfig, out: Path):
                 )
 
     # One oracle evaluation serves both checks that compare against it.
-    pair = None
     if {"delta-limit", "oracle-agreement"} & set(inst.checks):
-        pair = best_pair_bruteforce(set_a, set_b, inst.grid)
+        try:
+            pair = best_pair_bruteforce(set_a, set_b, inst.grid)
+        except GridSizeError as exc:
+            raise ConfigError(f"instance '{inst.name}' grid.h = {inst.grid.h!r}: {exc}") from exc
 
     if "delta-limit" in inst.checks:
         claimed = space.interpolate(pair.a, pair.b, inst.lam)

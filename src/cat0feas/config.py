@@ -36,7 +36,7 @@ and each instance these:
     rate = {"b": null, "M": null}   rate constants, measured from start when null
     grid = {"h": 0.001, "window": null, "surface": "auto"}
                                     oracle grid: step > 0, per-dimension [lo, hi]
-                                    ranges, "auto" | "boundary" | "full"
+                                    ranges, "auto" | "full"
     product_lambdas = []            extra verify-space product weights, in (0, 1)
     checks = []                     any of "rate", "gap-rate", "delta-limit",
                                     "oracle-agreement"; only the last in
@@ -222,7 +222,7 @@ VALID_CHECKS = ("rate", "gap-rate", "delta-limit", "oracle-agreement")
 # The rate theorems and the limit (1-lam) a* + lam b* hold for the averaged map.
 AVERAGED_CHECKS = ("rate", "gap-rate", "delta-limit")
 VALID_MODES = ("averaged", "composed", "product-reduction")
-VALID_SURFACES = ("auto", "boundary", "full")
+VALID_SURFACES = ("auto", "full")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ class SpaceMismatchError(DomainError):
     """A point was used with a space it does not belong to."""
 
 
+class GridSizeError(DomainError):
+    """A grid would hold more points than sets.MAX_GRID_POINTS."""
+
+
 class NotDiagonalError(Cat0FeasError):
     """A product point expected to be (numerically) diagonal is not."""
 

@@ -4,6 +4,10 @@ Each set knows its owning space and provides membership, an exact
 nearest-point map, seeded member sampling, and (where it makes sense) finite
 grid sampling for brute-force oracles.
 
+A grid is a `Grid` of packed rows of the set's space, which the oracle's
+``_kernel_rows`` scores; only an item read from it becomes a Point.  Each row
+is a canonical payload with the bits of the point's scalar construction.
+
 Projection routes:
   * Euclidean half-spaces, affine flats and balls: closed forms in plain
     Python on coordinate tuples, since a numpy call on a 2-vector costs more
@@ -24,16 +28,16 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GridSizeError
 from .product import ConvexCombinationSpace
-from .spaces import EuclideanSpace, PoincareDiskSpace, Point, Space
+from .spaces import DISK_MAX_NORM, EuclideanSpace, PoincareDiskSpace, Point, Space
 from .trees import TreeSpace
 
 # A grid larger than this raises instead of exhausting memory.
@@ -45,10 +49,9 @@ class GridSpec:
     """Finite sampling request for brute-force oracles.
 
     h is the target arc/lattice step.  `window` bounds unbounded Euclidean
-    sets (per-dimension (lo, hi) pairs).  `surface` selects full-region or
-    boundary-only sampling; "auto" lets each set pick the cheapest faithful
-    option (boundary for 2-D regions, full for 1-D sets).  No grid may hold
-    more than MAX_GRID_POINTS points.
+    sets (per-dimension (lo, hi) pairs).  `surface` "auto" samples only the
+    boundary of a 2-D ball, disk ball or half-space, "full" the whole region.
+    No grid may hold more than MAX_GRID_POINTS points.
     """
 
     h: float = 1e-3
@@ -64,6 +67,20 @@ class GridSpec:
         if len(win) != dim:
             raise DomainError(f"window has {len(win)} ranges, space has dim {dim}")
         return win
+
+
+@dataclass(frozen=True, eq=False)
+class Grid(Sequence):
+    """A set's grid as packed rows of `space`; an item becomes a Point when read."""
+
+    space: Space
+    rows: np.ndarray
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return Point(self.space, self.space._payload(self.rows[operator.index(i)]))
 
 
 class ConvexSet(ABC):
@@ -85,7 +102,7 @@ class ConvexSet(ABC):
         """A member point; default draws an ambient point and projects it."""
         return self.project(self.space.random_point(rng, scale))
 
-    def grid(self, spec: GridSpec) -> list[Point]:
+    def grid(self, spec: GridSpec) -> Grid:
         raise DomainError(f"grid sampling not supported for {self.kind}")
 
 
@@ -145,15 +162,16 @@ class Halfspace(ConvexSet):
 
     def grid(self, spec):
         win = spec.require_window(self.space.dim)
-        if spec.surface in ("auto", "boundary"):
+        if spec.surface == "auto":
             # The boundary hyperplane, anchored at its foot c u so that
             # axis-aligned nearest points are sampled exactly.
             u, c = self._unit
             u = np.asarray(u)
             basis = np.linalg.svd(u.reshape(1, -1), full_matrices=True)[2][1:]
             return _flat_grid(self.space, c * u, basis, win, spec)
-        pts = map(tuple, _box_lattice(win, spec).tolist())
-        return [Point(self.space, p) for p in pts if self._gap(p) <= 0.0]
+        pts = _box_lattice(win, spec)
+        # _gap on the coordinate columns sums as it does on one point.
+        return Grid(self.space, pts[self._gap(pts.T) <= 0.0])
 
 
 @dataclass(frozen=True)
@@ -204,7 +222,7 @@ class AffineSubspace(ConvexSet):
     def grid(self, spec):
         q = self._orthonormal
         if q.shape[0] == 0:
-            return [Point(self.space, self.anchor)]
+            return Grid(self.space, np.array([self.anchor]))
         win = spec.require_window(self.space.dim)
         return _flat_grid(self.space, np.asarray(self.anchor), q, win, spec)
 
@@ -252,29 +270,21 @@ class EuclideanBall(ConvexSet):
         return Point(self.owner, tuple([ci + s * di for ci, di in zip(self.center, direction)]))
 
     def grid(self, spec):
-        if self.owner.dim == 2 and spec.surface in ("auto", "boundary"):
+        center = np.asarray(self.center)
+        if self.owner.dim == 2 and spec.surface == "auto":
             # Even count keeps the sampling antipodally symmetric, so axis
             # directions toward a partner set are hit exactly.
             n = _even(max(8, _steps(2.0 * math.pi * self.radius, spec.h)))
             _cap(n, "ball boundary")
-            cx, cy = self.center
-            return [
-                Point(
-                    self.space,
-                    (
-                        cx + self.radius * math.cos(2.0 * math.pi * k / n),
-                        cy + self.radius * math.sin(2.0 * math.pi * k / n),
-                    ),
-                )
-                for k in range(n)
-            ]
+            theta = 2.0 * math.pi * np.arange(n) / n
+            circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            return Grid(self.space, center + self.radius * circle)
         win = tuple(
             (c - self.radius, c + self.radius) for c in self.center
         )
         pts = _box_lattice(win, spec)
-        center = np.asarray(self.center)
         keep = np.linalg.norm(pts - center, axis=1) <= self.radius
-        return [Point(self.space, tuple(map(float, p))) for p in pts[keep]]
+        return Grid(self.space, pts[keep])
 
 
 # -- geodesic segments --------------------------------------------------------------
@@ -314,13 +324,11 @@ class _Segment(ConvexSet):
         return self.space.interpolate(self.start, self.end, rng.random())
 
     def grid(self, spec):
-        if self.length == 0.0:
-            return [self.start]
+        a, b = self.start.payload, self.end.payload
         n = max(1, _steps(self.length, spec.h))
         _cap(n + 1, "segment")
-        return [
-            self.space.interpolate(self.start, self.end, k / n) for k in range(n + 1)
-        ]
+        inner = [self.space._interpolate(a, b, k / n) for k in range(1, n)]
+        return Grid(self.space, self.space._pack([a, *inner, b] if self.length else [a]))
 
 
 class TreeSegment(_Segment):
@@ -453,17 +461,18 @@ class Subtree(ConvexSet):
         lengths = [self.owner.tree.edges[i][2] for i in self._edges_in]
         counts = [max(1, _steps(length, spec.h)) for length in lengths]
         _cap(len(self.vertex_names) + sum(counts) - len(counts), "subtree")
-        points = [self.owner.vertex(v) for v in self.vertex_names]
-        for i, length, n in zip(self._edges_in, lengths, counts):
-            points.extend(self.owner.at(i, length * k / n) for k in range(1, n))
-        return points
+        # Canonical vertices, then inner offsets (length k) / n, 0 < k < n.
+        edge, offset = zip(*map(self.owner._vertex_payload, self.vertex_names))
+        edges = np.repeat([*edge, *self._edges_in], [1] * len(edge) + [n - 1 for n in counts])
+        inner = [length * np.arange(1, n) / n for length, n in zip(lengths, counts)]
+        return Grid(self.owner, self.owner._rows(edges, np.concatenate([offset, *inner])))
 
 
 # -- disk sets --------------------------------------------------------------------
 
 
-# The largest radius whose circumference 2 pi sinh(r) is a finite double.
-_MAX_DISK_RADIUS = math.asinh(sys.float_info.max / (2.0 * math.pi))
+# Distance from 0 to modulus DISK_MAX_NORM, less 1e-6 so rounded moduli stay below it.
+_DISK_EXTENT = 2.0 * math.atanh(DISK_MAX_NORM) - 1e-6
 
 
 def _mobius_shift(c: complex, w: complex) -> complex:
@@ -482,8 +491,9 @@ class DiskBall(ConvexSet):
 
     def __post_init__(self):
         center = self.owner._canonical(self.center)
-        if not 0.0 < self.radius <= _MAX_DISK_RADIUS:
-            raise DomainError(f"disk ball radius {self.radius} not in (0, {_MAX_DISK_RADIUS:.6g}]")
+        limit = _DISK_EXTENT - 2.0 * math.atanh(abs(center))
+        if not 0.0 < self.radius <= limit:
+            raise DomainError(f"disk ball radius {self.radius} not in (0, {limit:.6g}]")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -513,37 +523,24 @@ class DiskBall(ConvexSet):
         w = math.tanh(0.5 * s) * cmath.exp(1j * theta)
         return Point(self.space, _mobius_shift(self.center, w))
 
-    def boundary_points(self, n: int) -> list[Point]:
-        rho = math.tanh(0.5 * self.radius)
-        return [
-            Point(
-                self.space,
-                _mobius_shift(self.center, rho * cmath.exp(2j * math.pi * k / n)),
-            )
-            for k in range(n)
-        ]
+    def _ring(self, s: float, n: int):
+        """The n points at distance s from the center at angles 2 pi k / n; the
+        Mobius shift is Python's, whose complex quotient rounds unlike numpy's."""
+        theta = 2.0 * math.pi * np.arange(n) / n
+        w = math.tanh(0.5 * s) * (np.cos(theta) + 1j * np.sin(theta))
+        return np.array([_mobius_shift(self.center, z) for z in w.tolist()])
 
     def grid(self, spec):
-        if spec.surface in ("auto", "boundary"):
+        if spec.surface == "auto":
             n = _even(max(8, _steps(2.0 * math.pi * math.sinh(self.radius), spec.h)))
             _cap(n, "disk ball boundary")
-            return self.boundary_points(n)
+            return Grid(self.space, self._ring(self.radius, n))
         rings = max(1, _steps(self.radius, spec.h))
         _cap(1 + 8 * rings, "disk ball")  # every ring has at least 8 points
         radii = [self.radius * k / rings for k in range(1, rings + 1)]
         counts = [_even(max(8, _steps(2.0 * math.pi * math.sinh(s), spec.h))) for s in radii]
         _cap(1 + sum(counts), "disk ball")
-        points = [self._center_point]
-        for s, n in zip(radii, counts):
-            rho = math.tanh(0.5 * s)
-            points.extend(
-                Point(
-                    self.space,
-                    _mobius_shift(self.center, rho * cmath.exp(2j * math.pi * j / n)),
-                )
-                for j in range(n)
-            )
-        return points
+        return Grid(self.space, np.concatenate([[self.center], *map(self._ring, radii, counts)]))
 
 
 # -- product sets -----------------------------------------------------------------
@@ -638,7 +635,7 @@ def _steps(length: float, h: float) -> int:
 def _cap(count: int, what: str) -> None:
     """Raise before a grid of `count` points is built, if that is too many."""
     if count > MAX_GRID_POINTS:
-        raise DomainError(f"{what} grid would hold over {MAX_GRID_POINTS} points; coarsen h")
+        raise GridSizeError(f"{what} grid would hold over {MAX_GRID_POINTS} points; coarsen h")
 
 
 def _box_lattice(window, spec: GridSpec) -> np.ndarray:
@@ -648,22 +645,15 @@ def _box_lattice(window, spec: GridSpec) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _within_window(coords: np.ndarray, window) -> np.ndarray:
-    keep = np.ones(len(coords), dtype=bool)
-    for j, (lo, hi) in enumerate(window):
-        keep &= (coords[:, j] >= lo - 1e-12) & (coords[:, j] <= hi + 1e-12)
-    return keep
-
-
-def _flat_grid(space, origin, basis, window, spec: GridSpec) -> list[Point]:
+def _flat_grid(space, origin, basis, window, spec: GridSpec) -> Grid:
     """Lattice of step h through `origin` on origin + span(basis), clipped to
     the window; the rows of `basis` are orthonormal."""
-    radius = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in window))
+    radius = math.hypot(*(max(abs(lo), abs(hi)) for lo, hi in window))
     _cap((2 * _steps(radius + spec.h, spec.h) - 1) ** len(basis), "flat")
     half = np.arange(0.0, radius + spec.h, spec.h)
     steps = np.concatenate([-half[:0:-1], half])
     mesh = np.meshgrid(*([steps] * len(basis)), indexing="ij")
     params = np.stack([m.ravel() for m in mesh], axis=1)
     coords = origin + params @ basis
-    inside = _within_window(coords, window)
-    return [Point(space, tuple(map(float, c))) for c in coords[inside]]
+    lo, hi = np.array(window).T
+    return Grid(space, coords[np.all((coords >= lo - 1e-12) & (coords <= hi + 1e-12), axis=1)])

@@ -10,22 +10,22 @@ weighted product construction in :mod:`cat0feas.product`.
 Points are immutable values tagged with their owning space, so structural
 equality is decidable and payloads can be hashed and serialized.
 
-Batched callers work on packed arrays instead of Points.  ``_pack`` turns
-payloads into the space's packed array (coordinate rows in R^n, complex
-numbers on the disk, edge records on trees, a pair of its base's for a
-product).  Row kernels act on such arrays elementwise, broadcasting like
-numpy: ``_sample_rows(rng, n)`` draws n points from a ``random.Random``,
-``_dist_rows(P, Q)`` gives distances and ``_interp_rows(P, Q, t)`` the
-geodesic points (1-t)P + tQ; ``verify-space`` draws and reduces its samples
-in blocks through them.
+Batched callers and set grids work on packed arrays instead of Points.
+``_pack`` turns payloads into the space's packed array (coordinate rows in
+R^n, complex numbers on the disk, edge records on trees, a pair of its base's
+for a product), and ``_payload`` turns one row back.  Row kernels act on such
+arrays elementwise, broadcasting like numpy: ``_sample_rows(rng, n)`` draws
+n points from a ``random.Random``, ``_dist_rows(P, Q)`` gives distances and
+``_interp_rows(P, Q, t)`` the geodesic points (1-t)P + tQ; ``verify-space``
+draws and reduces its samples in blocks through them.
 
 A space with a grid oracle has one pair kernel ``_kernel_rows(P, Q)``,
 monotone in the distance, from which ``_dist_rows`` is computed: the squared
 distance summed one coordinate at a time in R^n, the Mobius quotient
 tanh(d/2) on the disk, the distance itself on trees.  Its value depends only
 on the pair, so it is exactly symmetric and the same for any block shape.
-The best-pair oracle bounds chunks of grid points with ``_dist_rows`` and
-ranks pairs by ``_kernel_rows``.
+The best-pair oracle bounds chunks of grid rows with ``_dist_rows``, ranks
+pairs by ``_kernel_rows``, and makes Points of the two winning rows only.
 """
 
 from __future__ import annotations
@@ -178,6 +178,9 @@ class EuclideanSpace(Space):
     def _pack(self, payloads):
         return np.asarray(payloads, dtype=float)
 
+    def _payload(self, row):
+        return tuple(row.tolist())
+
     def _kernel_rows(self, P, Q):
         # Squared distances, one coordinate at a time.
         total = 0.0
@@ -253,6 +256,9 @@ class PoincareDiskSpace(Space):
 
     def _pack(self, payloads):
         return np.asarray(payloads, dtype=complex)
+
+    def _payload(self, row):
+        return complex(row)
 
     def _sample_rows(self, rng, n):
         # _sample's draws in its order: the radius, then the angle.

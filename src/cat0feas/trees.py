@@ -145,9 +145,6 @@ class MetricTree:
         D, N = D[np.ix_(back, back)], N[np.ix_(back, back)]
         return D, D.tolist(), N.tolist()
 
-    def incident_edges(self, v: str) -> list[int]:
-        return sorted(i for i, _, _ in self.adjacency[v])
-
 
 @dataclass(frozen=True)
 class TreeSpace(Space):
@@ -177,7 +174,7 @@ class TreeSpace(Space):
         return (edge, offset)
 
     def _vertex_payload(self, name):
-        edge = self.tree.incident_edges(name)[0]
+        edge = min(i for i, _, _ in self.tree.adjacency[name])
         u, _, length = self.tree.edges[edge]
         return (edge, 0.0) if name == u else (edge, length)
 
@@ -230,6 +227,9 @@ class TreeSpace(Space):
         edge = np.array([p[0] for p in payloads], dtype=np.intp)
         offset = np.array([p[1] for p in payloads], dtype=float)
         return self._rows(edge, offset)
+
+    def _payload(self, row):
+        return (int(row["edge"]), float(row["du"]))
 
     def _rows(self, edge, offset):
         """Packed points at `offset` along edge `edge`, elementwise."""

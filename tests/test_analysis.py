@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import cat0feas as cf
 from cat0feas import GridSpec, analysis
 from cat0feas.config import config_from_json
+from cat0feas.sets import Grid
 
 
 class TestSetDistance:
@@ -158,11 +159,10 @@ def loop_best_pair(space, pts_a, pts_b):
 def full_scan(set_a, set_b, spec):
     """The unpruned scan: the first pair of least kernel value."""
     space = set_a.space
-    pts_a, pts_b = set_a.grid(spec), set_b.grid(spec)
-    A, B = (space._pack([p.payload for p in pts]) for pts in (pts_a, pts_b))
-    values = space._kernel_rows(A[:, None], B[None, :])
+    grid_a, grid_b = set_a.grid(spec), set_b.grid(spec)
+    values = space._kernel_rows(grid_a.rows[:, None], grid_b.rows[None, :])
     i, j = np.unravel_index(np.argmin(values), values.shape)
-    return pts_a[i], pts_b[j]
+    return grid_a[i], grid_b[j]
 
 
 def check_against_loop(set_a, set_b, spec, same_pair):
@@ -287,8 +287,7 @@ class TestKernelBlocks:
     def test_sub_blocks_equal_full_block(self, instances, name):
         inst = instances[name]
         kernel = inst.space._kernel_rows
-        grids = (s.grid(inst.grid)[:1500] for s in (inst.set_a, inst.set_b))
-        A, B = (inst.space._pack([p.payload for p in pts]) for pts in grids)
+        A, B = (s.grid(inst.grid).rows[:1500] for s in (inst.set_a, inst.set_b))
         full = kernel(A[:, None], B[None, :])
         assert np.array_equal(kernel(B[:, None], A[None, :]).T, full)
         for rows, cols in ((64, 64), (37, 101), (1, len(B))):
@@ -317,7 +316,7 @@ class Cloud(cf.ConvexSet):
         raise NotImplementedError
 
     def grid(self, spec):
-        return list(self.points)
+        return Grid(self.space, self.space._pack([p.payload for p in self.points]))
 
 
 @st.composite

@@ -261,11 +261,13 @@ class TestExitCodes:
             ("certify", 3, ("space", "edges", 1, 2, 1e308), "instances[3].space"),
             ("verify-mapping", 3, ("space", "edges", 1, 2, 1e308), "instances[3].space"),
             ("certify", 3, ("space", "edges", 0, 2, math.inf), "instances[3].space"),
+            ("certify", 4, ("A", "disk-ball", "radius", 40.0), "instances[4].A"),
         ],
     )
     def test_non_finite_geometry_is_3(self, tmp_path, capsys, command, index, edit, path):
-        # On the bundled config: a disk ball whose circumference overflows, and
-        # tree edges whose total length does.
+        # On the bundled config: disk balls that leave the representable disk
+        # (an infinite radius, or one whose points would round onto the unit
+        # circle), and tree edges whose total length overflows.
         doc = json.loads(bundled_config_path().read_text())
         *keys, last, value = edit
         target = doc["instances"][index]
@@ -289,9 +291,12 @@ class TestExitCodes:
         doc["instances"] = [inst]
         path = tmp_path / "fine-grid.json"
         path.write_text(json.dumps(doc))
-        assert run_cli("certify", path, tmp_path / "o") == 1
+        assert run_cli("certify", path, tmp_path / "o") == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ball boundary grid would hold over 2000000 points")
+        assert err.startswith(
+            "config error: instance 'ball-ball' grid.h = 5e-324:"
+            " ball boundary grid would hold over 2000000 points"
+        )
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("check", ["rate", "gap-rate", "delta-limit"])

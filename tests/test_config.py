@@ -182,6 +182,7 @@ class TestExperimentConfig:
             ({}, {"grid": {"h": 0.0}}, "instances[0].grid.h"),
             ({}, {"product_lambdas": [2.0]}, "instances[0].product_lambdas"),
             ({}, {"product_lambdas": [0.5, 0.0]}, "instances[0].product_lambdas"),
+            ({}, {"grid": {"surface": "boundary"}}, "instances[0].grid.surface"),
         ],
     )
     def test_unusable_values_rejected(self, top, field, path):

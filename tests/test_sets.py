@@ -7,6 +7,8 @@ scans, and tree projections against a fine brute-force grid that
 uses only the distance function.
 """
 
+import cmath
+import itertools
 import math
 import random
 
@@ -15,7 +17,7 @@ import pytest
 
 import cat0feas as cf
 from cat0feas import GridSpec, sets
-from cat0feas.spaces import REL_TOL
+from cat0feas.spaces import DISK_MAX_NORM, REL_TOL
 
 
 def euclidean_sets(e2):
@@ -247,7 +249,7 @@ class TestEuclideanScalarForms:
         spec = GridSpec(h=0.25, window=((-1.0, 1.0),) * 2)
         payloads = []
         for cset in euclidean_sets(e2) + [cf.Halfspace(e2, (1.0, 1.0), 0.5)]:
-            for surface in ("boundary", "full"):
+            for surface in ("auto", "full"):
                 payloads += [p.payload for p in cset.grid(GridSpec(spec.h, spec.window, surface))]
             for _ in range(20):
                 payloads.append(cset.sample(rng).payload)
@@ -411,7 +413,7 @@ class TestProjectionProperties:
             if isinstance(cset, (cf.ProductRectangle, cf.DiagonalSet)):
                 continue
             spec = GridSpec(h=0.05, window=((-3.0, 3.0),) * 2)
-            for g in cset.grid(spec)[:200]:
+            for g in itertools.islice(cset.grid(spec), 200):
                 assert cset.contains(g, tol=1e-7)
 
     def test_geodesic_convexity_sampled(self):
@@ -429,7 +431,7 @@ def grid_sets():
     return [
         (cf.EuclideanBall(e2, (0.0, 0.0), 1.0), "auto"),
         (cf.EuclideanBall(e2, (0.0, 0.0), 1.0), "full"),
-        (cf.Halfspace(e2, (1.0, 0.0), 0.0), "boundary"),
+        (cf.Halfspace(e2, (1.0, 0.0), 0.0), "auto"),
         (cf.Halfspace(e2, (1.0, 0.0), 0.0), "full"),
         (cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 1.0),)), "auto"),
         (cf.TreeSegment(tri, tri.vertex("A"), tri.vertex("B")), "auto"),
@@ -438,6 +440,146 @@ def grid_sets():
         (cf.DiskBall(disk, 0j, 1.0), "auto"),
         (cf.DiskBall(disk, 0j, 1.0), "full"),
     ]
+
+
+def _flat_payloads(origin, basis, window, h):
+    """A flat's lattice as one point at a time, with the radius as a sum of
+    squares and the window test one coordinate at a time."""
+    radius = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in window))
+    half = np.arange(0.0, radius + h, h)
+    steps = np.concatenate([-half[:0:-1], half])
+    mesh = np.meshgrid(*([steps] * len(basis)), indexing="ij")
+    coords = origin + np.stack([m.ravel() for m in mesh], axis=1) @ basis
+    return [
+        tuple(map(float, c))
+        for c in coords
+        if all(lo - 1e-12 <= x <= hi + 1e-12 for x, (lo, hi) in zip(c, window))
+    ]
+
+
+def scalar_grid(cset, spec):
+    """The payloads of cset's grid, built one point at a time from the scalar
+    operations: interpolate, vertex and at, math.cos and sin, _mobius_shift."""
+    h, auto = spec.h, spec.surface == "auto"
+    space = cset.space
+    if isinstance(cset, cf.EuclideanBall) and auto:
+        (cx, cy), r = cset.center, cset.radius
+        n = sets._even(max(8, sets._steps(2.0 * math.pi * r, h)))
+        return [
+            (cx + r * math.cos(2.0 * math.pi * k / n), cy + r * math.sin(2.0 * math.pi * k / n))
+            for k in range(n)
+        ]
+    if isinstance(cset, cf.EuclideanBall):
+        win = tuple((c - cset.radius, c + cset.radius) for c in cset.center)
+        pts = sets._box_lattice(win, spec)
+        keep = np.linalg.norm(pts - np.array(cset.center), axis=1) <= cset.radius
+        return [tuple(map(float, p)) for p in pts[keep]]
+    if isinstance(cset, cf.Halfspace) and auto:
+        u, c = cset._unit
+        basis = np.linalg.svd(np.array([u]), full_matrices=True)[2][1:]
+        return _flat_payloads(c * np.array(u), basis, spec.window, h)
+    if isinstance(cset, cf.Halfspace):
+        pts = map(tuple, sets._box_lattice(spec.window, spec).tolist())
+        return [p for p in pts if cset._gap(p) <= 0.0]
+    if isinstance(cset, cf.AffineSubspace):
+        if not cset.basis:
+            return [cset.anchor]
+        return _flat_payloads(np.array(cset.anchor), cset._orthonormal, spec.window, h)
+    if isinstance(cset, (cf.TreeSegment, cf.DiskGeodesicSegment)):
+        if cset.length == 0.0:
+            return [cset.start.payload]
+        n = max(1, sets._steps(cset.length, h))
+        return [space.interpolate(cset.start, cset.end, k / n).payload for k in range(n + 1)]
+    if isinstance(cset, cf.Subtree):
+        payloads = [space.vertex(v).payload for v in cset.vertex_names]
+        for i in cset._edges_in:
+            length = space.tree.edges[i][2]
+            n = max(1, sets._steps(length, h))
+            payloads += [space.at(i, length * k / n).payload for k in range(1, n)]
+        return payloads
+    if isinstance(cset, cf.DiskBall):
+        rings = 1 if auto else max(1, sets._steps(cset.radius, h))
+        payloads = [] if auto else [cset.center]
+        for s in (cset.radius * k / rings for k in range(1, rings + 1)):
+            n = sets._even(max(8, sets._steps(2.0 * math.pi * math.sinh(s), h)))
+            rho = math.tanh(0.5 * s)
+            payloads += [
+                sets._mobius_shift(cset.center, rho * cmath.exp(2j * math.pi * k / n))
+                for k in range(n)
+            ]
+        return payloads
+    raise AssertionError(f"no scalar grid for {cset.kind}")
+
+
+class TestGridRows:
+    """A grid is packed rows; its items are the Points the scalar
+    constructions give, bit for bit, and canonical."""
+
+    @pytest.mark.parametrize(
+        "cset, surface",
+        grid_sets()
+        + [
+            (cf.AffineSubspace(cf.EuclideanSpace(2), (0.5, -0.25), ()), "auto"),
+            (cf.TreeSegment(cf.tripod(), cf.tripod().vertex("A"), cf.tripod().vertex("A")),
+             "auto"),
+            (cf.DiskBall(cf.PoincareDiskSpace(), complex(-0.6, 0.3), 2.5), "auto"),
+            (cf.DiskBall(cf.PoincareDiskSpace(), complex(0.2, 0.7), 0.9), "full"),
+        ],
+    )
+    def test_rows_are_the_scalar_construction(self, cset, surface):
+        spec = GridSpec(h=0.01, window=((-1.0, 1.0),) * 2, surface=surface)
+        grid = cset.grid(spec)
+        got = [p.payload for p in grid]
+        # repr tells every float apart (the sign of zero too) and names
+        # numpy scalar types, which a payload must not hold.
+        assert repr(got) == repr(scalar_grid(cset, spec))
+        assert len(grid) == len(grid.rows) == len(got)
+        for p in itertools.islice(grid, 0, None, 97):
+            assert cset.space.point(p.payload) == p
+
+    def test_tracer_sees_each_grid_once(self, monkeypatch):
+        # A tracer wraps `grid` in each ConvexSet subclass that defines it and
+        # counts len(result); each grid call must pass through exactly one
+        # wrapper, and its result must answer len and `Point in`.
+        calls = []
+
+        def wrap(method):
+            def traced(self, spec):
+                result = method(self, spec)
+                calls.append(len(result))
+                return result
+
+            return traced
+
+        todo, found = [cf.ConvexSet], []
+        while todo:
+            cls = todo.pop()
+            found.append(cls)
+            todo.extend(cls.__subclasses__())
+        for cls in found:
+            if cls is not cf.ConvexSet and "grid" in vars(cls):
+                monkeypatch.setattr(cls, "grid", wrap(vars(cls)["grid"]))
+        for cset, surface in grid_sets():
+            grid = cset.grid(GridSpec(h=0.05, window=((-1.0, 1.0),) * 2, surface=surface))
+            assert calls == [len(grid)]
+            calls.clear()
+            assert grid[len(grid) // 2] in grid and grid[-1] in grid
+            assert cset.space.random_point(random.Random(3), 5.0) not in grid
+
+    @pytest.mark.parametrize("h", [0.05, 0.3])
+    def test_oracle_winners_are_canonical(self, instances, tripod_space, h):
+        tri = tripod_space
+        cases = [(i.set_a, i.set_b, i.grid.window) for i in instances.values() if i.set_a]
+        # A vertex winner: O, on the subtree, nearest the segment from B.
+        cases.append(
+            (cf.Subtree(tri, ("O", "A")), cf.TreeSegment(tri, tri.vertex("B"), tri.at(1, 0.5)),
+             None)
+        )
+        for set_a, set_b, window in cases:
+            result = cf.best_pair_bruteforce(set_a, set_b, GridSpec(h=h, window=window))
+            for w in (result.a, result.b):
+                assert repr(w.space.point(w.payload)) == repr(w)
+        assert result.a == tri.vertex("O") and result.b == tri.at(1, 0.5)
 
 
 class TestGridCap:
@@ -458,13 +600,45 @@ class TestGridCap:
         with pytest.raises(cf.DomainError, match="grid would hold over"):
             cset.grid(spec)
 
+    @pytest.mark.parametrize(
+        "cset",
+        [
+            cf.Halfspace(cf.EuclideanSpace(2), (1.0, 0.0), 0.0),
+            cf.AffineSubspace(cf.EuclideanSpace(2), (0.0, 0.0), ((1.0, 1.0),)),
+        ],
+    )
+    def test_wide_window_is_refused(self, cset):
+        # Squaring 1e200 overflowed to a raw OverflowError.
+        spec = GridSpec(h=1.0, window=((-1e200, 1e200), (-1.0, 1.0)))
+        with pytest.raises(cf.DomainError, match="flat grid would hold over"):
+            cset.grid(spec)
+
 
 class TestDiskBallRadius:
-    @pytest.mark.parametrize("radius", [math.inf, math.nan, 1e300, 709.0, 0.0, -1.0])
+    """A disk ball lies in the representable disk: 2 artanh|c| + r stays
+    within 2 artanh(DISK_MAX_NORM) (about 21.42), less 1e-6."""
+
+    @pytest.mark.parametrize(
+        "radius", [math.inf, math.nan, 1e300, 709.0, 0.0, -1.0, 40.0, 21.42]
+    )
     def test_rejects_radius_without_finite_circumference(self, disk, radius):
         with pytest.raises(cf.DomainError, match="disk ball radius"):
             cf.DiskBall(disk, 0j, radius)
 
-    def test_largest_radius_has_a_finite_circumference(self, disk):
-        ball = cf.DiskBall(disk, 0j, sets._MAX_DISK_RADIUS)
-        assert math.isfinite(2.0 * math.pi * math.sinh(ball.radius))
+    @pytest.mark.parametrize("modulus", [0.0, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-8])
+    def test_largest_ball_stays_in_the_representable_disk(self, disk, modulus):
+        center = modulus * cmath.exp(0.7j)
+        radius = sets._DISK_EXTENT - 2.0 * math.atanh(abs(center))
+        while True:
+            try:
+                ball = cf.DiskBall(disk, center, radius)
+                break
+            except cf.DomainError:
+                radius = math.nextafter(radius, 0.0)
+        with pytest.raises(cf.DomainError, match="disk ball radius"):
+            cf.DiskBall(disk, center, radius * (1.0 + 1e-9))
+        rng = random.Random(5)
+        moduli = [abs(ball.sample(rng).payload) for _ in range(2000)]
+        for spec in (GridSpec(h=1e7), GridSpec(h=1e8, surface="full")):
+            moduli += np.abs(ball.grid(spec).rows).tolist()
+        assert max(moduli) <= DISK_MAX_NORM
