@@ -18,9 +18,9 @@ An experiment document holds these keys (default after "="):
     schema = "1"; seed = 0; instances = []
     samples     {"space" = 10000, "mapping" = 1000, "minimality" = 1000}, each >= 1
 
-Check bounds are not configurable: the curvature checks scale theirs with the
-squared distances in each inequality (spaces.REL_TOL), and the P2 and
-minimality bounds are fixed in cli.  A "tolerances" section is rejected.
+Check bounds are not configurable: every sampled check scales its bound with
+the distance terms of its inequality (spaces.REL_TOL).  A "tolerances" section
+is rejected.
 
 and each instance these:
 

@@ -6,8 +6,9 @@ map ``(1-lam) T1 + lam T2`` evaluates to the geodesic point between the two
 images), identity, constants, the componentwise pair map on a product space,
 and the diagonal projection.
 
-The checkers return signed residuals rather than booleans so callers can
-assert quantiles or tolerances of their choosing:
+The checkers return a ``spaces.CheckResult``: the verdict, the signed
+residual and the scale the residual is judged against, as the curvature
+checks do (a residual passes when it is at most REL_TOL times its scale):
 
   * firm nonexpansivity: d(Tx,Ty) <= d((1-t)x + tTx, (1-t)y + tTy) on a t-grid;
   * the quadratic variant ("property (P2)"):
@@ -17,13 +18,14 @@ assert quantiles or tolerances of their choosing:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .product import ConvexCombinationSpace
 from .sets import ConvexSet, DiagonalSet
-from .spaces import Point, Space
+from .spaces import CheckResult, Point, Space, _result
 
 
 class Mapping(ABC):
@@ -167,36 +169,33 @@ def fixed_point_residual(mapping: Mapping, x: Point) -> float:
     return mapping.space.distance(x, mapping(x))
 
 
-def check_p2(mapping: Mapping, x: Point, y: Point) -> float:
-    """Signed residual of the quadratic firm-nonexpansivity inequality.
-
-    Returns 2 d^2(Tx,Ty) - [d^2(x,Ty) + d^2(y,Tx) - d^2(x,Tx) - d^2(y,Ty)];
-    nonpositive (up to numeric noise) when the mapping satisfies the property.
-    """
+def check_p2(mapping: Mapping, x: Point, y: Point) -> CheckResult:
+    """The quadratic firm-nonexpansivity inequality at (x, y): the residual
+    2 d^2(Tx,Ty) - [d^2(x,Ty) + d^2(y,Tx) - d^2(x,Tx) - d^2(y,Ty)] is nonpositive
+    when the mapping satisfies it; its scale is the sum of the five terms."""
     space = mapping.space
     tx, ty = mapping(x), mapping(y)
-    return 2.0 * space.distance(tx, ty) ** 2 - (
-        space.distance(x, ty) ** 2
-        + space.distance(y, tx) ** 2
-        - space.distance(x, tx) ** 2
-        - space.distance(y, ty) ** 2
-    )
+    lhs = 2.0 * space.distance(tx, ty) ** 2
+    xty, ytx = space.distance(x, ty) ** 2, space.distance(y, tx) ** 2
+    xtx, yty = space.distance(x, tx) ** 2, space.distance(y, ty) ** 2
+    return _result(lhs - (xty + ytx - xtx - yty), lhs + (xty + ytx + xtx + yty), None)
 
 
 def check_firmly_nonexpansive(
     mapping: Mapping, x: Point, y: Point, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0)
-) -> float:
-    """Max over the t-grid of d(Tx,Ty) - d((1-t)x + tTx, (1-t)y + tTy)."""
+) -> CheckResult:
+    """Firm nonexpansivity at (x, y): the residual is the max over the t-grid of
+    d(Tx,Ty) - d((1-t)x + tTx, (1-t)y + tTy), of degree 1 in distances, so its
+    scale is the two distances of the worst term."""
     space = mapping.space
     tx, ty = mapping(x), mapping(y)
     base = space.distance(tx, ty)
-    worst = -float("inf")
+    worst, scale = -math.inf, 0.0
     for t in t_grid:
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"firm-nonexpansivity grid value {t} outside [0, 1]")
-        lhs = base - space.distance(
-            space.interpolate(x, tx, t), space.interpolate(y, ty, t)
-        )
-        if lhs > worst:
-            worst = lhs
-    return worst
+        dt = space.distance(space.interpolate(x, tx, t), space.interpolate(y, ty, t))
+        lhs = base - dt
+        if lhs > worst or math.isnan(lhs):  # nothing exceeds a NaN, so it stays
+            worst, scale = lhs, base + dt
+    return _result(worst, scale, None)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, GridSizeError
 from .product import ConvexCombinationSpace
-from .spaces import DISK_MAX_NORM, EuclideanSpace, PoincareDiskSpace, Point, Space
+from .spaces import DISK_MAX_NORM, EuclideanSpace, PoincareDiskSpace, Point, Space, _mobius_shift
 from .trees import TreeSpace
 
 # A grid larger than this raises instead of exhausting memory.
@@ -473,11 +473,6 @@ class Subtree(ConvexSet):
 
 # Distance from 0 to modulus DISK_MAX_NORM, less 1e-6 so rounded moduli stay below it.
 _DISK_EXTENT = 2.0 * math.atanh(DISK_MAX_NORM) - 1e-6
-
-
-def _mobius_shift(c: complex, w: complex) -> complex:
-    """The disk isometry sending 0 to c, applied to w."""
-    return (w + c) / (1.0 + c.conjugate() * w)
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,10 @@ from .errors import DomainError, SpaceMismatchError
 # Disk points must stay strictly inside the boundary; the metric diverges there.
 DISK_MAX_NORM = 1.0 - 1e-9
 
-# The curvature inequalities are homogeneous of degree 2 in distances, so their
-# rounding error scales with the squared-distance terms.  A residual passes when
-# it is at most REL_TOL (2^-44, 256 machine epsilons) times the sum of those
-# terms.
+# Every sampled inequality is homogeneous in distances (the curvature and P2
+# inequalities of degree 2, firm nonexpansivity of degree 1), so its rounding
+# error scales with its terms.  A residual passes when it is at most REL_TOL
+# (2^-44, 256 machine epsilons) times the sum of those terms, its scale.
 REL_TOL = 2.0**-44
 
 
@@ -67,8 +67,8 @@ class Point:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of an inequality check: verdict, signed residual, and the sum
-    of the squared-distance terms the residual was formed from."""
+    """Outcome of an inequality check: verdict, signed residual, and its scale,
+    the sum of the (squared) distance terms the residual was formed from."""
 
     ok: bool
     residual: float
@@ -202,6 +202,11 @@ class EuclideanSpace(Space):
         return (0.0,) * self.dim
 
 
+def _mobius_shift(c, w):
+    """The disk isometry sending 0 to c, applied to w; either may be an array."""
+    return (w + c) / (1.0 + c.conjugate() * w)
+
+
 @dataclass(frozen=True)
 class PoincareDiskSpace(Space):
     """The open unit disk with the curvature -1 hyperbolic metric.
@@ -245,7 +250,7 @@ class PoincareDiskSpace(Space):
         if m == 0.0:
             return a
         w = math.tanh(t * math.atanh(m)) * (z / m)
-        return (w + a) / (1.0 + a.conjugate() * w)
+        return _mobius_shift(a, w)
 
     def _sample(self, rng, scale):
         # Stay well inside the boundary so sampled distances remain O(1).
@@ -285,7 +290,7 @@ class PoincareDiskSpace(Space):
         m = np.abs(z)
         # m = 0 gives w = 0 and so P itself, as _interpolate does.
         w = np.tanh(t * np.arctanh(m)) * (z / np.where(m > 0.0, m, 1.0))
-        return (w + P) / (1.0 + np.conjugate(P) * w)
+        return _mobius_shift(P, w)
 
     def _reference(self):
         return 0j

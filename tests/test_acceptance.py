@@ -109,7 +109,7 @@ def test_criterion_2_projection_property(e2, e5, tripod_space, disk):
         rng = random.Random(f"{SEED}:{label}:p2")
         for _ in range(1_000):
             x, y = space.random_point(rng), space.random_point(rng)
-            res = cf.check_p2(proj, x, y)
+            res = cf.check_p2(proj, x, y).residual
             worst = max(worst, res)
             if res > 1e-9:
                 bad.append((label, res))

@@ -1,11 +1,14 @@
 """End-to-end CLI behavior: subcommands, outputs, exit codes, determinism."""
 
+import itertools
 import json
 import math
 
 import pytest
 
 from cat0feas import (
+    AffineSubspace,
+    DiagonalSet,
     EuclideanBall,
     InconclusiveError,
     analysis,
@@ -299,6 +302,52 @@ class TestExitCodes:
         )
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"h": 0.001}, "grid sampling of an unbounded set needs a window"),
+            (
+                {"h": 0.001, "window": [[-3.0, 3.0], [5.0, 6.0]]},
+                "empty grid; widen the window or refine the grid step",
+            ),
+        ],
+    )
+    def test_unusable_oracle_grid_is_3(self, tmp_path, capsys, grid, message):
+        # default's line-line oracle with no window, and with one that misses
+        # both lines.
+        doc = json.loads(bundled_config_path().read_text())
+        (inst,) = [i for i in doc["instances"] if i["name"] == "line-line"]
+        inst["grid"] = grid
+        doc["instances"] = [inst]
+        path = tmp_path / "bad-grid.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("certify", path, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err == f"config error: instance 'line-line' grid: {message}\n"
+
+    def test_oracle_on_product_sets_is_3(self, tmp_path, capsys):
+        base = {"kind": "euclidean", "dim": 2}
+        ball = {"ball": {"center": [0.0, 0.0], "radius": 1.0}}
+        doc = mini_config()
+        doc["instances"] = [
+            {
+                "name": "product",
+                "space": {"kind": "product", "base": base, "lambda": 0.5},
+                "A": {"product-rectangle": {"first": ball, "second": ball}},
+                "B": {"diagonal": {}},
+                "start": {"first": [3.0, 0.0], "second": [0.0, 3.0]},
+                "checks": ["oracle-agreement"],
+            }
+        ]
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("certify", path, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: instance 'product' grid:"
+            " grid sampling not supported for product-rectangle\n"
+        )
+
     @pytest.mark.parametrize("check", ["rate", "gap-rate", "delta-limit"])
     def test_composed_mode_refuses_averaged_checks(self, tmp_path, capsys, check):
         # P_A P_B is not averaged: neither the rate theorems nor the limit
@@ -504,6 +553,66 @@ class TestDerivedTolerance:
         assert row["max_cn_residual"] <= row["tolerance"]
         # REL_TOL times at most six squared distances, each at most 200^2
         assert row["tolerance"] <= REL_TOL * 6 * 200.0**2
+
+
+class TestMappingRows:
+    """verify-mapping judges each row by REL_TOL times its largest scale."""
+
+    def rows(self, config_path, tmp_path, expected_exit):
+        out = tmp_path / "vm"
+        assert run_cli("verify-mapping", config_path, out) == expected_exit
+        report = json.loads((out / "report.json").read_text())
+        return [{r["name"]: r for r in inst["mappings"]} for inst in report["instances"]]
+
+    def test_rows_report_their_tolerance(self, config_path, tmp_path):
+        for rows in self.rows(config_path, tmp_path, 0):
+            assert "tolerance" not in rows["averaged"]
+            for name, row in rows.items():
+                if name != "averaged":
+                    # unit-scale samples: tolerances far below a fixed 1e-9
+                    assert 0.0 < row["tolerance"] < 1e-11
+
+    def test_relative_perturbation_fails(self, config_path, tmp_path, monkeypatch):
+        # line-line's projections off by a relative 1e-11: far above
+        # rounding, far below a fixed bound of 1e-9.
+        project = AffineSubspace.project
+
+        def perturbed(self, x):
+            p = project(self, x)
+            return p.space.point(tuple(c * (1.0 + 1e-11) for c in p.payload))
+
+        monkeypatch.setattr(AffineSubspace, "project", perturbed)
+        lines, tripod = self.rows(config_path, tmp_path, 1)
+        for name in ("P_A", "P_B", "pair-map"):
+            assert lines[name]["status"] == "fail"
+        assert lines["P_A"]["tolerance"] < lines["P_A"]["p2"]["max"] <= 1e-9
+        assert all(row["status"] in ("pass", "reported") for row in tripod.values())
+
+    def test_nan_image_fails_its_row(self, config_path, tmp_path, monkeypatch):
+        # Exact images first, then NaN: a running max that dropped NaN would pass.
+        project, calls = AffineSubspace.project, itertools.count()
+
+        def nan_later(self, x):
+            return project(self, x) if next(calls) < 40 else x.space.point((math.nan,) * 2)
+
+        monkeypatch.setattr(AffineSubspace, "project", nan_later)
+        lines, _ = self.rows(config_path, tmp_path, 1)
+        for name in ("P_A", "P_B", "pair-map"):
+            assert lines[name]["status"] == "fail"
+        assert lines["identity"]["status"] == "pass"
+
+    def test_wrong_diagonal_point_fails_minimality(self, config_path, tmp_path, monkeypatch):
+        # (x1, x1) lies on the diagonal but is not the nearest point to (x1, x2).
+        def first(self, p):
+            x1, _ = p.payload
+            return self.owner.pair(x1, x1)
+
+        monkeypatch.setattr(DiagonalSet, "project", first)
+        for rows in self.rows(config_path, tmp_path, 1):
+            row = rows["diagonal-minimality"]
+            assert row["status"] == "fail"
+            assert row["max_slack"] > row["tolerance"]
+            assert row["max_identity_residual"] > row["tolerance"]
 
 
 class TestModes:

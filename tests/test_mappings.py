@@ -1,5 +1,6 @@
 """Mapping evaluation and the nonexpansivity residual checkers."""
 
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cat0feas as cf
+from cat0feas.spaces import REL_TOL
 
 coord = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -78,19 +80,21 @@ class TestQuadraticChecker:
     def test_identity_residual_zero(self, e2, rng):
         for _ in range(20):
             x, y = e2.random_point(rng), e2.random_point(rng)
-            assert cf.check_p2(cf.IdentityMap(e2), x, y) == pytest.approx(0.0, abs=1e-12)
+            assert cf.check_p2(cf.IdentityMap(e2), x, y).residual == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_residual_zero(self, e2, rng):
         c = cf.ConstantMap(e2.point((0.5, 0.5)))
         for _ in range(20):
             x, y = e2.random_point(rng), e2.random_point(rng)
-            assert cf.check_p2(c, x, y) == pytest.approx(0.0, abs=1e-12)
+            assert cf.check_p2(c, x, y).residual == pytest.approx(0.0, abs=1e-12)
 
     @given(ax=coord, ay=coord, bx=coord, by=coord)
     def test_halfspace_projection_property(self, ax, ay, bx, by):
         e2 = cf.EuclideanSpace(2)
         proj = cf.ProjectionMap(cf.Halfspace(e2, (1.0, 0.0), 0.0))
-        assert cf.check_p2(proj, e2.point((ax, ay)), e2.point((bx, by))) <= 1e-9
+        res = cf.check_p2(proj, e2.point((ax, ay)), e2.point((bx, by)))
+        assert res.residual <= 1e-9
+        assert res.ok
 
     def test_every_projection_kind(self, e2, tripod_space, disk, rng):
         cases = [
@@ -106,8 +110,9 @@ class TestQuadraticChecker:
             proj = cf.ProjectionMap(cset)
             for _ in range(60):
                 x, y = space.random_point(rng), space.random_point(rng)
-                assert cf.check_p2(proj, x, y) <= 1e-9
-                assert cf.check_firmly_nonexpansive(proj, x, y) <= 1e-9
+                p2, fn = cf.check_p2(proj, x, y), cf.check_firmly_nonexpansive(proj, x, y)
+                assert p2.residual <= 1e-9 and fn.residual <= 1e-9
+                assert p2.ok and fn.ok, (cset, x, y)
 
     def test_pair_map_and_diagonal_property(self, e2, rng):
         ball = cf.EuclideanBall(e2, (0.0, 0.0), 1.0)
@@ -117,8 +122,8 @@ class TestQuadraticChecker:
         q = cf.diagonal_projection(cs)
         for _ in range(60):
             x, y = cs.random_point(rng), cs.random_point(rng)
-            assert cf.check_p2(u, x, y) <= 1e-9
-            assert cf.check_p2(q, x, y) <= 1e-9
+            assert cf.check_p2(u, x, y).residual <= 1e-9
+            assert cf.check_p2(q, x, y).residual <= 1e-9
 
 
 class TestFirmNonexpansivityChecker:
@@ -127,19 +132,19 @@ class TestFirmNonexpansivityChecker:
         for _ in range(20):
             x, y = e2.random_point(rng), e2.random_point(rng)
             got = cf.check_firmly_nonexpansive(proj, x, y, t_grid=(1.0,))
-            assert got == pytest.approx(0.0, abs=1e-12)
+            assert got.residual == pytest.approx(0.0, abs=1e-12)
 
     def test_halfspace_line_example(self, e2):
         proj = cf.ProjectionMap(cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 0.0),)))
         got = cf.check_firmly_nonexpansive(
             proj, e2.point((0, 2)), e2.point((3, 4)), t_grid=(0, 0.25, 0.5, 0.75, 1)
         )
-        assert got <= 1e-10
+        assert got.residual <= 1e-10
 
     def test_constant_map_passes(self, e2, rng):
         c = cf.ConstantMap(e2.point((1, 1)))
         x, y = e2.random_point(rng), e2.random_point(rng)
-        assert cf.check_firmly_nonexpansive(c, x, y) <= 1e-12
+        assert cf.check_firmly_nonexpansive(c, x, y).residual <= 1e-12
 
     def test_grid_domain_checked(self, e2, rng):
         with pytest.raises(cf.DomainError):
@@ -164,5 +169,62 @@ class TestNegativeControls:
 
         reflect = Reflection()
         pairs = [(e2.random_point(rng, 4.0), e2.random_point(rng, 4.0)) for _ in range(200)]
-        assert max(cf.check_p2(reflect, x, y) for x, y in pairs) > 1.0
-        assert max(cf.check_firmly_nonexpansive(reflect, x, y) for x, y in pairs) > 0.1
+        p2 = [cf.check_p2(reflect, x, y) for x, y in pairs]
+        fn = [cf.check_firmly_nonexpansive(reflect, x, y) for x, y in pairs]
+        assert max(r.residual for r in p2) > 1.0
+        assert max(r.residual for r in fn) > 0.1
+        assert not all(p2) and not all(fn)
+
+    def test_relative_perturbation_fails_p2(self, e2, rng):
+        # (1 + d) P for the projection P onto a line through 0 has the P2
+        # residual 2 d (1 + d) |P(x - y)|^2: at d = 1e-11 far above rounding,
+        # yet far below a fixed bound of 1e-9.
+        line = cf.ProjectionMap(cf.AffineSubspace(e2, (0.0, 0.0), ((0.6, 0.8),)))
+        pairs = [(e2.random_point(rng), e2.random_point(rng)) for _ in range(200)]
+        assert all(cf.check_p2(line, x, y) for x, y in pairs)
+        perturbed = [cf.check_p2(Scaled(line, 1e-11), x, y) for x, y in pairs]
+        assert max(r.residual for r in perturbed) <= 1e-9
+        assert max(r.residual / r.scale for r in perturbed) > 10 * REL_TOL
+        assert not all(perturbed)
+
+    def test_nan_image_fails_both_checkers(self, e2, rng):
+        nan_map = Scaled(cf.IdentityMap(e2), math.nan)
+        x, y = e2.random_point(rng), e2.random_point(rng)
+        p2, fn = cf.check_p2(nan_map, x, y), cf.check_firmly_nonexpansive(nan_map, x, y)
+        assert not p2.ok and math.isnan(p2.residual)
+        assert not fn.ok and math.isnan(fn.residual)
+
+
+class TestScales:
+    def test_p2_scale_is_the_sum_of_its_five_terms(self, e2):
+        # P onto the x-axis: Tx = (0, 0), Ty = (4, 0); the terms are
+        # 2 |Tx - Ty|^2 = 32, |x - Ty|^2 = 25, |y - Tx|^2 = 16, |x - Tx|^2 = 9
+        # and |y - Ty|^2 = 0, every distance an integer.
+        proj = cf.ProjectionMap(cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 0.0),)))
+        res = cf.check_p2(proj, e2.point((0, 3)), e2.point((4, 0)))
+        assert res.ok and res.residual == 32.0 - (25.0 + 16.0 - 9.0 - 0.0)
+        assert res.scale == 32.0 + 25.0 + 16.0 + 9.0 + 0.0
+
+    def test_firm_scale_is_the_two_distances_of_the_worst_term(self, e2):
+        # x -> 2x at x = (1, 0), y = 0: d(Tx, Ty) = 2, and the worst term,
+        # at t = 0, compares it with d(x, y) = 1.
+        fn = cf.check_firmly_nonexpansive(
+            Scaled(cf.IdentityMap(e2), 1.0), e2.point((1, 0)), e2.point((0, 0))
+        )
+        assert not fn.ok and fn.residual == 1.0 and fn.scale == 3.0
+
+
+class Scaled(cf.Mapping):
+    """A Euclidean mapping whose images are scaled by 1 + rel."""
+
+    kind = "scaled"
+
+    def __init__(self, inner, rel):
+        self.inner, self.rel = inner, rel
+
+    @property
+    def space(self):
+        return self.inner.space
+
+    def __call__(self, x):
+        return self.space.point(tuple(c * (1.0 + self.rel) for c in self.inner(x).payload))

@@ -230,7 +230,9 @@ class TestEuclideanScalarForms:
                 tx, ty = proj(x), proj(y)
                 d2 = [space.distance(a, b) ** 2 for a, b in ((x, ty), (y, tx), (x, tx), (y, ty))]
                 scale = 2.0 * space.distance(tx, ty) ** 2 + sum(d2)
-                assert cf.check_p2(proj, x, y) <= REL_TOL * scale
+                res = cf.check_p2(proj, x, y)
+                assert res.ok and res.scale == scale
+                assert res.residual <= REL_TOL * scale
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_ball_sample_keeps_the_random_stream(self, dim):
