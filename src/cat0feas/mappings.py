@@ -6,11 +6,17 @@ map ``(1-lam) T1 + lam T2`` evaluates to the geodesic point between the two
 images), identity, constants, the componentwise pair map on a product space,
 and the diagonal projection.
 
+The maps that ``verify-mapping`` samples (projections, pair maps, convex
+combinations and the identity) also map packed rows of their space with
+``_rows(P)``, through each set's ``_project_rows`` and the space's row
+kernels; ``spaces._p2_rows`` and ``spaces._fn_rows`` judge the images.
+
 The checkers return a ``spaces.CheckResult``: the verdict, the signed
 residual and the scale the residual is judged against, as the curvature
 checks do (a residual passes when it is at most REL_TOL times its scale):
 
-  * firm nonexpansivity: d(Tx,Ty) <= d((1-t)x + tTx, (1-t)y + tTy) on a t-grid;
+  * firm nonexpansivity: d(Tx,Ty) <= d((1-t)x + tTx, (1-t)y + tTy) on a t-grid
+    (``spaces.FN_T_GRID`` by default);
   * the quadratic variant ("property (P2)"):
       2 d^2(Tx,Ty) <= d^2(x,Ty) + d^2(y,Tx) - d^2(x,Tx) - d^2(y,Ty),
     which every metric projection in a CAT(0) space satisfies.
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .product import ConvexCombinationSpace
 from .sets import ConvexSet, DiagonalSet
-from .spaces import CheckResult, Point, Space, _result
+from .spaces import FN_T_GRID, CheckResult, Point, Space, _result
 
 
 class Mapping(ABC):
@@ -54,6 +60,9 @@ class ProjectionMap(Mapping):
 
     def __call__(self, x):
         return self.target.project(x)
+
+    def _rows(self, P):
+        return self.target._project_rows(P)
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,9 @@ class ConvexCombinationMap(Mapping):
     def __call__(self, x):
         return self.space.interpolate(self.first(x), self.second(x), self.lam)
 
+    def _rows(self, P):
+        return self.space._interp_rows(self.first._rows(P), self.second._rows(P), self.lam)
+
 
 @dataclass(frozen=True)
 class IdentityMap(Mapping):
@@ -111,6 +123,9 @@ class IdentityMap(Mapping):
     def __call__(self, x):
         self.owner.require_member(x)
         return x
+
+    def _rows(self, P):
+        return P
 
 
 @dataclass(frozen=True)
@@ -153,6 +168,9 @@ class PairMap(Mapping):
         x1, x2 = x.payload
         return Point(self.owner, (self.first(x1), self.second(x2)))
 
+    def _rows(self, P):
+        return (self.first._rows(P[0]), self.second._rows(P[1]))
+
 
 def diagonal_projection(cs: ConvexCombinationSpace) -> ProjectionMap:
     """The metric projection onto the diagonal of a product space."""
@@ -182,11 +200,13 @@ def check_p2(mapping: Mapping, x: Point, y: Point) -> CheckResult:
 
 
 def check_firmly_nonexpansive(
-    mapping: Mapping, x: Point, y: Point, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0)
+    mapping: Mapping, x: Point, y: Point, t_grid=FN_T_GRID
 ) -> CheckResult:
     """Firm nonexpansivity at (x, y): the residual is the max over the t-grid of
     d(Tx,Ty) - d((1-t)x + tTx, (1-t)y + tTy), of degree 1 in distances, so its
-    scale is the two distances of the worst term."""
+    scale is the two distances of the worst term.  The default grid leaves out
+    t = 1, whose term is 0 for every map, so the residual reports how firmly
+    the map contracts."""
     space = mapping.space
     tx, ty = mapping(x), mapping(y)
     base = space.distance(tx, ty)

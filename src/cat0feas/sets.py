@@ -11,8 +11,8 @@ is a canonical payload with the bits of the point's scalar construction.
 Projection routes:
   * Euclidean half-spaces, affine flats and balls: closed forms in plain
     Python on coordinate tuples, since a numpy call on a 2-vector costs more
-    than the arithmetic; numpy builds only their grids (and the flat's
-    orthonormal basis, once).
+    than the arithmetic; numpy builds their grids (and the flat's
+    orthonormal basis, once) and their packed-row projections.
   * Tree segments and subtrees: exact path arithmetic (the nearest point of a
     segment sits at the arc length given by the Gromov product; the gate into
     a subtree is always one of its vertices).
@@ -21,6 +21,14 @@ Projection routes:
     a Mobius map puts the segment on the real axis, clamped to the ends.
   * Product rectangles: componentwise; the weighted product metric decouples.
   * Diagonal of a product: closed form (c, c) with c = (1-lam)x1 + lam x2.
+
+``_project_rows(P)`` projects packed rows of the set's space, as
+``verify-mapping`` draws them.  Half-spaces, flats, Euclidean balls, disk
+balls and the diagonal evaluate their closed forms on whole arrays, in the
+scalar ``project``'s order and with its member test (distances and geodesic
+points come from the space's row kernels); product rectangles project each
+factor's rows; tree segments, subtrees and disk segments project one row at a
+time through ``project``, so each set keeps one formula.
 """
 
 from __future__ import annotations
@@ -98,6 +106,11 @@ class ConvexSet(ABC):
     @abstractmethod
     def project(self, x: Point) -> Point: ...
 
+    def _project_rows(self, P):
+        """`project` on packed rows; by default one row at a time."""
+        space = self.space
+        return space._pack([self.project(Point(space, space._payload(p))).payload for p in P])
+
     def sample(self, rng, scale: float = 2.0) -> Point:
         """A member point; default draws an ambient point and projects it."""
         return self.project(self.space.random_point(rng, scale))
@@ -160,6 +173,11 @@ class Halfspace(ConvexSet):
         u, _ = self._unit
         return Point(self.owner, tuple([xi - gap * ui for xi, ui in zip(x.payload, u)]))
 
+    def _project_rows(self, P):
+        # _gap on the coordinate columns sums as it does on one point.
+        gap = self._gap(P.T)[:, None]
+        return np.where(gap <= 0.0, P, P - gap * np.array(self._unit[0]))
+
     def grid(self, spec):
         win = spec.require_window(self.space.dim)
         if spec.surface == "auto":
@@ -215,6 +233,16 @@ class AffineSubspace(ConvexSet):
         coords = [ai + sum([c * q[j] for c, q in zip(coefs, rows)]) for j, ai in enumerate(a)]
         return Point(self.owner, tuple(coords))
 
+    def _project_rows(self, P):
+        # project's sums, with a coordinate column in place of each number.
+        a, rows = self.anchor, self._rows
+        diff = list((P - a).T)
+        coefs = [sum(map(operator.mul, q, diff)) for q in rows]
+        out = np.empty_like(P)
+        for j, ai in enumerate(a):
+            out[:, j] = ai + sum([c * q[j] for c, q in zip(coefs, rows)])
+        return out
+
     def contains(self, x, tol=None):
         tol = self.space.tolerance if tol is None else tol
         return self.space.distance(x, self.project(x)) <= tol
@@ -257,6 +285,13 @@ class EuclideanBall(ConvexSet):
             return x
         s = self.radius / norm
         return Point(self.owner, tuple([ci + s * (xi - ci) for xi, ci in zip(x.payload, c)]))
+
+    def _project_rows(self, P):
+        c, r = np.array(self.center), self.radius
+        norm = self.owner._dist_rows(P, c)
+        # Members keep their row; the rest are cut at the radius.
+        s = (r / np.maximum(norm, r))[:, None]
+        return np.where((norm <= r)[:, None], P, c + s * (P - c))
 
     def contains(self, x, tol=None):
         self.space.require_member(x)
@@ -435,16 +470,16 @@ class Subtree(ConvexSet):
         at_vertex = self.owner.vertex_name(x)
         return at_vertex is not None and at_vertex in self.vertex_names
 
+    @cached_property
+    def _vertices(self) -> tuple[Point, ...]:
+        return tuple(map(self.owner.vertex, self.vertex_names))
+
     def project(self, x):
         if self.contains(x):
             return x
-        # The path from x enters the subtree at a vertex: the nearest one.
-        best = None
-        for name in self.vertex_names:
-            d = self.space.distance(x, self.owner.vertex(name))
-            if best is None or d < best[0]:
-                best = (d, name)
-        return self.owner.vertex(best[1])
+        # The path from x enters the subtree at a vertex: the nearest one (the
+        # first of equally near ones).
+        return min(self._vertices, key=lambda v: self.owner.distance(x, v))
 
     def sample(self, rng, scale: float = 2.0):
         if not self._edges_in:
@@ -507,6 +542,12 @@ class DiskBall(ConvexSet):
             return x
         return self.space.interpolate(self._center_point, x, self.radius / d)
 
+    def _project_rows(self, P):
+        c, r = self.center, self.radius
+        d = self.owner._dist_rows(c, P)
+        # Members keep their row; the rest are cut at the radius.
+        return np.where(d <= r, P, self.owner._interp_rows(c, P, r / np.maximum(d, r)))
+
     def contains(self, x, tol=None):
         self.space.require_member(x)
         tol = self.space.tolerance if tol is None else tol
@@ -563,6 +604,9 @@ class ProductRectangle(ConvexSet):
         x1, x2 = x.payload
         return Point(self.space, (self.first.project(x1), self.second.project(x2)))
 
+    def _project_rows(self, P):
+        return (self.first._project_rows(P[0]), self.second._project_rows(P[1]))
+
     def contains(self, x, tol=None):
         self.space.require_member(x)
         x1, x2 = x.payload
@@ -592,6 +636,10 @@ class DiagonalSet(ConvexSet):
         x1, x2 = x.payload
         c = self.owner.base.interpolate(x1, x2, self.owner.lam)
         return Point(self.space, (c, c))
+
+    def _project_rows(self, P):
+        c = self.owner.base._interp_rows(P[0], P[1], self.owner.lam)
+        return (c, c)
 
     def contains(self, x, tol=None):
         self.space.require_member(x)

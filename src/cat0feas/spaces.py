@@ -16,8 +16,9 @@ R^n, complex numbers on the disk, edge records on trees, a pair of its base's
 for a product), and ``_payload`` turns one row back.  Row kernels act on such
 arrays elementwise, broadcasting like numpy: ``_sample_rows(rng, n)`` draws
 n points from a ``random.Random``, ``_dist_rows(P, Q)`` gives distances and
-``_interp_rows(P, Q, t)`` the geodesic points (1-t)P + tQ; ``verify-space``
-draws and reduces its samples in blocks through them.
+``_interp_rows(P, Q, t)`` the geodesic points (1-t)P + tQ, for one t or one
+per row; ``verify-space`` and ``verify-mapping`` draw and reduce their samples
+in blocks through them.
 
 A space with a grid oracle has one pair kernel ``_kernel_rows(P, Q)``,
 monotone in the distance, from which ``_dist_rows`` is computed: the squared
@@ -47,6 +48,10 @@ DISK_MAX_NORM = 1.0 - 1e-9
 # error scales with its terms.  A residual passes when it is at most REL_TOL
 # (2^-44, 256 machine epsilons) times the sum of those terms, its scale.
 REL_TOL = 2.0**-44
+
+# The t-grid of the firm-nonexpansivity check.  It stops short of t = 1,
+# where the term d(Tx,Ty) - d(Tx,Ty) is 0 for every map.
+FN_T_GRID = (0.0, 0.25, 0.5, 0.75)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,14 +126,18 @@ class Space(ABC):
         )
 
     def distance(self, x: Point, y: Point) -> float:
-        self.require_member(x)
-        self.require_member(y)
+        # Points of this very space are the common case; require_member
+        # decides the rest (equal spaces, and anything that is no Point).
+        if not (type(x) is Point and type(y) is Point and x.space is self and y.space is self):
+            self.require_member(x)
+            self.require_member(y)
         return self._distance(x.payload, y.payload)
 
     def interpolate(self, x: Point, y: Point, t: float) -> Point:
         """The geodesic point (1-t)x + ty; endpoints are returned exactly."""
-        self.require_member(x)
-        self.require_member(y)
+        if not (type(x) is Point and type(y) is Point and x.space is self and y.space is self):
+            self.require_member(x)
+            self.require_member(y)
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"interpolation parameter {t} outside [0, 1]")
         if t == 0.0 or x.payload == y.payload:
@@ -196,15 +205,29 @@ class EuclideanSpace(Space):
         return np.sqrt(self._kernel_rows(P, Q))
 
     def _interp_rows(self, P, Q, t):
-        return P + t[:, None] * (Q - P)
+        return P + np.asarray(t)[..., None] * (Q - P)
 
     def _reference(self):
         return (0.0,) * self.dim
 
 
 def _mobius_shift(c, w):
-    """The disk isometry sending 0 to c, applied to w; either may be an array."""
+    """The disk isometry sending 0 to c, applied to w."""
     return (w + c) / (1.0 + c.conjugate() * w)
+
+
+def _quot_rows(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) on real arrays, rounded as Python's complex
+    quotient rounds: Smith's method, dividing through by the larger of |br|
+    and |bi|.  (numpy's complex quotient multiplies by a reciprocal instead.)"""
+    by_real = np.abs(br) >= np.abs(bi)
+    big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    return (
+        np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
+        np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom,
+    )
 
 
 @dataclass(frozen=True)
@@ -286,11 +309,17 @@ class PoincareDiskSpace(Space):
         return 2.0 * np.arctanh(np.minimum(delta, math.nextafter(1.0, 0.0)))
 
     def _interp_rows(self, P, Q, t):
-        z = (Q - P) / (1.0 - np.conjugate(P) * Q)
-        m = np.abs(z)
+        # _interpolate's steps in real arithmetic, as _kernel_rows is written:
+        # z = (Q - P) / (1 - conj(P) Q), w = tanh(t artanh|z|) z / |z|, and the
+        # Mobius shift (w + P) / (1 + conj(P) w), each quotient as Python's.
+        pr, pi, qr, qi = P.real, P.imag, Q.real, Q.imag
+        zr, zi = _quot_rows(qr - pr, qi - pi, 1.0 - (pr * qr + pi * qi), -(pr * qi - pi * qr))
+        m = np.hypot(zr, zi)
         # m = 0 gives w = 0 and so P itself, as _interpolate does.
-        w = np.tanh(t * np.arctanh(m)) * (z / np.where(m > 0.0, m, 1.0))
-        return _mobius_shift(P, w)
+        f, safe = np.tanh(t * np.arctanh(m)), np.where(m > 0.0, m, 1.0)
+        wr, wi = f * (zr / safe), f * (zi / safe)
+        sr, si = _quot_rows(wr + pr, wi + pi, 1.0 + (pr * wr + pi * wi), pr * wi - pi * wr)
+        return sr + 1j * si
 
     def _reference(self):
         return 0j
@@ -373,6 +402,33 @@ def _four_point_rows(space: Space, X, Y, Z, W):
     xz, yw = d(X, Z) ** 2, d(Y, W) ** 2
     xy, yz, zw, wx = d(X, Y) ** 2, d(Y, Z) ** 2, d(Z, W) ** 2, d(W, X) ** 2
     return xz + yw - xy - yz - zw - wx, xz + yw + xy + yz + zw + wx
+
+
+def _p2_rows(space: Space, X, Y, TX, TY):
+    """mappings.check_p2 on packed rows and their images TX, TY:
+    (residuals, scales) as arrays."""
+    d = space._dist_rows
+    lhs = 2.0 * d(TX, TY) ** 2
+    xty, ytx = d(X, TY) ** 2, d(Y, TX) ** 2
+    xtx, yty = d(X, TX) ** 2, d(Y, TY) ** 2
+    return lhs - (xty + ytx - xtx - yty), lhs + (xty + ytx + xtx + yty)
+
+
+def _fn_rows(space: Space, X, Y, TX, TY):
+    """mappings.check_firmly_nonexpansive on packed rows and their images
+    TX, TY, over FN_T_GRID: (residuals, scales) as arrays."""
+    d = space._dist_rows
+    base = d(TX, TY)
+    worst, scale = np.full(base.shape, -np.inf), np.zeros(base.shape)
+    for t in FN_T_GRID:
+        if t == 0.0:  # interpolate returns the points themselves
+            dt = d(X, Y)
+        else:
+            dt = d(space._interp_rows(X, TX, t), space._interp_rows(Y, TY, t))
+        lhs = base - dt
+        worse = (lhs > worst) | np.isnan(lhs)  # nothing exceeds a NaN, so it stays
+        worst, scale = np.where(worse, lhs, worst), np.where(worse, base + dt, scale)
+    return worst, scale
 
 
 def _result(residual: float, scale: float, tol: float | None) -> CheckResult:

@@ -255,7 +255,8 @@ class TreeSpace(Space):
     def _interp_rows(self, P, Q, t):
         a = zip(P["edge"].tolist(), P["du"].tolist())
         b = zip(Q["edge"].tolist(), Q["du"].tolist())
-        return self._pack([self._interpolate(*args) for args in zip(a, b, t.tolist())])
+        t = np.broadcast_to(t, P.shape).tolist()
+        return self._pack([self._interpolate(*args) for args in zip(a, b, t)])
 
     def _sample_rows(self, rng, n):
         # As _sample: the edge proportional to its length, the offset uniform.

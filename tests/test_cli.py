@@ -3,13 +3,16 @@
 import itertools
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 from cat0feas import (
     AffineSubspace,
     DiagonalSet,
     EuclideanBall,
+    EuclideanSpace,
     InconclusiveError,
     analysis,
     asymptotic_regularity_rate,
@@ -19,6 +22,7 @@ from cat0feas import (
     picard,
 )
 from cat0feas.config import bundled_config_path, load_config
+from cat0feas.mappings import ProjectionMap, check_firmly_nonexpansive, check_p2
 from cat0feas.spaces import REL_TOL
 
 
@@ -75,6 +79,27 @@ def mini_config(**overrides):
 def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(mini_config()))
+    return path
+
+
+def product_config(tmp_path):
+    """A config whose one instance lives in a product of R^2 with itself:
+    A is a rectangle of two unit balls, B the diagonal."""
+    base = {"kind": "euclidean", "dim": 2}
+    ball = {"ball": {"center": [0.0, 0.0], "radius": 1.0}}
+    doc = mini_config()
+    doc["instances"] = [
+        {
+            "name": "product",
+            "space": {"kind": "product", "base": base, "lambda": 0.5},
+            "A": {"product-rectangle": {"first": ball, "second": ball}},
+            "B": {"diagonal": {}},
+            "start": {"first": [3.0, 0.0], "second": [0.0, 3.0]},
+            "checks": ["oracle-agreement"],
+        }
+    ]
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -326,21 +351,7 @@ class TestExitCodes:
         assert err == f"config error: instance 'line-line' grid: {message}\n"
 
     def test_oracle_on_product_sets_is_3(self, tmp_path, capsys):
-        base = {"kind": "euclidean", "dim": 2}
-        ball = {"ball": {"center": [0.0, 0.0], "radius": 1.0}}
-        doc = mini_config()
-        doc["instances"] = [
-            {
-                "name": "product",
-                "space": {"kind": "product", "base": base, "lambda": 0.5},
-                "A": {"product-rectangle": {"first": ball, "second": ball}},
-                "B": {"diagonal": {}},
-                "start": {"first": [3.0, 0.0], "second": [0.0, 3.0]},
-                "checks": ["oracle-agreement"],
-            }
-        ]
-        path = tmp_path / "product.json"
-        path.write_text(json.dumps(doc))
+        path = product_config(tmp_path)
         assert run_cli("certify", path, tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert err == (
@@ -556,7 +567,8 @@ class TestDerivedTolerance:
 
 
 class TestMappingRows:
-    """verify-mapping judges each row by REL_TOL times its largest scale."""
+    """verify-mapping judges each check of a row by REL_TOL times its largest
+    scale.  It maps packed rows, so the controls perturb `_project_rows`."""
 
     def rows(self, config_path, tmp_path, expected_exit):
         out = tmp_path / "vm"
@@ -567,52 +579,128 @@ class TestMappingRows:
     def test_rows_report_their_tolerance(self, config_path, tmp_path):
         for rows in self.rows(config_path, tmp_path, 0):
             assert "tolerance" not in rows["averaged"]
+            assert "tolerance" not in rows["averaged"]["p2"]
+            # Each check of a row reports its own tolerance; minimality has one.
+            tolerances = [rows["diagonal-minimality"]["tolerance"]]
             for name, row in rows.items():
-                if name != "averaged":
-                    # unit-scale samples: tolerances far below a fixed 1e-9
-                    assert 0.0 < row["tolerance"] < 1e-11
+                if name in ("P_A", "P_B"):
+                    tolerances.append(row["firmly_nonexpansive"]["tolerance"])
+                if name not in ("averaged", "diagonal-minimality"):
+                    tolerances.append(row["p2"]["tolerance"])
+            assert len(tolerances) == 8
+            for tol in tolerances:
+                # unit-scale samples: tolerances far below a fixed 1e-9
+                assert 0.0 < tol < 1e-11
 
     def test_relative_perturbation_fails(self, config_path, tmp_path, monkeypatch):
         # line-line's projections off by a relative 1e-11: far above
         # rounding, far below a fixed bound of 1e-9.
-        project = AffineSubspace.project
+        project = AffineSubspace._project_rows
 
-        def perturbed(self, x):
-            p = project(self, x)
-            return p.space.point(tuple(c * (1.0 + 1e-11) for c in p.payload))
+        def perturbed(self, P):
+            return project(self, P) * (1.0 + 1e-11)
 
-        monkeypatch.setattr(AffineSubspace, "project", perturbed)
+        monkeypatch.setattr(AffineSubspace, "_project_rows", perturbed)
         lines, tripod = self.rows(config_path, tmp_path, 1)
         for name in ("P_A", "P_B", "pair-map"):
             assert lines[name]["status"] == "fail"
-        assert lines["P_A"]["tolerance"] < lines["P_A"]["p2"]["max"] <= 1e-9
+        # Above both of P_A's tolerances, so above the largest of its scales too.
+        p2, firm = lines["P_A"]["p2"], lines["P_A"]["firmly_nonexpansive"]
+        assert max(p2["tolerance"], firm["tolerance"]) < p2["max"] <= 1e-9
         assert all(row["status"] in ("pass", "reported") for row in tripod.values())
 
     def test_nan_image_fails_its_row(self, config_path, tmp_path, monkeypatch):
         # Exact images first, then NaN: a running max that dropped NaN would pass.
-        project, calls = AffineSubspace.project, itertools.count()
+        project, rows_seen = AffineSubspace._project_rows, itertools.count()
 
-        def nan_later(self, x):
-            return project(self, x) if next(calls) < 40 else x.space.point((math.nan,) * 2)
+        def nan_later(self, P):
+            exact = [next(rows_seen) < 40 for _ in range(len(P))]
+            return np.where(np.array(exact)[:, None], project(self, P), math.nan)
 
-        monkeypatch.setattr(AffineSubspace, "project", nan_later)
+        monkeypatch.setattr(AffineSubspace, "_project_rows", nan_later)
         lines, _ = self.rows(config_path, tmp_path, 1)
         for name in ("P_A", "P_B", "pair-map"):
             assert lines[name]["status"] == "fail"
         assert lines["identity"]["status"] == "pass"
 
+    def test_product_instance_passes(self, tmp_path):
+        # Its maps act on packed pairs, and the minimality check on pairs of
+        # pairs: the product of the product space with itself.
+        (rows,) = self.rows(product_config(tmp_path), tmp_path, 0)
+        assert set(rows) == {
+            "P_A", "P_B", "identity", "pair-map", "diagonal-projection",
+            "averaged", "diagonal-minimality",
+        }
+        for name, row in rows.items():
+            assert row["status"] == ("reported" if name == "averaged" else "pass"), name
+
     def test_wrong_diagonal_point_fails_minimality(self, config_path, tmp_path, monkeypatch):
         # (x1, x1) lies on the diagonal but is not the nearest point to (x1, x2).
-        def first(self, p):
-            x1, _ = p.payload
-            return self.owner.pair(x1, x1)
+        def first(self, P):
+            return (P[0], P[0])
 
-        monkeypatch.setattr(DiagonalSet, "project", first)
+        monkeypatch.setattr(DiagonalSet, "_project_rows", first)
         for rows in self.rows(config_path, tmp_path, 1):
             row = rows["diagonal-minimality"]
             assert row["status"] == "fail"
             assert row["max_slack"] > row["tolerance"]
             assert row["max_identity_residual"] > row["tolerance"]
+
+
+class TestMappingReport:
+    """_mapping_report on a ball projection in R^2, drawn in two blocks."""
+
+    space = EuclideanSpace(2)
+    proj = ProjectionMap(EuclideanBall(space, (0.3, 0.0), 0.5))
+
+    def report(self, samples):
+        rng = random.Random("m")
+        return cli._mapping_report("P", self.proj, self.space, rng, samples, True, True)
+
+    def test_quantiles_are_the_scalar_checkers_on_the_same_draws(self):
+        samples = cli._BLOCK + 100
+        entry = self.report(samples)
+        replay, p2, fn = random.Random("m"), [], []
+        for n in cli._blocks(samples):
+            xs, ys = self.space._sample_rows(replay, n), self.space._sample_rows(replay, n)
+            for x, y in zip(xs.tolist(), ys.tolist()):
+                x, y = self.space.point(x), self.space.point(y)
+                p2.append(check_p2(self.proj, x, y))
+                fn.append(check_firmly_nonexpansive(self.proj, x, y))
+        for key, results in (("p2", p2), ("firmly_nonexpansive", fn)):
+            scale = max(r.scale for r in results)
+            want = cli._quantiles([r.residual for r in results])
+            assert want["p50"] < -1e-3  # images taken from the wrong rows would move it
+            for q in ("p50", "p90", "max"):
+                assert abs(entry[key][q] - want[q]) <= REL_TOL * scale
+            assert entry[key]["tolerance"] == pytest.approx(REL_TOL * scale, rel=1e-12)
+        assert entry["status"] == "pass"
+
+    def test_firm_residual_between_its_own_and_the_mixed_bound_fails(self, monkeypatch):
+        # Firm nonexpansivity is of degree 1, P2 of degree 2: a residual twice
+        # firm's own bound fails, although the larger P2 scales would pass it.
+        fn_rows = cli._fn_rows
+
+        def over_its_own_bound(space, *images):
+            residuals, scales = fn_rows(space, *images)
+            return np.full_like(residuals, 2.0 * REL_TOL * scales.max()), scales
+
+        monkeypatch.setattr(cli, "_fn_rows", over_its_own_bound)
+        entry = self.report(500)
+        fn, p2 = entry["firmly_nonexpansive"], entry["p2"]
+        assert fn["tolerance"] < fn["max"] <= max(fn["tolerance"], p2["tolerance"])
+        assert p2["max"] <= p2["tolerance"]
+        assert entry["status"] == "fail"
+
+    def test_firm_quantiles_report_the_contraction_margin(self, config_path, tmp_path):
+        # Without the t = 1 term, which is 0 for every map, the firm residuals
+        # of a projection onto a line are negative.
+        out = tmp_path / "vm"
+        assert run_cli("verify-mapping", config_path, out) == 0
+        lines = json.loads((out / "report.json").read_text())["instances"][0]
+        for row in lines["mappings"][:2]:
+            assert row["name"] in ("P_A", "P_B")
+            assert row["firmly_nonexpansive"]["max"] < 0.0
 
 
 class TestModes:

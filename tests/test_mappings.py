@@ -3,12 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cat0feas as cf
-from cat0feas.spaces import REL_TOL
+from cat0feas.spaces import FN_T_GRID, REL_TOL, _fn_rows, _p2_rows
 
 coord = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -212,6 +213,137 @@ class TestScales:
             Scaled(cf.IdentityMap(e2), 1.0), e2.point((1, 0)), e2.point((0, 0))
         )
         assert not fn.ok and fn.residual == 1.0 and fn.scale == 3.0
+
+
+def row_cases(e2, tripod_space, disk):
+    """(name, mapping): the projection onto every set kind, onto the
+    diagonal over R^2, a tree, the disk and a product, and onto two product
+    rectangles; two pair maps, an averaged map and the identity."""
+    tri = tripod_space
+    sets = {
+        "halfspace": cf.Halfspace(e2, (1.0, 2.0), 1.0),
+        "flat": cf.AffineSubspace(e2, (0.0, 1.0), ((0.6, 0.8),)),
+        "ball": cf.EuclideanBall(e2, (0.5, 0.5), 1.0),
+        "tree-segment": cf.TreeSegment(tri, tri.at(0, 0.5), tri.at(1, 0.5)),
+        "subtree": cf.Subtree(tri, ("O", "B")),
+        "disk-ball": cf.DiskBall(disk, complex(0.1, 0.2), 0.5),
+        "disk-segment": cf.DiskGeodesicSegment(
+            disk, disk.point((0.0, -0.4)), disk.point((0.3, 0.3))
+        ),
+    }
+    proj = {name: cf.ProjectionMap(cset) for name, cset in sets.items()}
+    cases = list(proj.items())
+    for space in (e2, tri, disk):
+        diagonal = cf.diagonal_projection(cf.ConvexCombinationSpace(space, 0.3))
+        cases.append((f"diagonal of {space.kind}", diagonal))
+    e2_pair = cf.PairMap(cf.ConvexCombinationSpace(e2, 0.5), proj["ball"], proj["halfspace"])
+    tree_pair = cf.PairMap(
+        cf.ConvexCombinationSpace(tri, 0.25), proj["subtree"], proj["tree-segment"]
+    )
+    averaged = cf.averaged_projections(sets["disk-ball"], sets["disk-segment"], 0.4)
+    cases += [("pair map", e2_pair), ("tree pair map", tree_pair), ("averaged", averaged)]
+    e2_rect = cf.ProductRectangle(
+        cf.ConvexCombinationSpace(e2, 0.5), sets["ball"], sets["halfspace"]
+    )
+    disk_rect = cf.ProductRectangle(
+        cf.ConvexCombinationSpace(disk, 0.7), sets["disk-ball"], sets["disk-segment"]
+    )
+    nested = cf.ConvexCombinationSpace(cf.ConvexCombinationSpace(e2, 0.5), 0.3)
+    cases += [
+        ("product-rectangle", cf.ProjectionMap(e2_rect)),
+        ("disk product-rectangle", cf.ProjectionMap(disk_rect)),
+        ("diagonal of a product", cf.diagonal_projection(nested)),
+    ]
+    return cases + [("identity", cf.IdentityMap(disk))]
+
+
+def draws(space, rng, n=150):
+    """n points of `space` at scale 2, and the same points as packed rows."""
+    points = [space.random_point(rng, 2.0) for _ in range(n)]
+    return points, space._pack([p.payload for p in points])
+
+
+class TestRows:
+    """The row checks against the scalar checkers, on the same draws."""
+
+    def test_rows_agree_with_the_scalar_checkers(self, e2, tripod_space, disk, rng):
+        for name, mapping in row_cases(e2, tripod_space, disk):
+            space = mapping.space
+            (xs, X), (ys, Y) = draws(space, rng), draws(space, rng)
+            images = (X, Y, mapping._rows(X), mapping._rows(Y))
+            pairs = ((cf.check_p2, _p2_rows), (cf.check_firmly_nonexpansive, _fn_rows))
+            for scalar, rows in pairs:
+                want = [scalar(mapping, x, y) for x, y in zip(xs, ys)]
+                residuals, scales = rows(space, *images)
+                want_scales = np.array([r.scale for r in want])
+                np.testing.assert_allclose(scales, want_scales, rtol=1e-12, atol=0.0, err_msg=name)
+                gaps = np.abs(residuals - [r.residual for r in want])
+                assert np.all(gaps <= REL_TOL * want_scales), (name, rows.__name__)
+
+    def test_images_are_the_scalar_images(self, e2, tripod_space, disk, rng):
+        for name, mapping in row_cases(e2, tripod_space, disk):
+            space = mapping.space
+            points, X = draws(space, rng, 50)
+            want = space._pack([mapping(x).payload for x in points])
+            assert space._dist_rows(mapping._rows(X), want).max() <= 1e-14, name
+
+    def test_members_come_back_unchanged(self, e2, disk, rng):
+        for cset in (
+            cf.Halfspace(e2, (1.0, 2.0), 1.0),
+            cf.EuclideanBall(e2, (0.5, 0.5), 1.0),
+            cf.DiskBall(disk, complex(0.1, 0.2), 0.5),
+        ):
+            # The points the scalar project returns as they are.
+            points = [cset.space.random_point(rng, 2.0) for _ in range(100)]
+            points += [cset.sample(rng) for _ in range(100)]
+            members = cset.space._pack([x.payload for x in points if cset.project(x) is x])
+            assert len(members) >= 20
+            assert np.array_equal(cset._project_rows(members), members)
+
+    def test_scalar_grid_leaves_out_t_one(self, e2):
+        # t = 1 compares d(Tx, Ty) with itself; without it the residual of a
+        # contraction is its margin, not 0.
+        assert FN_T_GRID == (0.0, 0.25, 0.5, 0.75)
+        proj = cf.ProjectionMap(cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 0.0),)))
+        fn = cf.check_firmly_nonexpansive(proj, e2.point((0, 2)), e2.point((3, 4)))
+        # Tx = (0, 0), Ty = (3, 0); the worst term is t = 0.75's, d((0, 0.5), (3, 1)).
+        assert fn.ok and fn.residual == pytest.approx(3.0 - math.hypot(3.0, 0.5))
+
+
+class TestRowNegativeControls:
+    """Each row check fails a map that breaks it."""
+
+    @staticmethod
+    def fails(residuals, scales):
+        return not np.max(residuals) <= REL_TOL * np.max(scales)
+
+    def test_reflection_fails_both_row_checks(self, e2, rng):
+        # 2 P_A - I is nonexpansive but neither (P2) nor firmly nonexpansive.
+        half = cf.Halfspace(e2, (1.0, 0.0), 0.0)
+        X, Y = e2._sample_rows(rng, 200) * 4.0, e2._sample_rows(rng, 200) * 4.0
+        images = (X, Y, 2.0 * half._project_rows(X) - X, 2.0 * half._project_rows(Y) - Y)
+        p2, fn = _p2_rows(e2, *images), _fn_rows(e2, *images)
+        assert p2[0].max() > 1.0 and fn[0].max() > 0.1
+        assert self.fails(*p2) and self.fails(*fn)
+
+    def test_relative_perturbation_fails_p2_rows(self, e2, rng):
+        # (1 + 1e-11) P for the projection P onto a line through 0.
+        line = cf.AffineSubspace(e2, (0.0, 0.0), ((0.6, 0.8),))
+        X, Y = e2._sample_rows(rng, 200), e2._sample_rows(rng, 200)
+        TX, TY = line._project_rows(X), line._project_rows(Y)
+        assert not self.fails(*_p2_rows(e2, X, Y, TX, TY))
+        residuals, scales = _p2_rows(e2, X, Y, TX * (1.0 + 1e-11), TY * (1.0 + 1e-11))
+        assert residuals.max() <= 1e-9
+        assert (residuals / scales).max() > 10 * REL_TOL
+        assert self.fails(residuals, scales)
+
+    def test_nan_image_fails_both_row_checks(self, e2, rng):
+        X, Y = e2._sample_rows(rng, 50), e2._sample_rows(rng, 50)
+        TX = X.copy()
+        TX[30] = math.nan
+        for residuals, scales in (_p2_rows(e2, X, Y, TX, Y), _fn_rows(e2, X, Y, TX, Y)):
+            assert np.isnan(residuals[30]) and not np.isnan(np.delete(residuals, 30)).any()
+            assert self.fails(residuals, scales)
 
 
 class Scaled(cf.Mapping):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cat0feas as cf
 from cat0feas import cli
-from cat0feas.spaces import DISK_MAX_NORM, REL_TOL, _random_rows
+from cat0feas.spaces import DISK_MAX_NORM, REL_TOL, _quot_rows, _random_rows
 
 T_GRID = [k / 10 for k in range(11)]
 
@@ -60,6 +60,20 @@ class TestDistance:
     def test_space_mismatch_rejected(self, e2, e5):
         with pytest.raises(cf.SpaceMismatchError):
             cf.distance(e2, e2.point((0, 0)), e5.point((0,) * 5))
+
+    def test_membership_beyond_the_identity_test(self, e2, e5):
+        # A point of an equal space is a member; nothing else is, whatever
+        # its `space` attribute says.
+        twin = cf.EuclideanSpace(2)
+        x, y = e2.point((0, 0)), twin.point((3, 4))
+        assert e2.distance(x, y) == 5.0
+        assert e2.interpolate(x, y, 0.5).payload == (1.5, 2.0)
+        for bad in (e5.point((0,) * 5), (0.0, 0.0), cf.IdentityMap(e2)):
+            for args in ((x, bad), (bad, x)):
+                with pytest.raises(cf.SpaceMismatchError):
+                    e2.distance(*args)
+                with pytest.raises(cf.SpaceMismatchError):
+                    e2.interpolate(*args, 0.5)
 
     def test_disk_boundary_rejected(self, disk):
         with pytest.raises(cf.DomainError):
@@ -416,6 +430,33 @@ class TestRowKernels:
             else:
                 np.testing.assert_allclose(got, want, rtol=4 * ULP, atol=0.0)
 
+    def test_quot_rows_is_pythons_complex_quotient(self):
+        rng = random.Random(4)
+        a = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2000)]
+        # Both of Smith's branches, |Re b| >= |Im b| and below, and zero parts.
+        b = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(1996)]
+        b += [complex(1.5, 0.0), complex(0.0, -0.5), complex(-0.7, 0.7), complex(0.7, 0.7)]
+        A, B = np.array(a), np.array(b)
+        real, imag = _quot_rows(A.real, A.imag, B.real, B.imag)
+        assert (real + 1j * imag).tolist() == [u / v for u, v in zip(a, b)]
+
+    def test_disk_interp_rows_are_real_arithmetic(self, disk, monkeypatch):
+        # Each step rounds as _interpolate's does, but for numpy's tanh and
+        # arctanh: with those the rows sit within a few epsilons of it
+        # (complex numpy arithmetic put them up to about 32 epsilons away),
+        # and with the math module's in their place they are its bits.
+        rng = random.Random(5)
+        P, Q = disk._sample_rows(rng, 20000), disk._sample_rows(rng, 20000)
+        t = _random_rows(rng, 20000)
+        want = [disk._interpolate(a, b, s) for a, b, s in zip(P.tolist(), Q.tolist(), t.tolist())]
+        assert np.abs(disk._interp_rows(P, Q, t) - want).max() <= 12 * ULP
+        monkeypatch.setattr(np, "tanh", np.vectorize(math.tanh, otypes=[float]))
+        monkeypatch.setattr(np, "arctanh", np.vectorize(math.atanh, otypes=[float]))
+        assert disk._interp_rows(P, Q, t).tolist() == want
+        # t = 0 and equal ends give P, as _interpolate does.
+        assert disk._interp_rows(P, Q, 0.0).tolist() == P.tolist()
+        assert disk._interp_rows(P, P, t).tolist() == P.tolist()
+
     def test_interp_rows_match_interpolate(self, row_space):
         P, Q, t = self._rows(row_space, 3)
         xs, ys = _row_points(row_space, P), _row_points(row_space, Q)
@@ -424,9 +465,8 @@ class TestRowKernels:
         if _exact(row_space):
             assert got == want
         else:
-            # numpy's complex division rounds differently from Python's, and
-            # the disk's tanh(t artanh m) magnifies that by up to 1/(1 - m^2),
-            # about 100 for the sampled radius 0.9.
+            # numpy's tanh and arctanh round differently from the math
+            # module's, and the disk's Mobius shift can magnify that.
             for g, w, x, y in zip(got, want, xs, ys):
                 bound = 256 * ULP * (1.0 + row_space.distance(x, y))
                 assert row_space.distance(g, w) <= bound
