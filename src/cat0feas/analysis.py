@@ -21,11 +21,9 @@ import numpy as np
 from .errors import DomainError, InconclusiveError
 from .iteration import IterationTrace
 from .sets import ConvexSet, GridSpec
-from .spaces import EuclideanSpace, Point, PoincareDiskSpace
-from .trees import TreeSpace
+from .spaces import Point, _gamma
 
 _CHUNK = 64  # consecutive grid points per chunk of the pruned oracle
-_UNIT = 2.0**-53  # unit roundoff of binary64
 _PATIENCE = 10  # quiet alternating-projection rounds before set_distance stops
 
 
@@ -125,8 +123,9 @@ def best_pair_bruteforce(
     distance at least d(c_A, c_B) - rho_A - rho_B.  Chunk pairs are scored in
     order of that bound, lowered by the rounding error of the distances it is
     made of and turned into the least kernel value any of its pairs can take
-    (`_rounding_model`).  The scan stops at the first chunk pair whose least
-    value exceeds the best value so far: no later pair can win or tie.
+    (the space's ``_rounding_model``).  The scan stops at the first chunk pair
+    whose least value exceeds the best value so far: no later pair can win or
+    tie.
     """
     if set_a.space != set_b.space:
         raise DomainError("sets must live in the same space")
@@ -136,7 +135,7 @@ def best_pair_bruteforce(
         raise DomainError("empty grid; widen the window or refine the grid step")
     space = set_a.space
     A, B = grid_a.rows, grid_b.rows
-    error, least_value = _rounding_model(space, A, B)
+    error, least_value = space._rounding_model(A, B)
     starts_a, sizes_a, centres_a, radii_a = _chunks(space, A, spec.h)
     starts_b, sizes_b, centres_b, radii_b = _chunks(space, B, spec.h)
     d = space._dist_rows(centres_a[:, None], centres_b[None, :])
@@ -180,70 +179,6 @@ def _chunks(space, P, h):
     centres = starts + (sizes - 1) // 2
     radii = np.maximum.reduceat(space._dist_rows(P[np.repeat(centres, sizes)], P), starts)
     return starts, sizes, P[centres], radii
-
-
-def _gamma(n):
-    """Higham's gamma_n = n u / (1 - n u), the relative error of n roundings
-    (Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1)."""
-    return n * _UNIT / (1.0 - n * _UNIT)
-
-
-def _rounding_model(space, A, B):
-    """(error, least_value) for the oracle's pruning on packed grids A, B.
-
-    error(x) bounds |x - d| for a distance x that ``_dist_rows`` computed in
-    place of the exact distance d of two grid points; it grows with x, so a
-    chunk's true radius is at most rho + error(rho).  least_value(l) is at
-    most the value ``_kernel_rows`` computes for any grid pair at exact
-    distance >= l.  With u = 2^-53 and gamma_n as in `_gamma`:
-
-    * R^n: the kernel rounds each of the n differences and squares and each
-      of the n - 1 sums of nonnegative terms, so it is d^2 (1 + t) with
-      |t| <= gamma_{n+2}; ``_dist_rows`` takes its square root, one more
-      rounding, so x = d (1 + t') with |t'| <= gamma_{n+2} as well, and
-      error(x) = 2 gamma_{n+2} x.  Squaring l, scaling it and forming the
-      constant round four times more, which gamma_{n+6} covers:
-      least_value(l) = l^2 (1 - gamma_{n+6}), zero for l <= 0.
-    * Metric trees with V vertices: a vertex distance in the table sums the
-      at most V - 1 lengths of its path, one at a time; an arc to an
-      endpoint is an offset or a length minus one, rounded once; a route
-      (arc + arc) + D rounds twice more.  So each route, and the least of
-      them (or the offset gap of a shared edge, rounded once), is
-      x = d (1 + t) with |t| <= gamma_{V+1}: error(x) = 2 gamma_{V+1} x.
-      The floor l (1 - gamma_{V+4}) rounds three times, in the product and
-      the constant: least_value(l) = l (1 - gamma_{V+4}).
-    * The Poincare disk: the kernel is the Mobius quotient
-      delta = |a - b| / |1 - conj(a) b| = tanh(d / 2).  The numerator rounds
-      as gamma_2.  The two parts of conj(a) b each round two products and a
-      sum, an error of modulus at most sqrt(2) gamma_2 |a| |b| <= 3 u M^2
-      together, M the largest modulus on the grids.  The exact 1 - conj(a) b
-      has modulus at least 1 - M^2, so that is a relative 3 u M^2 / (1 - M^2),
-      and the subtraction, hypot and the division round three times more.
-      So delta has relative error at most 5 u + 3 u M^2 / (1 - M^2)
-      <= 5 u / (1 - M^2), and eta = gamma_6 / (1 - M^2) keeps one unit for
-      computing M^2.  Through
-      x = 2 artanh(delta), whose slope is 2 / (1 - delta^2) = 2 cosh^2(x / 2),
-      that is at most eta sinh(x), plus gamma_3 x for artanh and the clamp;
-      twice that bounds the error in both directions while
-      6 eta cosh^2(x / 2) <= 1, and beyond it error(x) is infinite (such
-      chunk pairs are never pruned).  least_value(l) = tanh(l / 2) (1 - 2 eta).
-    """
-    if isinstance(space, EuclideanSpace):
-        eta, floor = _gamma(space.dim + 2), 1.0 - _gamma(space.dim + 6)
-        return (lambda x: 2.0 * eta * x), (lambda l: np.maximum(l, 0.0) ** 2 * floor)
-    if isinstance(space, TreeSpace):
-        V = len(space.tree.vertices)
-        return (lambda x: 2.0 * _gamma(V + 1) * x), (lambda l: l * (1.0 - _gamma(V + 4)))
-    if isinstance(space, PoincareDiskSpace):
-        M = max(np.abs(A).max(), np.abs(B).max())
-        eta = _gamma(6) / (1.0 - M * M)
-
-        def error(x):
-            bound = 2.0 * (eta * np.sinh(x) + _gamma(3) * x)
-            return np.where(6.0 * eta * np.cosh(0.5 * x) ** 2 <= 1.0, bound, np.inf)
-
-        return error, (lambda l: np.tanh(0.5 * l) * (1.0 - 2.0 * eta))
-    raise DomainError(f"no grid oracle for {space.kind} spaces")
 
 
 def _point_sort_key(p: Point):

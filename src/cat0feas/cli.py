@@ -217,24 +217,16 @@ def cmd_verify_space(cfg: ExperimentConfig, seed: int):
 # -- verify-mapping -----------------------------------------------------------------
 
 
-def _mapping_report(name, mapping, space, rng, samples, assert_pass, fn_check=False):
-    """P2 (and firm nonexpansivity) residual quantiles over sampled pairs.
+def _mapping_row(name, checks, assert_pass):
+    """One verify-mapping row from its checks' (residuals, scales).
 
-    Pairs are drawn in blocks, and each block is mapped once for both checks.
-    An asserted row judges each check by the row rule on its own scales (P2
-    is of degree 2 in distances, firm nonexpansivity of degree 1) and passes
-    iff every check does."""
-    checks = {"p2": _p2_rows, "firmly_nonexpansive": _fn_rows} if fn_check else {"p2": _p2_rows}
-    found = {key: [] for key in checks}
-    for n in _blocks(samples):
-        x, y = space._sample_rows(rng, n), space._sample_rows(rng, n)
-        images = (x, y, mapping._rows(x), mapping._rows(y))
-        for key, check in checks.items():
-            found[key].append(check(space, *images))
-    entry = {"name": name, "samples": samples}
+    Each check reports its residual quantiles.  In an asserted row each check
+    also gets its own tolerance from the row rule on its own residuals and
+    scales, and the row passes iff every check does; otherwise the row is
+    only reported."""
+    entry = {"name": name}
     statuses = []
-    for key, blocks in found.items():
-        residuals, scales = map(np.concatenate, zip(*blocks))
+    for key, (residuals, scales) in checks.items():
         entry[key] = _quantiles(residuals)
         if assert_pass:
             rule = _row_rule(residuals, scales)
@@ -244,51 +236,62 @@ def _mapping_report(name, mapping, space, rng, samples, assert_pass, fn_check=Fa
     return entry
 
 
+def _mapping_report(name, mapping, space, rng, samples, assert_pass, checks):
+    """The row of `checks` (name -> row checker, such as `_p2_rows`) on pairs
+    sampled from `space` and their images under `mapping`.
+
+    Pairs are drawn in blocks, and each block is mapped once for every check."""
+    found = {key: [] for key in checks}
+    for n in _blocks(samples):
+        x, y = space._sample_rows(rng, n), space._sample_rows(rng, n)
+        images = (x, y, mapping._rows(x), mapping._rows(y))
+        for key, check in checks.items():
+            found[key].append(check(space, *images))
+    checked = {key: tuple(map(np.concatenate, zip(*blocks))) for key, blocks in found.items()}
+    return {"samples": samples, **_mapping_row(name, checked, assert_pass)}
+
+
 def _verify_mappings_for(inst: InstanceConfig, cfg: ExperimentConfig, seed: int):
     set_a, set_b, _ = inst.require_sets()
     rng = random.Random(f"{seed}:{inst.name}:mapping-verify")
     space = inst.space
     cs = ConvexCombinationSpace(space, inst.lam)
     proj_a, proj_b = ProjectionMap(set_a), ProjectionMap(set_b)
+    projection, p2 = {"p2": _p2_rows, "firmly_nonexpansive": _fn_rows}, {"p2": _p2_rows}
+    samples = cfg.mapping_samples
     rows = [
-        _mapping_report("P_A", proj_a, space, rng, cfg.mapping_samples, True, True),
-        _mapping_report("P_B", proj_b, space, rng, cfg.mapping_samples, True, True),
-        _mapping_report("identity", IdentityMap(space), space, rng, 100, True),
+        _mapping_report("P_A", proj_a, space, rng, samples, True, projection),
+        _mapping_report("P_B", proj_b, space, rng, samples, True, projection),
+        _mapping_report("identity", IdentityMap(space), space, rng, 100, True, p2),
+        _mapping_report("pair-map", PairMap(cs, proj_a, proj_b), cs, rng, samples, True, p2),
         _mapping_report(
-            "pair-map", PairMap(cs, proj_a, proj_b), cs, rng, cfg.mapping_samples, True
+            "diagonal-projection", diagonal_projection(cs), cs, rng, samples, True, p2
         ),
         _mapping_report(
-            "diagonal-projection", diagonal_projection(cs), cs, rng, cfg.mapping_samples, True
-        ),
-        _mapping_report(
-            "averaged", averaged_projections(set_a, set_b, inst.lam), space, rng,
-            cfg.mapping_samples, False,
+            "averaged", averaged_projections(set_a, set_b, inst.lam), space, rng, samples,
+            False, p2,
         ),
     ]
     # Spot-check nearest-point minimality of the diagonal projection at 25
-    # points p against random diagonal points (w, w): the slack
-    # d(p, Qp) - d(p, (w, w)) scales with its distances, the identity
-    # d^2(p, Qp) = lam (1-lam) d^2(x1, x2) with its squares.
+    # points p: the slack d(p, Qp) - d(p, (w, w)) against random diagonal
+    # points (w, w), scaled by its two distances, and the identity
+    # d^2(p, Qp) = lam (1-lam) d^2(x1, x2), scaled by its two sides.
     p = cs._sample_rows(rng, 25)
     dq = cs._dist_rows(p, DiagonalSet(cs)._project_rows(p))
     gap = inst.lam * (1 - inst.lam) * space._dist_rows(*p) ** 2
-    identity = np.abs(dq * dq - gap)
-    slack, scales = [], [(dq * dq + gap).max()]
+    slack, scales = [], []
     for k in range(25):
         point = _row(p, k)
         for n in _blocks(cfg.minimality_samples):
             w = space._sample_rows(rng, n)
             dw = cs._dist_rows(point, (w, w))
-            slack.append((dq[k] - dw).max())
-            scales.append((dq[k] + dw).max())
-    rows.append(
-        {
-            "name": "diagonal-minimality",
-            "max_slack": float(np.max(slack)),
-            "max_identity_residual": float(identity.max()),
-            **_row_rule([*slack, identity.max()], scales),
-        }
-    )
+            slack.append(dq[k] - dw)
+            scales.append(dq[k] + dw)
+    minimality = {
+        "slack": (np.concatenate(slack), np.concatenate(scales)),
+        "identity": (np.abs(dq * dq - gap), dq * dq + gap),
+    }
+    rows.append(_mapping_row("diagonal-minimality", minimality, True))
     return {
         "name": inst.name,
         "mappings": rows,

@@ -211,7 +211,7 @@ class RateCertificate:
         }
 
 
-def _certify_values(values, stationary_value, bound, eps, slack, horizon, stationary):
+def _certify_values(values, stationary_value, bound, eps, slack, stationary):
     """Shared certificate logic over a recorded sequence of nonneg values."""
     target = eps + slack
     violation = any(values[n] > target for n in range(min(bound, len(values)), len(values)))
@@ -232,7 +232,7 @@ def _certify_values(values, stationary_value, bound, eps, slack, horizon, statio
         bound_n=bound,
         observed_first_n=observed,
         status=status,
-        horizon=horizon,
+        horizon=len(values),
         stationary=stationary,
     )
 
@@ -250,10 +250,7 @@ def certify_asymptotic_regularity(
     for eps in eps_grid:
         bound = asymptotic_regularity_rate(b, eps)
         certs.append(
-            _certify_values(
-                trace.residuals, 0.0, bound, eps, _REGULARITY_SLACK, trace.horizon,
-                stationary,
-            )
+            _certify_values(trace.residuals, 0.0, bound, eps, _REGULARITY_SLACK, stationary)
         )
     return certs
 
@@ -281,9 +278,5 @@ def certify_best_approx_rate(
     shifted = [v - r for v in gaps]
     for eps in eps_grid:
         bound = averaged_projection_gap_rate(M, b, eps, lam)
-        certs.append(
-            _certify_values(
-                shifted, shifted[-1], bound, eps, _GAP_SLACK, len(gaps), stationary
-            )
-        )
+        certs.append(_certify_values(shifted, shifted[-1], bound, eps, _GAP_SLACK, stationary))
     return certs

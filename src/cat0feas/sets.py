@@ -45,7 +45,9 @@ import numpy as np
 
 from .errors import DomainError, GridSizeError
 from .product import ConvexCombinationSpace
-from .spaces import DISK_MAX_NORM, EuclideanSpace, PoincareDiskSpace, Point, Space, _mobius_shift
+from .spaces import (
+    DISK_MAX_NORM, EuclideanSpace, PoincareDiskSpace, Point, Space, _mobius_rows, _mobius_shift,
+)
 from .trees import TreeSpace
 
 # A grid larger than this raises instead of exhausting memory.
@@ -443,17 +445,9 @@ class Subtree(ConvexSet):
         inner_edges = [
             i for i, (u, v, _) in enumerate(tree.edges) if u in member and v in member
         ]
-        inner = set(inner_edges)
-        # connectivity of the induced subgraph
-        reach = {names[0]}
-        frontier = [names[0]]
-        while frontier:
-            v = frontier.pop()
-            for i, other, _ in tree.adjacency[v]:
-                if i in inner and other in member and other not in reach:
-                    reach.add(other)
-                    frontier.append(other)
-        if reach != member:
+        # An induced subgraph of a tree is a forest, so it is connected iff
+        # it has one edge fewer than vertices.
+        if len(inner_edges) != len(names) - 1:
             raise DomainError("subtree vertex set does not induce a connected subgraph")
         object.__setattr__(self, "vertex_names", names)
         object.__setattr__(self, "_edges_in", tuple(inner_edges))
@@ -560,11 +554,10 @@ class DiskBall(ConvexSet):
         return Point(self.space, _mobius_shift(self.center, w))
 
     def _ring(self, s: float, n: int):
-        """The n points at distance s from the center at angles 2 pi k / n; the
-        Mobius shift is Python's, whose complex quotient rounds unlike numpy's."""
+        """The n points at distance s from the center at angles 2 pi k / n."""
         theta = 2.0 * math.pi * np.arange(n) / n
         w = math.tanh(0.5 * s) * (np.cos(theta) + 1j * np.sin(theta))
-        return np.array([_mobius_shift(self.center, z) for z in w.tolist()])
+        return _mobius_rows(self.center.real, self.center.imag, w.real, w.imag)
 
     def grid(self, spec):
         if spec.surface == "auto":

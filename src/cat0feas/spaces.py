@@ -25,8 +25,10 @@ monotone in the distance, from which ``_dist_rows`` is computed: the squared
 distance summed one coordinate at a time in R^n, the Mobius quotient
 tanh(d/2) on the disk, the distance itself on trees.  Its value depends only
 on the pair, so it is exactly symmetric and the same for any block shape.
-The best-pair oracle bounds chunks of grid rows with ``_dist_rows``, ranks
-pairs by ``_kernel_rows``, and makes Points of the two winning rows only.
+The best-pair oracle bounds chunks of grid rows with ``_dist_rows``, prunes
+them by the rounding bounds of ``_rounding_model``, which sits next to the
+kernel it describes, ranks pairs by ``_kernel_rows``, and makes Points of
+the two winning rows only.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ DISK_MAX_NORM = 1.0 - 1e-9
 # error scales with its terms.  A residual passes when it is at most REL_TOL
 # (2^-44, 256 machine epsilons) times the sum of those terms, its scale.
 REL_TOL = 2.0**-44
+
+_UNIT = 2.0**-53  # unit roundoff of binary64
 
 # The t-grid of the firm-nonexpansivity check.  It stops short of t = 1,
 # where the term d(Tx,Ty) - d(Tx,Ty) is 0 for every map.
@@ -154,6 +158,18 @@ class Space(ABC):
         """A fixed base point, used for scale-aware tolerance comparisons."""
         return Point(self, self._reference())
 
+    def _rounding_model(self, A, B):
+        """(error, least_value) for the grid oracle's pruning on packed grids
+        A, B, derived from how this space's ``_kernel_rows`` rounds.
+
+        error(x) bounds |x - d| for a distance x that ``_dist_rows`` computed in
+        place of the exact distance d of two grid points; it grows with x, so a
+        chunk's true radius is at most rho + error(rho).  least_value(l) is at
+        most the value ``_kernel_rows`` computes for any grid pair at exact
+        distance >= l.  The derivations use u = 2^-53 and gamma_n as in
+        `_gamma`.  A space without a grid oracle raises."""
+        raise DomainError(f"no grid oracle for {self.kind} spaces")
+
 
 @dataclass(frozen=True)
 class EuclideanSpace(Space):
@@ -198,6 +214,17 @@ class EuclideanSpace(Space):
             total = total + diff * diff
         return total
 
+    def _rounding_model(self, A, B):
+        # The kernel rounds each of the n differences and squares and each of
+        # the n - 1 sums of nonnegative terms, so it is d^2 (1 + t) with
+        # |t| <= gamma_{n+2}; _dist_rows takes its square root, one more
+        # rounding, so x = d (1 + t') with |t'| <= gamma_{n+2} as well, and
+        # error(x) = 2 gamma_{n+2} x.  Squaring l, scaling it and forming the
+        # constant round four times more, which gamma_{n+6} covers:
+        # least_value(l) = l^2 (1 - gamma_{n+6}), zero for l <= 0.
+        eta, floor = _gamma(self.dim + 2), 1.0 - _gamma(self.dim + 6)
+        return (lambda x: 2.0 * eta * x), (lambda l: np.maximum(l, 0.0) ** 2 * floor)
+
     def _sample_rows(self, rng, n):
         return 2.0 * _random_rows(rng, n * self.dim).reshape(n, self.dim) - 1.0
 
@@ -228,6 +255,13 @@ def _quot_rows(ar, ai, br, bi):
         np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
         np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom,
     )
+
+
+def _mobius_rows(cr, ci, wr, wi):
+    """_mobius_shift(c, w) on real arrays, c = cr + i ci and w = wr + i wi:
+    (w + c) / (1 + conj(c) w), the quotient rounded as Python's."""
+    sr, si = _quot_rows(wr + cr, wi + ci, 1.0 + (cr * wr + ci * wi), cr * wi - ci * wr)
+    return sr + 1j * si
 
 
 @dataclass(frozen=True)
@@ -304,6 +338,31 @@ class PoincareDiskSpace(Space):
         cross_im = P.real * Q.imag - P.imag * Q.real
         return np.hypot(diff.real, diff.imag) / np.hypot(1.0 - cross_re, cross_im)
 
+    def _rounding_model(self, A, B):
+        # The kernel is the Mobius quotient delta = |a - b| / |1 - conj(a) b|
+        # = tanh(d / 2).  The numerator rounds as gamma_2.  The two parts of
+        # conj(a) b each round two products and a sum, an error of modulus at
+        # most sqrt(2) gamma_2 |a| |b| <= 3 u M^2 together, M the largest
+        # modulus on the grids.  The exact 1 - conj(a) b has modulus at least
+        # 1 - M^2, so that is a relative 3 u M^2 / (1 - M^2), and the
+        # subtraction, hypot and the division round three times more.  So
+        # delta has relative error at most 5 u + 3 u M^2 / (1 - M^2)
+        # <= 5 u / (1 - M^2), and eta = gamma_6 / (1 - M^2) keeps one unit for
+        # computing M^2.  Through x = 2 artanh(delta), whose slope is
+        # 2 / (1 - delta^2) = 2 cosh^2(x / 2), that is at most eta sinh(x),
+        # plus gamma_3 x for artanh and the clamp; twice that bounds the error
+        # in both directions while 6 eta cosh^2(x / 2) <= 1, and beyond it
+        # error(x) is infinite (such chunk pairs are never pruned).
+        # least_value(l) = tanh(l / 2) (1 - 2 eta).
+        M = max(np.abs(A).max(), np.abs(B).max())
+        eta = _gamma(6) / (1.0 - M * M)
+
+        def error(x):
+            bound = 2.0 * (eta * np.sinh(x) + _gamma(3) * x)
+            return np.where(6.0 * eta * np.cosh(0.5 * x) ** 2 <= 1.0, bound, np.inf)
+
+        return error, (lambda l: np.tanh(0.5 * l) * (1.0 - 2.0 * eta))
+
     def _dist_rows(self, P, Q):
         delta = self._kernel_rows(P, Q)
         return 2.0 * np.arctanh(np.minimum(delta, math.nextafter(1.0, 0.0)))
@@ -317,12 +376,16 @@ class PoincareDiskSpace(Space):
         m = np.hypot(zr, zi)
         # m = 0 gives w = 0 and so P itself, as _interpolate does.
         f, safe = np.tanh(t * np.arctanh(m)), np.where(m > 0.0, m, 1.0)
-        wr, wi = f * (zr / safe), f * (zi / safe)
-        sr, si = _quot_rows(wr + pr, wi + pi, 1.0 + (pr * wr + pi * wi), pr * wi - pi * wr)
-        return sr + 1j * si
+        return _mobius_rows(pr, pi, f * (zr / safe), f * (zi / safe))
 
     def _reference(self):
         return 0j
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), the relative error of n roundings
+    (Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1)."""
+    return n * _UNIT / (1.0 - n * _UNIT)
 
 
 def _random_rows(rng, n):

@@ -28,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError
-from .spaces import Point, Space, _random_rows
+from .spaces import Point, Space, _gamma, _random_rows
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,18 @@ class TreeSpace(Space):
         return np.where(P["edge"] == Q["edge"], np.abs(P["du"] - Q["du"]), best)
 
     _kernel_rows = _dist_rows  # the oracle ranks tree pairs by distance
+
+    def _rounding_model(self, A, B):
+        # With V vertices, a vertex distance in the table sums the at most
+        # V - 1 lengths of its path, one at a time; an arc to an endpoint is an
+        # offset or a length minus one, rounded once; a route (arc + arc) + D
+        # rounds twice more.  So each route, and the least of them (or the
+        # offset gap of a shared edge, rounded once), is x = d (1 + t) with
+        # |t| <= gamma_{V+1}: error(x) = 2 gamma_{V+1} x.  The floor
+        # l (1 - gamma_{V+4}) rounds three times, in the product and the
+        # constant: least_value(l) = l (1 - gamma_{V+4}).
+        V = len(self.tree.vertices)
+        return (lambda x: 2.0 * _gamma(V + 1) * x), (lambda l: l * (1.0 - _gamma(V + 4)))
 
     def _interp_rows(self, P, Q, t):
         a = zip(P["edge"].tolist(), P["du"].tolist())

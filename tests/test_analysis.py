@@ -424,7 +424,7 @@ class TestPrunedOracle:
         h = 0.125
         line = cf.AffineSubspace(e2, (0.0, 0.0), ((1.0, 0.0),))
         spec = GridSpec(h=h, window=((-1.0, 1.0), (-1.0, 1.0)))
-        error, least_value = analysis._rounding_model(e2, None, None)
+        error, least_value = e2._rounding_model(None, None)
         d = math.hypot(h / 2, 1.0)
         margin = d * d - least_value(d - error(d) - analysis._gamma(4) * d)
         a = cf.AffineSubspace(e2, (h / 2 + ratio * margin / (2 * h), 1.0), ())

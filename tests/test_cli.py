@@ -10,6 +10,7 @@ import pytest
 
 from cat0feas import (
     AffineSubspace,
+    ConvexCombinationSpace,
     DiagonalSet,
     EuclideanBall,
     EuclideanSpace,
@@ -19,6 +20,7 @@ from cat0feas import (
     averaged_projections,
     best_pair_bruteforce,
     cli,
+    embed_diagonal,
     picard,
 )
 from cat0feas.config import bundled_config_path, load_config
@@ -580,14 +582,16 @@ class TestMappingRows:
         for rows in self.rows(config_path, tmp_path, 0):
             assert "tolerance" not in rows["averaged"]
             assert "tolerance" not in rows["averaged"]["p2"]
-            # Each check of a row reports its own tolerance; minimality has one.
-            tolerances = [rows["diagonal-minimality"]["tolerance"]]
+            # Each check of a row reports its own tolerance, and no row has one.
+            minimality = rows["diagonal-minimality"]
+            tolerances = [minimality["slack"]["tolerance"], minimality["identity"]["tolerance"]]
             for name, row in rows.items():
+                assert "tolerance" not in row
                 if name in ("P_A", "P_B"):
                     tolerances.append(row["firmly_nonexpansive"]["tolerance"])
                 if name not in ("averaged", "diagonal-minimality"):
                     tolerances.append(row["p2"]["tolerance"])
-            assert len(tolerances) == 8
+            assert len(tolerances) == 9
             for tol in tolerances:
                 # unit-scale samples: tolerances far below a fixed 1e-9
                 assert 0.0 < tol < 1e-11
@@ -643,8 +647,43 @@ class TestMappingRows:
         for rows in self.rows(config_path, tmp_path, 1):
             row = rows["diagonal-minimality"]
             assert row["status"] == "fail"
-            assert row["max_slack"] > row["tolerance"]
-            assert row["max_identity_residual"] > row["tolerance"]
+            for check in ("slack", "identity"):
+                assert row[check]["max"] > row[check]["tolerance"]
+
+    def test_slack_between_its_own_and_the_mixed_bound_fails(self, tmp_path, monkeypatch):
+        # The slack is of degree 1 in distances, the identity of degree 2: on
+        # a tripod with legs of length 10 the identity's scales are several
+        # times the slack's, so a slack residual twice its own bound fails,
+        # although a bound shared with the identity would pass it.
+        mapping_row = cli._mapping_row
+
+        def over_its_own_bound(name, checks, assert_pass):
+            if name == "diagonal-minimality":
+                residuals, scales = checks["slack"]
+                over = np.full_like(residuals, 2.0 * REL_TOL * scales.max())
+                checks = {**checks, "slack": (over, scales)}
+            return mapping_row(name, checks, assert_pass)
+
+        monkeypatch.setattr(cli, "_mapping_row", over_its_own_bound)
+        doc = mini_config()
+        tripod = doc["instances"][1]
+        tripod["space"]["edges"] = [[u, v, 10.0] for u, v, _ in tripod["space"]["edges"]]
+        for s in ("A", "B"):
+            tripod[s]["tree-segment"]["start"]["offset"] = 5.0
+            tripod[s]["tree-segment"]["end"]["offset"] = 10.0
+        doc["instances"] = [tripod]
+        path = tmp_path / "long-tripod.json"
+        path.write_text(json.dumps(doc))
+        (rows,) = self.rows(path, tmp_path, 1)
+        minimality = rows["diagonal-minimality"]
+        slack, identity = minimality["slack"], minimality["identity"]
+        assert identity["tolerance"] > 3.0 * slack["tolerance"]
+        assert slack["tolerance"] < slack["max"] <= identity["tolerance"]
+        assert identity["max"] <= identity["tolerance"]
+        assert minimality["status"] == "fail"
+        for name, row in rows.items():
+            if name != "diagonal-minimality":
+                assert row["status"] in ("pass", "reported"), name
 
 
 class TestMappingReport:
@@ -655,7 +694,8 @@ class TestMappingReport:
 
     def report(self, samples):
         rng = random.Random("m")
-        return cli._mapping_report("P", self.proj, self.space, rng, samples, True, True)
+        checks = {"p2": cli._p2_rows, "firmly_nonexpansive": cli._fn_rows}
+        return cli._mapping_report("P", self.proj, self.space, rng, samples, True, checks)
 
     def test_quantiles_are_the_scalar_checkers_on_the_same_draws(self):
         samples = cli._BLOCK + 100
@@ -673,8 +713,47 @@ class TestMappingReport:
             assert want["p50"] < -1e-3  # images taken from the wrong rows would move it
             for q in ("p50", "p90", "max"):
                 assert abs(entry[key][q] - want[q]) <= REL_TOL * scale
-            assert entry[key]["tolerance"] == pytest.approx(REL_TOL * scale, rel=1e-12)
+            assert math.isclose(entry[key]["tolerance"], REL_TOL * scale, rel_tol=1e-12)
         assert entry["status"] == "pass"
+
+    def test_minimality_tolerances_from_the_replayed_draws(self, config_path):
+        # Replay the draws of every row of each instance, then recompute the
+        # minimality checks with the scalar distance and projection.
+        cfg = load_config(config_path)
+        m = cfg.mapping_samples
+        for inst in cfg.instances:
+            entry = cli._verify_mappings_for(inst, cfg, cfg.seed)["mappings"][-1]
+            space, lam = inst.space, inst.lam
+            cs = ConvexCombinationSpace(space, lam)
+            replay = random.Random(f"{cfg.seed}:{inst.name}:mapping-verify")
+            # P_A, P_B, identity, pair-map, diagonal-projection, averaged
+            for drawn, samples in zip((space,) * 3 + (cs,) * 2 + (space,), (m, m, 100, m, m, m)):
+                for n in cli._blocks(samples):
+                    drawn._sample_rows(replay, n), drawn._sample_rows(replay, n)
+            p = cs._sample_rows(replay, 25)
+            slack, slack_scales, identity, identity_scales = [], [], [], []
+            for x1, x2 in zip(*p):
+                x1, x2 = space.point(space._payload(x1)), space.point(space._payload(x2))
+                point = cs.point((x1, x2))
+                dq = cs.distance(point, DiagonalSet(cs).project(point))
+                gap = lam * (1 - lam) * space.distance(x1, x2) ** 2
+                identity.append(abs(dq * dq - gap))
+                identity_scales.append(dq * dq + gap)
+                for n in cli._blocks(cfg.minimality_samples):
+                    for w in space._sample_rows(replay, n):
+                        dw = cs.distance(point, embed_diagonal(cs, space.point(space._payload(w))))
+                        slack.append(dq - dw)
+                        slack_scales.append(dq + dw)
+            assert len(slack) == 25 * cfg.minimality_samples
+            for key, residuals, scales in (
+                ("slack", slack, slack_scales), ("identity", identity, identity_scales)
+            ):
+                scale, want = max(scales), cli._quantiles(residuals)
+                for q in ("p50", "p90", "max"):
+                    assert abs(entry[key][q] - want[q]) <= REL_TOL * scale
+                assert math.isclose(entry[key]["tolerance"], REL_TOL * scale, rel_tol=1e-12)
+            assert entry["slack"]["p50"] < -1e-3  # a wrong (p, w) pairing would move it
+            assert entry["status"] == "pass"
 
     def test_firm_residual_between_its_own_and_the_mixed_bound_fails(self, monkeypatch):
         # Firm nonexpansivity is of degree 1, P2 of degree 2: a residual twice

@@ -286,6 +286,27 @@ class TestTreeProjections:
         with pytest.raises(cf.DomainError):
             cf.Subtree(tripod_space, ("A", "B"))
 
+    def test_connectivity_matches_a_search_on_every_vertex_subset(self):
+        # A 7-vertex tree with a branch point of degree 3 and one of degree 2.
+        edges = (("A", "B"), ("B", "C"), ("B", "D"), ("D", "E"), ("E", "F"), ("E", "G"))
+        tree = cf.MetricTree(vertices=tuple("ABCDEFG"), edges=[(u, v, 1.0) for u, v in edges])
+        space = cf.TreeSpace(tree)
+        for size in range(1, 8):
+            for subset in itertools.combinations("ABCDEFG", size):
+                reach, frontier = {subset[0]}, [subset[0]]
+                while frontier:
+                    v = frontier.pop()
+                    for u, w in edges:
+                        for a, b in ((u, w), (w, u)):
+                            if a == v and b in subset and b not in reach:
+                                reach.add(b)
+                                frontier.append(b)
+                if len(reach) == size:
+                    assert cf.Subtree(space, subset).vertex_names == subset
+                else:
+                    with pytest.raises(cf.DomainError, match="connected subgraph"):
+                        cf.Subtree(space, subset)
+
     def test_segment_projection_clamps(self, tripod_space):
         tri = tripod_space
         seg = cf.TreeSegment(tri, tri.at(0, 0.5), tri.at(0, 1.0))
