@@ -37,6 +37,7 @@ from .iteration import (
 )
 from .mappings import (
     ComposeMap,
+    ConvexCombinationMap,
     IdentityMap,
     Mapping,
     PairMap,
@@ -111,17 +112,29 @@ class _ProductReduction(Mapping):
     def __init__(self, inst: InstanceConfig):
         set_a, set_b, _ = inst.require_sets()
         self.cs = ConvexCombinationSpace(inst.space, inst.lam)
-        self._twin = ComposeMap(
-            diagonal_projection(self.cs),
-            PairMap(self.cs, ProjectionMap(set_a), ProjectionMap(set_b)),
-        )
+        self.pair_map = PairMap(self.cs, ProjectionMap(set_a), ProjectionMap(set_b))
+        self.diagonal = diagonal_projection(self.cs)
 
     @property
     def space(self):
         return self.cs.base
 
     def __call__(self, x):
-        return self._twin(embed_diagonal(self.cs, x)).payload[0]
+        return self.diagonal(self.pair_map(embed_diagonal(self.cs, x))).payload[0]
+
+
+class _Stepper(Mapping):
+    """A map given by its step function; `kind` names the map it computes."""
+
+    def __init__(self, kind, space, step):
+        self.kind, self._space, self._step = kind, space, step
+
+    @property
+    def space(self):
+        return self._space
+
+    def __call__(self, x):
+        return self._step(x)
 
 
 def _build_map(inst: InstanceConfig):
@@ -133,16 +146,47 @@ def _build_map(inst: InstanceConfig):
     return averaged_projections(set_a, set_b, inst.lam)
 
 
-def _run_trace(inst: InstanceConfig):
-    _, _, start = inst.require_sets()
-    return picard(_build_map(inst), start, inst.n_max)
-
-
-def _gaps(inst: InstanceConfig, points):
-    """d(P_A x, P_B x) for each point x."""
+def _gap_map(inst: InstanceConfig, gaps):
+    """The map of `_build_map`, which also appends d(P_A x, P_B x) to `gaps`
+    for each x it maps, from the projections its step makes: the pair
+    U(x, x) of the product twin, the two images the averaged map
+    interpolates, or the P_B x that P_A P_B composes and one more
+    projection, P_A x."""
     set_a, set_b, _ = inst.require_sets()
-    distance = inst.space.distance
-    return [distance(set_a.project(x), set_b.project(x)) for x in points]
+    space = inst.space
+    if inst.mode == "product-reduction":
+        twin = _ProductReduction(inst)
+
+        def step(x):
+            pair = twin.pair_map(embed_diagonal(twin.cs, x))
+            gaps.append(space.distance(*pair.payload))
+            return twin.diagonal(pair).payload[0]
+
+        return _Stepper(twin.kind, space, step)
+    composed = inst.mode == "composed"
+    distance, interpolate, lam = space.distance, space.interpolate, inst.lam
+
+    def step(x):
+        xa, xb = set_a.project(x), set_b.project(x)
+        gaps.append(distance(xa, xb))
+        return set_a.project(xb) if composed else interpolate(xa, xb, lam)
+
+    kind = ComposeMap.kind if composed else ConvexCombinationMap.kind
+    return _Stepper(kind, space, step)
+
+
+def _run_trace(inst: InstanceConfig, with_gaps: bool):
+    """The instance's Picard trace, and with `with_gaps` the gap
+    d(P_A x_n, P_B x_n) of each of its iterates (otherwise None).  The last
+    iterate is never mapped, so its gap is computed here."""
+    set_a, set_b, start = inst.require_sets()
+    if not with_gaps:
+        return picard(_build_map(inst), start, inst.n_max), None
+    gaps = []
+    trace = picard(_gap_map(inst, gaps), start, inst.n_max)
+    last = trace.points[-1]
+    gaps.append(inst.space.distance(set_a.project(last), set_b.project(last)))
+    return trace, gaps
 
 
 # -- verify-space ------------------------------------------------------------------
@@ -324,8 +368,7 @@ def _padded(points, length):
 def _run_one(inst: InstanceConfig, out: Path):
     set_a, set_b, start = inst.require_sets()
     space = inst.space
-    trace = _run_trace(inst)
-    aux_dist = _gaps(inst, trace.points)
+    trace, aux_dist = _run_trace(inst, True)
     p = inst.fixed_point
     dist_to_p = [space.distance(x, p) for x in trace.points] if p is not None else None
     _write_trace_csv(out / f"trace_{inst.name}.csv", trace.residuals, dist_to_p, aux_dist)
@@ -376,7 +419,7 @@ def _run_one(inst: InstanceConfig, out: Path):
 def _certify_one(inst: InstanceConfig, out: Path):
     set_a, set_b, start = inst.require_sets()
     space = inst.space
-    trace = _run_trace(inst)
+    trace, gaps = _run_trace(inst, "gap-rate" in inst.checks)
     entry = {"name": inst.name, "checks": [], "certificates": []}
     statuses = []
 
@@ -432,7 +475,6 @@ def _certify_one(inst: InstanceConfig, out: Path):
             elif r is None:
                 add("gap-rate", "inconclusive", reason="set distance unavailable")
             else:
-                gaps = _gaps(inst, trace.points)
                 b_gap = gaps[0] * gaps[0]
                 certs = certify_best_approx_rate(
                     trace, gaps, m_val, b_gap, r, inst.gap_eps_grid, inst.lam

@@ -51,10 +51,11 @@ def _exact(x) -> Fraction:
 
 
 def regularity_stage_count(b: float, eps: float) -> int:
-    """ceil(2 b / eps); the stage count entering the regularity rate."""
+    """ceil(2 b / eps); the stage count entering the regularity rate.  b may be
+    0, the strongest form of the hypothesis d(x0, p) <= b."""
     b_, eps_ = _exact(b), _exact(eps)
-    if b_ <= 0 or eps_ <= 0:
-        raise DomainError("rate arguments b and eps must be positive")
+    if b_ < 0 or eps_ <= 0:
+        raise DomainError("rate arguments need b >= 0 and eps > 0")
     return math.ceil(2 * b_ / eps_)
 
 
@@ -64,6 +65,8 @@ def asymptotic_regularity_rate(b: float, eps: float) -> int:
     Valid for Picard iterations of an averaged pair of quadratically firmly
     nonexpansive maps started within distance b of a fixed point.  Grows
     exponentially in 1/eps; the result is an exact (possibly huge) integer.
+    At b = 0 the start is the fixed point, every residual is 0, and the
+    rate is 1.
     """
     k = regularity_stage_count(b, eps)
     b_, eps_ = _exact(b), _exact(eps)
@@ -75,11 +78,16 @@ def averaged_projection_gap_rate(M: float, b: float, eps: float, lam: float) -> 
 
     Hypotheses: d(x0, u*) <= M for the lam-combination u* of some best pair,
     and d(P_A x0, P_B x0)^2 <= b.
+
+    A constant of 0 is the strongest form of its hypothesis, and the rate is
+    then 2.  At b = 0, P_A x0 = P_B x0 lies in both sets, so x_1 is fixed and
+    every later gap is 0 = d(A, B).  At M = 0, x0 = u* is fixed, and its gap
+    is constantly d(a*, b*).
     """
     M_, b_, eps_ = _exact(M), _exact(b), _exact(eps)
     lam_ = _exact(lam)
-    if M_ <= 0 or b_ <= 0 or eps_ <= 0:
-        raise DomainError("rate arguments M, b, eps must be positive")
+    if M_ < 0 or b_ < 0 or eps_ <= 0:
+        raise DomainError("rate arguments need M >= 0, b >= 0 and eps > 0")
     if not 0 < lam_ < 1:
         raise DomainError(f"combination weight must be in (0, 1), got {lam}")
     return math.floor(64 * M_**2 * b_ / (eps_**4 * lam_ * (1 - lam_))) + 2
@@ -88,10 +96,15 @@ def averaged_projection_gap_rate(M: float, b: float, eps: float, lam: float) -> 
 def composed_projection_gap_rate(M: float, b: float, eps: float) -> int:
     """Iterations after which d^2(x_n, P_B x_n) <= d^2(A,B) + eps for the
     composition P_A P_B, started within M of a best-pair endpoint and with
-    d^2(P_A P_B x0, P_B x0) <= b."""
+    d^2(P_A P_B x0, P_B x0) <= b.
+
+    A constant of 0 is the strongest form of its hypothesis, and the rate is
+    then 2.  At b = 0, P_B x0 lies in both sets, so x_1 is fixed and every
+    later value is 0 = d^2(A, B).  At M = 0, x0 is the best-pair endpoint in
+    A, which P_A P_B fixes, and its value is constantly d^2(A, B)."""
     M_, b_, eps_ = _exact(M), _exact(b), _exact(eps)
-    if M_ <= 0 or b_ <= 0 or eps_ <= 0:
-        raise DomainError("rate arguments M, b, eps must be positive")
+    if M_ < 0 or b_ < 0 or eps_ <= 0:
+        raise DomainError("rate arguments need M >= 0, b >= 0 and eps > 0")
     return math.floor(4 * M_**2 * b_ / eps_**2) + 2
 
 

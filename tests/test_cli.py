@@ -855,3 +855,142 @@ class TestModes:
             traces[mode] = (out / f"trace_{inst['name']}.csv").read_text()
         assert traces["averaged"] == traces["product-reduction"]
         assert len(traces["averaged"].splitlines()) > 2
+
+
+def gap_config(tmp_path):
+    """Tangent Euclidean balls in each mode and tangent disk balls, whose
+    traces never become stationary, and two disjoint balls, whose averaged
+    trace does."""
+
+    def instance(name, space, a, b, start, mode="averaged", n_max=40):
+        return {
+            "name": name,
+            "space": space,
+            "A": a,
+            "B": b,
+            "start": start,
+            "mode": mode,
+            "n_max": n_max,
+        }
+
+    e2 = {"kind": "euclidean", "dim": 2}
+    disk = {"kind": "poincare-disk"}
+    ball_a = {"ball": {"center": [0.0, 0.0], "radius": 1.0}}
+    ball_b = {"ball": {"center": [2.0, 0.0], "radius": 1.0}}
+    doc = mini_config()
+    doc["instances"] = [
+        *(
+            instance(f"tangent-{mode}", e2, ball_a, ball_b, [1.0, 3.0], mode)
+            for mode in ("averaged", "composed", "product-reduction")
+        ),
+        instance(
+            "disk-tangent",
+            disk,
+            {"disk-ball": {"center": [0.0, 0.0], "radius": 0.5}},
+            {"disk-ball": {"center": [math.tanh(0.5), 0.0], "radius": 0.5}},
+            [0.2, 0.6],
+        ),
+        instance(
+            "stationary",
+            e2,
+            ball_a,
+            {"ball": {"center": [3.0, 0.0], "radius": 1.0}},
+            [5.0, 5.0],
+            n_max=3000,
+        ),
+    ]
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestTraceGaps:
+    """`run` takes each iterate's gap d(P_A x_n, P_B x_n) from the projections
+    its Picard step makes; the last iterate's gap is computed directly."""
+
+    def test_aux_dist_is_the_true_gap(self, tmp_path):
+        path = gap_config(tmp_path)
+        out = tmp_path / "gaps-out"
+        assert run_cli("run", path, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        rows = {row["name"]: row for row in report["instances"]}
+        for inst in load_config(path).instances:
+            trace = picard(cli._build_map(inst), inst.start, inst.n_max)
+            lines = (out / f"trace_{inst.name}.csv").read_text().splitlines()[1:]
+            assert len(lines) == len(trace.points)
+            for line, x in zip(lines, trace.points):
+                gap = inst.space.distance(inst.set_a.project(x), inst.set_b.project(x))
+                assert line.split(",")[3] == repr(gap)
+            assert rows[inst.name]["final_aux"] == gap
+            stationary = rows[inst.name]["stationary_from"] is not None
+            assert stationary == (inst.name == "stationary")
+
+    @pytest.mark.parametrize(
+        "mode, per_step",
+        [("averaged", 2), ("product-reduction", 2), ("composed", 3)],
+    )
+    def test_projections_per_step(self, tmp_path, monkeypatch, mode, per_step):
+        # A's and B's projections only: the diagonal projection of the
+        # product twin is not counted.  Composed mode projects x onto A once
+        # more per step, for the gap; every mode projects the last iterate,
+        # which is never mapped, onto both sets.
+        (inst,) = [
+            inst
+            for inst in load_config(gap_config(tmp_path)).instances
+            if inst.name == f"tangent-{mode}"
+        ]
+        calls = []
+        project = EuclideanBall.project
+
+        def counting(self, x):
+            calls.append(x)
+            return project(self, x)
+
+        monkeypatch.setattr(EuclideanBall, "project", counting)
+        trace, gaps = cli._run_trace(inst, True)
+        steps = len(trace.points) - 1
+        assert trace.stationary_from is None and steps == inst.n_max
+        assert len(gaps) == steps + 1
+        assert len(calls) == per_step * steps + 2
+
+
+class TestZeroRateConstants:
+    """A rate constant of 0 is the strongest form of its hypothesis, so its
+    certificates are decided, not refused."""
+
+    @pytest.mark.parametrize(
+        "edit, check, constant",
+        [
+            # start = fixed point: b = d(x0, p) = 0
+            ({"start": [1.5, 0.0]}, "rate", "b"),
+            # start in A and B, which now overlap: b = d^2(P_A x0, P_B x0) = 0
+            (
+                {
+                    "B": {"halfspace": {"normal": [-1.0, 0.0], "offset": 0.0}},
+                    "start": [0.5, 0.5],
+                    "best_pair": [[1.0, 0.0], [1.0, 0.0]],
+                    "set_distance": 0.0,
+                },
+                "gap-rate",
+                "b",
+            ),
+            # start = u* = (a* + b*) / 2: M = d(x0, u*) = 0
+            ({"start": [1.5, 0.0]}, "gap-rate", "M"),
+        ],
+        ids=["rate-b", "gap-rate-b", "gap-rate-M"],
+    )
+    def test_zero_constant_passes(self, tmp_path, edit, check, constant):
+        doc = json.loads(bundled_config_path().read_text())
+        (inst,) = [i for i in doc["instances"] if i["name"] == "ball-halfspace"]
+        inst.update(edit, checks=[check])
+        doc["instances"] = [inst]
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "zero-out"
+        assert run_cli("certify", path, out) == 0
+        (row,) = json.loads((out / "report.json").read_text())["instances"]
+        (entry,) = row["checks"]
+        assert entry["check"] == check and entry["status"] == "pass"
+        assert entry[constant] == 0.0
+        certs = json.loads((out / "certificates_ball-halfspace.json").read_text())
+        assert len(certs) == 3 and all(c["pass"] for c in certs)

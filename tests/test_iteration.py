@@ -106,14 +106,33 @@ class TestRateFormulas:
             assert vals == sorted(vals)
 
     def test_domain_errors(self):
-        with pytest.raises(cf.DomainError):
-            cf.asymptotic_regularity_rate(0.0, 1.0)
-        with pytest.raises(cf.DomainError):
-            cf.asymptotic_regularity_rate(1.0, -0.5)
-        with pytest.raises(cf.DomainError):
-            cf.averaged_projection_gap_rate(1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(cf.DomainError):
-            cf.composed_projection_gap_rate(1.0, 0.0, 1.0)
+        # Negative constants and nonpositive eps raise; constants of 0 do not.
+        calls = [
+            lambda: cf.asymptotic_regularity_rate(-1.0, 1.0),
+            lambda: cf.asymptotic_regularity_rate(1.0, -0.5),
+            lambda: cf.regularity_stage_count(-1e-300, 1.0),
+            lambda: cf.regularity_stage_count(0.0, 0.0),
+            lambda: cf.averaged_projection_gap_rate(1.0, 1.0, 1.0, 1.0),
+            lambda: cf.averaged_projection_gap_rate(-1.0, 0.0, 1.0, 0.5),
+            lambda: cf.averaged_projection_gap_rate(0.0, -1.0, 1.0, 0.5),
+            lambda: cf.averaged_projection_gap_rate(0.0, 0.0, 0.0, 0.5),
+            lambda: cf.composed_projection_gap_rate(1.0, -1e-300, 1.0),
+            lambda: cf.composed_projection_gap_rate(-1.0, 0.0, 1.0),
+            lambda: cf.composed_projection_gap_rate(0.0, 0.0, -1.0),
+        ]
+        for call in calls:
+            with pytest.raises(cf.DomainError):
+                call()
+
+    @pytest.mark.parametrize("eps", [1.0, 0.1, 1e-4])
+    def test_zero_constants_give_the_formula_at_zero(self, eps):
+        # A constant of 0 is the strongest hypothesis: the start is fixed, or
+        # its first image is, so the bound is the formula's value at 0.
+        assert cf.regularity_stage_count(0.0, eps) == 0
+        assert cf.asymptotic_regularity_rate(0.0, eps) == 1
+        for M, b in [(0.0, 1.0), (1.0, 0.0), (0, 0)]:
+            assert cf.averaged_projection_gap_rate(M, b, eps, 0.5) == 2
+            assert cf.composed_projection_gap_rate(M, b, eps) == 2
 
 
 class TestPicard:
