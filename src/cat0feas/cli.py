@@ -47,7 +47,7 @@ from .mappings import (
 )
 from .product import ConvexCombinationSpace, embed_diagonal, reduction_deviations
 from .sets import DiagonalSet
-from .spaces import REL_TOL, _cn_rows, _fn_rows, _four_point_rows, _p2_rows, _random_rows
+from .spaces import REL_TOL, Point, _cn_rows, _fn_rows, _four_point_rows, _p2_rows, _random_rows
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_CONFIG = 0, 1, 2, 3
 
@@ -105,36 +105,42 @@ def _quantiles(values):
 class _ProductReduction(Mapping):
     """x -> first component of Q(U(x, x)): the averaged map computed through
     its product-space twin, where U is the pair map (P_A, P_B) on the
-    lam-weighted product and Q the projection onto its diagonal."""
+    lam-weighted product and Q the projection onto its diagonal.  Given a
+    list `gaps`, it appends d(P_A x, P_B x), read off U(x, x), for each x."""
 
     kind = "product-reduction"
 
-    def __init__(self, inst: InstanceConfig):
+    def __init__(self, inst: InstanceConfig, gaps=None):
         set_a, set_b, _ = inst.require_sets()
         self.cs = ConvexCombinationSpace(inst.space, inst.lam)
         self.pair_map = PairMap(self.cs, ProjectionMap(set_a), ProjectionMap(set_b))
         self.diagonal = diagonal_projection(self.cs)
+        self.gaps = gaps
 
     @property
     def space(self):
         return self.cs.base
 
-    def __call__(self, x):
-        return self.diagonal(self.pair_map(embed_diagonal(self.cs, x))).payload[0]
+    def _step(self, p):
+        x = Point(self.cs.base, p)
+        pair = self.pair_map._step((x, x))
+        if self.gaps is not None:
+            self.gaps.append(self.cs.base.distance(*pair))
+        return self.diagonal._step(pair)[0].payload
 
 
 class _Stepper(Mapping):
-    """A map given by its step function; `kind` names the map it computes."""
+    """A map given by a payload step function, named by `kind`."""
 
     def __init__(self, kind, space, step):
-        self.kind, self._space, self._step = kind, space, step
+        self.kind, self._space, self.step = kind, space, step
 
     @property
     def space(self):
         return self._space
 
-    def __call__(self, x):
-        return self._step(x)
+    def _step(self, p):
+        return self.step(p)
 
 
 def _build_map(inst: InstanceConfig):
@@ -152,24 +158,18 @@ def _gap_map(inst: InstanceConfig, gaps):
     U(x, x) of the product twin, the two images the averaged map
     interpolates, or the P_B x that P_A P_B composes and one more
     projection, P_A x."""
+    if inst.mode == "product-reduction":
+        return _ProductReduction(inst, gaps)
     set_a, set_b, _ = inst.require_sets()
     space = inst.space
-    if inst.mode == "product-reduction":
-        twin = _ProductReduction(inst)
-
-        def step(x):
-            pair = twin.pair_map(embed_diagonal(twin.cs, x))
-            gaps.append(space.distance(*pair.payload))
-            return twin.diagonal(pair).payload[0]
-
-        return _Stepper(twin.kind, space, step)
     composed = inst.mode == "composed"
-    distance, interpolate, lam = space.distance, space.interpolate, inst.lam
+    project_a, project_b = set_a._project, set_b._project
+    distance, between, lam = space._distance, space._between, inst.lam
 
-    def step(x):
-        xa, xb = set_a.project(x), set_b.project(x)
-        gaps.append(distance(xa, xb))
-        return set_a.project(xb) if composed else interpolate(xa, xb, lam)
+    def step(p):
+        pa, pb = project_a(p), project_b(p)
+        gaps.append(distance(pa, pb))
+        return project_a(pb) if composed else between(pa, pb, lam)
 
     kind = ComposeMap.kind if composed else ConvexCombinationMap.kind
     return _Stepper(kind, space, step)

@@ -33,7 +33,8 @@ and each instance these:
     n_max = 10000                   Picard steps, >= 1
     eps_grid = [1.0, 0.5, 0.1]      descending positive targets of "rate"
     gap_eps_grid = [1.0, 0.5, 0.25] descending positive targets of "gap-rate"
-    rate = {"b": null, "M": null}   rate constants, measured from start when null
+    rate = {"b": null, "M": null}   finite rate constants >= 0, measured from
+                                    start when null
     grid = {"h": 0.001, "window": null, "surface": "auto"}
                                     oracle grid: step > 0, per-dimension [lo, hi]
                                     ranges, "auto" | "full"
@@ -50,6 +51,7 @@ parse error raises ConfigError with the JSON path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -319,6 +321,13 @@ def _eps_grid(doc: dict, key: str, path: str, default: tuple[float, ...]):
     return grid
 
 
+def _rate_constant(doc: dict, key: str, path: str) -> float | None:
+    value = _value(doc, key, path, float)
+    if value is not None and not (math.isfinite(value) and value >= 0.0):
+        _fail(f"{path}.{key}", f"rate constant must be finite and >= 0, got {value}")
+    return value
+
+
 def instance_from_json(doc, path: str) -> InstanceConfig:
     if not isinstance(doc, dict):
         _fail(path, "instance must be an object")
@@ -377,6 +386,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
                 f"'{c}' certifies averaged maps, and the composed map P_A P_B is not averaged",
             )
     rate_doc = _section(doc, "rate", path)
+    rate_b, rate_m = (_rate_constant(rate_doc, key, path + ".rate") for key in ("b", "M"))
     product_lambdas = _value(doc, "product_lambdas", path, _floats, ())
     if not all(0.0 < w < 1.0 for w in product_lambdas):
         _fail(path + ".product_lambdas", f"weights must lie in (0, 1), got {product_lambdas}")
@@ -394,8 +404,8 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         fixed_point=opt_point("fixed_point"),
         best_pair=best_pair,
         set_dist=_value(doc, "set_distance", path, float),
-        rate_b=_value(rate_doc, "b", path + ".rate", float),
-        rate_m=_value(rate_doc, "M", path + ".rate", float),
+        rate_b=rate_b,
+        rate_m=rate_m,
         grid=grid,
         product_lambdas=product_lambdas,
         checks=checks,

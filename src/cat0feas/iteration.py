@@ -146,25 +146,27 @@ def picard(mapping: Mapping, start: Point, n_max: int) -> IterationTrace:
     """Run x_{k+1} = T(x_k) for up to n_max steps and record the orbit.
 
     There is no residual-based early stop, so rate certification sees the full
-    horizon.  The loop ends at the first exact fixed point, since every later
-    iterate is structurally identical.
+    horizon.  The loop ends at the first exact fixed point (equal payloads),
+    since every later iterate is structurally identical.  It steps payloads
+    through ``mapping._step`` and makes one Point per iterate.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     space = mapping.space
     space.require_member(start)
+    step_payload, distance = mapping._step, space._distance
 
     points = [start]
     residuals: list[float] = []
     stationary_from = None
 
-    current = start
+    current = start.payload
     for step in range(n_max):
-        nxt = mapping(current)
-        residual = space.distance(current, nxt)
+        nxt = step_payload(current)
+        residual = distance(current, nxt)
         if not math.isfinite(residual):
             raise NumericError(f"non-finite iterate at step {step + 1}", step=step + 1)
-        points.append(nxt)
+        points.append(Point(space, nxt))
         residuals.append(residual)
         if nxt == current:
             stationary_from = step

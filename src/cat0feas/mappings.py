@@ -1,10 +1,13 @@
 """Self-maps built from projections, and the nonexpansivity checkers.
 
-Mappings are immutable callables tagged with their space.  Constructors cover
-metric projections, composition, pointwise convex combination (the averaged
-map ``(1-lam) T1 + lam T2`` evaluates to the geodesic point between the two
-images), identity, constants, the componentwise pair map on a product space,
-and the diagonal projection.
+Mappings are immutable callables tagged with their space.  Each writes its
+formula on payloads, as ``_step(payload) -> payload``, and ``Mapping.__call__``
+is the one wrapper that checks membership and makes the Point (or returns x
+itself when the step returned its payload).  Constructors cover metric
+projections, composition, pointwise convex combination (the averaged map
+``(1-lam) T1 + lam T2`` steps to the geodesic point between the two images),
+identity, constants, the componentwise pair map on a product space, and the
+diagonal projection.
 
 The maps that ``verify-mapping`` samples (projections, pair maps, convex
 combinations and the identity) also map packed rows of their space with
@@ -44,7 +47,14 @@ class Mapping(ABC):
     def space(self) -> Space: ...
 
     @abstractmethod
-    def __call__(self, x: Point) -> Point: ...
+    def _step(self, payload):
+        """The payload of the image; a fixed payload may come back itself."""
+
+    def __call__(self, x: Point) -> Point:
+        space = self.space
+        space.require_member(x)
+        p = self._step(x.payload)
+        return x if p is x.payload else Point(space, p)
 
 
 @dataclass(frozen=True)
@@ -58,8 +68,8 @@ class ProjectionMap(Mapping):
     def space(self):
         return self.target.space
 
-    def __call__(self, x):
-        return self.target.project(x)
+    def _step(self, p):
+        return self.target._project(p)
 
     def _rows(self, P):
         return self.target._project_rows(P)
@@ -81,8 +91,8 @@ class ComposeMap(Mapping):
     def space(self):
         return self.outer.space
 
-    def __call__(self, x):
-        return self.outer(self.inner(x))
+    def _step(self, p):
+        return self.outer._step(self.inner._step(p))
 
 
 @dataclass(frozen=True)
@@ -104,8 +114,8 @@ class ConvexCombinationMap(Mapping):
     def space(self):
         return self.first.space
 
-    def __call__(self, x):
-        return self.space.interpolate(self.first(x), self.second(x), self.lam)
+    def _step(self, p):
+        return self.space._between(self.first._step(p), self.second._step(p), self.lam)
 
     def _rows(self, P):
         return self.space._interp_rows(self.first._rows(P), self.second._rows(P), self.lam)
@@ -120,9 +130,8 @@ class IdentityMap(Mapping):
     def space(self):
         return self.owner
 
-    def __call__(self, x):
-        self.owner.require_member(x)
-        return x
+    def _step(self, p):
+        return p
 
     def _rows(self, P):
         return P
@@ -137,9 +146,8 @@ class ConstantMap(Mapping):
     def space(self):
         return self.value.space
 
-    def __call__(self, x):
-        self.space.require_member(x)
-        return self.value
+    def _step(self, p):
+        return self.value.payload
 
 
 @dataclass(frozen=True)
@@ -163,10 +171,8 @@ class PairMap(Mapping):
     def space(self):
         return self.owner
 
-    def __call__(self, x):
-        self.owner.require_member(x)
-        x1, x2 = x.payload
-        return Point(self.owner, (self.first(x1), self.second(x2)))
+    def _step(self, p):
+        return (self.first(p[0]), self.second(p[1]))
 
     def _rows(self, P):
         return (self.first._rows(P[0]), self.second._rows(P[1]))

@@ -1,8 +1,12 @@
 """Closed geodesically convex sets with metric projections.
 
-Each set knows its owning space and provides membership, an exact
-nearest-point map, seeded member sampling, and (where it makes sense) finite
-grid sampling for brute-force oracles.
+Each set knows its owning space and writes its formulas on payloads:
+``_contains(payload, tol)`` with the tolerance already resolved, and an exact
+nearest-point map ``_project(payload)``, which may return a member's payload
+itself.  ``ConvexSet.contains`` and ``ConvexSet.project`` wrap them once for
+every set: they check membership, resolve the tolerance and make the
+Point (``project`` returns x itself when ``_project`` returned its payload).
+Where it makes sense a set also has a finite grid for brute-force oracles.
 
 A grid is a `Grid` of packed rows of the set's space, which the oracle's
 ``_kernel_rows`` scores; only an item read from it becomes a Point.  Each row
@@ -25,15 +29,14 @@ Projection routes:
 ``_project_rows(P)`` projects packed rows of the set's space, as
 ``verify-mapping`` draws them.  Half-spaces, flats, Euclidean balls, disk
 balls and the diagonal evaluate their closed forms on whole arrays, in the
-scalar ``project``'s order and with its member test (distances and geodesic
+scalar ``_project``'s order and with its member test (distances and geodesic
 points come from the space's row kernels); product rectangles project each
 factor's rows; tree segments, subtrees and disk segments project one row at a
-time through ``project``, so each set keeps one formula.
+time through ``_project``, so each set keeps one formula.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from abc import ABC, abstractmethod
@@ -46,7 +49,8 @@ import numpy as np
 from .errors import DomainError, GridSizeError
 from .product import ConvexCombinationSpace
 from .spaces import (
-    DISK_MAX_NORM, EuclideanSpace, PoincareDiskSpace, Point, Space, _mobius_rows, _mobius_shift,
+    DISK_MAX_NORM, REL_TOL, EuclideanSpace, PoincareDiskSpace, Point, Space, _mobius_rows,
+    _mobius_shift,
 )
 from .trees import TreeSpace
 
@@ -103,19 +107,30 @@ class ConvexSet(ABC):
     def space(self): ...
 
     @abstractmethod
-    def contains(self, x: Point, tol: float | None = None) -> bool: ...
+    def _contains(self, payload, tol: float) -> bool: ...
 
     @abstractmethod
-    def project(self, x: Point) -> Point: ...
+    def _project(self, payload):
+        """The payload of the nearest point; a member's may come back itself."""
+
+    def contains(self, x: Point, tol: float | None = None) -> bool:
+        space = self.space
+        space.require_member(x)
+        return self._contains(x.payload, space.tolerance if tol is None else tol)
+
+    def project(self, x: Point) -> Point:
+        self.space.require_member(x)
+        p = self._project(x.payload)
+        return x if p is x.payload else self._point(p)
+
+    def _point(self, p) -> Point:
+        """The Point of a payload that `_project` made."""
+        return Point(self.space, p)
 
     def _project_rows(self, P):
-        """`project` on packed rows; by default one row at a time."""
+        """`_project` on packed rows; by default one row at a time."""
         space = self.space
-        return space._pack([self.project(Point(space, space._payload(p))).payload for p in P])
-
-    def sample(self, rng, scale: float = 2.0) -> Point:
-        """A member point; default draws an ambient point and projects it."""
-        return self.project(self.space.random_point(rng, scale))
+        return space._pack([self._project(space._payload(p)) for p in P])
 
     def grid(self, spec: GridSpec) -> Grid:
         raise DomainError(f"grid sampling not supported for {self.kind}")
@@ -162,18 +177,15 @@ class Halfspace(ConvexSet):
         u, c = self._unit
         return sum(map(operator.mul, u, coords)) - c
 
-    def contains(self, x, tol=None):
-        self.space.require_member(x)
-        tol = self.space.tolerance if tol is None else tol
-        return self._gap(x.payload) <= tol
+    def _contains(self, p, tol):
+        return self._gap(p) <= tol
 
-    def project(self, x):
-        self.owner.require_member(x)
-        gap = self._gap(x.payload)
+    def _project(self, p):
+        gap = self._gap(p)
         if gap <= 0.0:
-            return x
+            return p
         u, _ = self._unit
-        return Point(self.owner, tuple([xi - gap * ui for xi, ui in zip(x.payload, u)]))
+        return tuple([xi - gap * ui for xi, ui in zip(p, u)])
 
     def _project_rows(self, P):
         # _gap on the coordinate columns sums as it does on one point.
@@ -227,16 +239,14 @@ class AffineSubspace(ConvexSet):
     def _rows(self) -> tuple[tuple[float, ...], ...]:
         return tuple(map(tuple, self._orthonormal.tolist()))
 
-    def project(self, x):
-        self.owner.require_member(x)
+    def _project(self, p):
         a, rows = self.anchor, self._rows
-        diff = [xi - ai for xi, ai in zip(x.payload, a)]
+        diff = [xi - ai for xi, ai in zip(p, a)]
         coefs = [sum(map(operator.mul, q, diff)) for q in rows]
-        coords = [ai + sum([c * q[j] for c, q in zip(coefs, rows)]) for j, ai in enumerate(a)]
-        return Point(self.owner, tuple(coords))
+        return tuple([ai + sum([c * q[j] for c, q in zip(coefs, rows)]) for j, ai in enumerate(a)])
 
     def _project_rows(self, P):
-        # project's sums, with a coordinate column in place of each number.
+        # _project's sums, with a coordinate column in place of each number.
         a, rows = self.anchor, self._rows
         diff = list((P - a).T)
         coefs = [sum(map(operator.mul, q, diff)) for q in rows]
@@ -245,9 +255,8 @@ class AffineSubspace(ConvexSet):
             out[:, j] = ai + sum([c * q[j] for c, q in zip(coefs, rows)])
         return out
 
-    def contains(self, x, tol=None):
-        tol = self.space.tolerance if tol is None else tol
-        return self.space.distance(x, self.project(x)) <= tol
+    def _contains(self, p, tol):
+        return math.dist(p, self._project(p)) <= tol
 
     def grid(self, spec):
         q = self._orthonormal
@@ -278,33 +287,24 @@ class EuclideanBall(ConvexSet):
     def space(self):
         return self.owner
 
-    def project(self, x):
-        # The same norm as `contains`, so members come back unchanged.
-        self.owner.require_member(x)
+    def _project(self, p):
+        # The same norm as `_contains`, so members come back unchanged.
         c = self.center
-        norm = math.dist(x.payload, c)
+        norm = math.dist(p, c)
         if norm <= self.radius:
-            return x
+            return p
         s = self.radius / norm
-        return Point(self.owner, tuple([ci + s * (xi - ci) for xi, ci in zip(x.payload, c)]))
+        return tuple([ci + s * (xi - ci) for xi, ci in zip(p, c)])
 
     def _project_rows(self, P):
         c, r = np.array(self.center), self.radius
         norm = self.owner._dist_rows(P, c)
         # Members keep their row; the rest are cut at the radius.
         s = (r / np.maximum(norm, r))[:, None]
-        return np.where((norm <= r)[:, None], P, c + s * (P - c))
+        return np.where(_inside(self, P, norm)[:, None], P, c + s * (P - c))
 
-    def contains(self, x, tol=None):
-        self.space.require_member(x)
-        tol = self.space.tolerance if tol is None else tol
-        return math.dist(x.payload, self.center) <= self.radius + tol
-
-    def sample(self, rng, scale: float = 2.0):
-        direction = [rng.gauss(0.0, 1.0) for _ in range(self.owner.dim)]
-        norm = math.hypot(*direction) or 1.0
-        s = self.radius * rng.random() ** (1.0 / self.owner.dim) / norm
-        return Point(self.owner, tuple([ci + s * di for ci, di in zip(self.center, direction)]))
+    def _contains(self, p, tol):
+        return math.dist(p, self.center) <= self.radius + tol
 
     def grid(self, spec):
         center = np.asarray(self.center)
@@ -329,7 +329,7 @@ class EuclideanBall(ConvexSet):
 
 @dataclass(frozen=True)
 class _Segment(ConvexSet):
-    """The geodesic segment between two points; subclasses supply `project`."""
+    """The geodesic segment between two points; subclasses supply `_project`."""
 
     owner: Space
     start: Point
@@ -347,18 +347,15 @@ class _Segment(ConvexSet):
     def length(self) -> float:
         return self.owner.distance(self.start, self.end)
 
-    def contains(self, x, tol=None):
-        self.space.require_member(x)
-        tol = self.space.tolerance if tol is None else tol
-        detour = (
-            self.space.distance(x, self.start)
-            + self.space.distance(x, self.end)
-            - self.length
-        )
-        return detour <= tol
+    def _point(self, p):
+        # The ends come back as the Points the segment was built from.
+        if p is self.start.payload:
+            return self.start
+        return self.end if p is self.end.payload else Point(self.owner, p)
 
-    def sample(self, rng, scale: float = 2.0):
-        return self.space.interpolate(self.start, self.end, rng.random())
+    def _contains(self, p, tol):
+        d = self.owner._distance
+        return d(p, self.start.payload) + d(p, self.end.payload) - self.length <= tol
 
     def grid(self, spec):
         a, b = self.start.payload, self.end.payload
@@ -373,18 +370,14 @@ class TreeSegment(_Segment):
 
     kind = "tree-segment"
 
-    def project(self, x):
-        self.space.require_member(x)
+    def _project(self, p):
+        a, b = self.start.payload, self.end.payload
         if self.length == 0.0:
-            return self.start
+            return a
         # Arc length of the nearest point from `start`, via the Gromov product.
-        s = 0.5 * (
-            self.space.distance(x, self.start)
-            + self.length
-            - self.space.distance(x, self.end)
-        )
-        t = min(max(s / self.length, 0.0), 1.0)
-        return self.space.interpolate(self.start, self.end, t)
+        d = self.owner._distance
+        s = 0.5 * (d(p, a) + self.length - d(p, b))
+        return self.owner._between(a, b, min(max(s / self.length, 0.0), 1.0))
 
 
 class DiskGeodesicSegment(_Segment):
@@ -393,17 +386,16 @@ class DiskGeodesicSegment(_Segment):
 
     kind = "disk-geodesic-segment"
 
-    def project(self, x):
-        self.space.require_member(x)
+    def _project(self, p):
+        a, b = self.start.payload, self.end.payload
         if self.length == 0.0:
-            return self.start
+            return a
         # The isometry w -> (w - a) / (1 - conj(a) w), followed by a rotation,
         # puts the segment on [0, r] of the real axis.
-        a = self.start.payload
-        e = (self.end.payload - a) / (1.0 - a.conjugate() * self.end.payload)
+        e = (b - a) / (1.0 - a.conjugate() * b)
         r = abs(e)
         rot = e / r
-        z = (x.payload - a) / (1.0 - a.conjugate() * x.payload) / rot
+        z = (p - a) / (1.0 - a.conjugate() * p) / rot
         # The foot of the perpendicular from z to the real axis: the Klein
         # abscissa k = 2 Re z / (1 + |z|^2) taken back to the disk,
         # k / (1 + sqrt(1 - k^2)), with 1 - k^2 written as a product so that
@@ -412,10 +404,10 @@ class DiskGeodesicSegment(_Segment):
         # The distance grows monotonically away from the foot, so clamping
         # to the ends is exact.
         if s <= 0.0:
-            return self.start
+            return a
         if s >= r:
-            return self.end
-        return Point(self.space, _mobius_shift(a, s * rot))
+            return b
+        return _mobius_shift(a, s * rot)
 
 
 # -- tree sets -------------------------------------------------------------------
@@ -456,42 +448,33 @@ class Subtree(ConvexSet):
     def space(self):
         return self.owner
 
-    def contains(self, x, tol=None):
-        self.space.require_member(x)
-        edge, _ = x.payload
+    def _contains(self, p, tol):
+        # Membership is exact: an edge of the subtree, or one of its vertices.
+        edge, offset = p
         if edge in self._edges_in:
             return True
-        at_vertex = self.owner.vertex_name(x)
-        return at_vertex is not None and at_vertex in self.vertex_names
+        u, v, length = self.owner.tree.edges[edge]
+        at_vertex = u if offset == 0.0 else v if offset == length else None
+        return at_vertex in self.vertex_names
 
     @cached_property
-    def _vertices(self) -> tuple[Point, ...]:
-        return tuple(map(self.owner.vertex, self.vertex_names))
+    def _vertices(self) -> tuple[tuple[int, float], ...]:
+        return tuple(map(self.owner._vertex_payload, self.vertex_names))
 
-    def project(self, x):
-        if self.contains(x):
-            return x
-        # The path from x enters the subtree at a vertex: the nearest one (the
+    def _project(self, p):
+        if self._contains(p, 0.0):
+            return p
+        # The path from p enters the subtree at a vertex: the nearest one (the
         # first of equally near ones).
-        return min(self._vertices, key=lambda v: self.owner.distance(x, v))
-
-    def sample(self, rng, scale: float = 2.0):
-        if not self._edges_in:
-            return self.owner.vertex(self.vertex_names[0])
-        lengths = [self.owner.tree.edges[i][2] for i in self._edges_in]
-        r = rng.random() * sum(lengths)
-        for i, length in zip(self._edges_in, lengths):
-            if r <= length:
-                return self.owner.at(i, min(r, length))
-            r -= length
-        return self.owner.at(self._edges_in[-1], lengths[-1])
+        d = self.owner._distance
+        return min(self._vertices, key=lambda v: d(p, v))
 
     def grid(self, spec):
         lengths = [self.owner.tree.edges[i][2] for i in self._edges_in]
         counts = [max(1, _steps(length, spec.h)) for length in lengths]
         _cap(len(self.vertex_names) + sum(counts) - len(counts), "subtree")
         # Canonical vertices, then inner offsets (length k) / n, 0 < k < n.
-        edge, offset = zip(*map(self.owner._vertex_payload, self.vertex_names))
+        edge, offset = zip(*self._vertices)
         edges = np.repeat([*edge, *self._edges_in], [1] * len(edge) + [n - 1 for n in counts])
         inner = [length * np.arange(1, n) / n for length, n in zip(lengths, counts)]
         return Grid(self.owner, self.owner._rows(edges, np.concatenate([offset, *inner])))
@@ -525,33 +508,20 @@ class DiskBall(ConvexSet):
     def space(self):
         return self.owner
 
-    @cached_property
-    def _center_point(self):
-        return Point(self.owner, self.center)
-
-    def project(self, x):
-        self.space.require_member(x)
-        d = self.space.distance(self._center_point, x)
+    def _project(self, p):
+        d = self.owner._distance(self.center, p)
         if d <= self.radius:
-            return x
-        return self.space.interpolate(self._center_point, x, self.radius / d)
+            return p
+        return self.owner._between(self.center, p, self.radius / d)
 
     def _project_rows(self, P):
         c, r = self.center, self.radius
         d = self.owner._dist_rows(c, P)
         # Members keep their row; the rest are cut at the radius.
-        return np.where(d <= r, P, self.owner._interp_rows(c, P, r / np.maximum(d, r)))
+        return np.where(_inside(self, P, d), P, self.owner._interp_rows(c, P, r / np.maximum(d, r)))
 
-    def contains(self, x, tol=None):
-        self.space.require_member(x)
-        tol = self.space.tolerance if tol is None else tol
-        return self.space.distance(self._center_point, x) <= self.radius + tol
-
-    def sample(self, rng, scale: float = 2.0):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        s = self.radius * math.sqrt(rng.random())
-        w = math.tanh(0.5 * s) * cmath.exp(1j * theta)
-        return Point(self.space, _mobius_shift(self.center, w))
+    def _contains(self, p, tol):
+        return self.owner._distance(self.center, p) <= self.radius + tol
 
     def _ring(self, s: float, n: int):
         """The n points at distance s from the center at angles 2 pi k / n."""
@@ -592,21 +562,14 @@ class ProductRectangle(ConvexSet):
     def space(self):
         return self.owner
 
-    def project(self, x):
-        self.space.require_member(x)
-        x1, x2 = x.payload
-        return Point(self.space, (self.first.project(x1), self.second.project(x2)))
+    def _project(self, p):
+        return (self.first.project(p[0]), self.second.project(p[1]))
 
     def _project_rows(self, P):
         return (self.first._project_rows(P[0]), self.second._project_rows(P[1]))
 
-    def contains(self, x, tol=None):
-        self.space.require_member(x)
-        x1, x2 = x.payload
-        return self.first.contains(x1, tol) and self.second.contains(x2, tol)
-
-    def sample(self, rng, scale: float = 2.0):
-        return Point(self.space, (self.first.sample(rng, scale), self.second.sample(rng, scale)))
+    def _contains(self, p, tol):
+        return self.first.contains(p[0], tol) and self.second.contains(p[1], tol)
 
 
 @dataclass(frozen=True)
@@ -624,25 +587,16 @@ class DiagonalSet(ConvexSet):
     def space(self):
         return self.owner
 
-    def project(self, x):
-        self.space.require_member(x)
-        x1, x2 = x.payload
-        c = self.owner.base.interpolate(x1, x2, self.owner.lam)
-        return Point(self.space, (c, c))
+    def _project(self, p):
+        c = self.owner.base.interpolate(p[0], p[1], self.owner.lam)
+        return (c, c)
 
     def _project_rows(self, P):
         c = self.owner.base._interp_rows(P[0], P[1], self.owner.lam)
         return (c, c)
 
-    def contains(self, x, tol=None):
-        self.space.require_member(x)
-        tol = self.space.tolerance if tol is None else tol
-        x1, x2 = x.payload
-        return self.owner.base.distance(x1, x2) <= tol
-
-    def sample(self, rng, scale: float = 2.0):
-        w = self.owner.base.random_point(rng, scale)
-        return Point(self.space, (w, w))
+    def _contains(self, p, tol):
+        return self.owner.base.distance(p[0], p[1]) <= tol
 
 
 # -- helpers ------------------------------------------------------------------------
@@ -655,6 +609,19 @@ def _finite_coords(values, dim: int, what: str) -> tuple[float, ...]:
     if not all(map(math.isfinite, coords)):
         raise DomainError(f"{what} must be finite, got {coords}")
     return coords
+
+
+def _inside(ball, P, d) -> np.ndarray:
+    """d <= radius for packed rows P at row distances d from a ball's center,
+    as the ball's scalar `_project` decides it.  A row distance can round
+    apart from the scalar one (numpy's arctanh is not math.atanh, nor a sum
+    of squares math.dist), by far less than REL_TOL of it, so the rows that
+    near the radius take the scalar test."""
+    r = ball.radius
+    inside = d <= r
+    for k in np.flatnonzero(np.abs(d - r) <= REL_TOL * r):
+        inside[k] = ball._contains(ball.space._payload(P[k]), 0.0)
+    return inside
 
 
 def _even(n: int) -> int:

@@ -45,6 +45,10 @@ from .errors import DomainError, SpaceMismatchError
 # Disk points must stay strictly inside the boundary; the metric diverges there.
 DISK_MAX_NORM = 1.0 - 1e-9
 
+# The Mobius quotient tanh(d / 2) of two interior disk points is below 1, but
+# can round to 1 near the boundary; artanh is then taken of this instead.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
 # Every sampled inequality is homogeneous in distances (the curvature and P2
 # inequalities of degree 2, firm nonexpansivity of degree 1), so its rounding
 # error scales with its terms.  A residual passes when it is at most REL_TOL
@@ -91,9 +95,10 @@ class Space(ABC):
     """A uniquely geodesic metric space.
 
     Subclasses implement the payload-level primitives; the public methods add
-    membership checks, parameter validation, and exact endpoint handling.
-    The spaces shipped here also implement the row kernels of the module
-    docstring.
+    membership checks and parameter validation.  ``_between`` returns a
+    geodesic's endpoints exactly, for ``interpolate`` and the payload-level
+    steps of sets and mappings.  The spaces shipped here also implement the
+    row kernels of the module docstring.
     """
 
     kind: str
@@ -144,11 +149,17 @@ class Space(ABC):
             self.require_member(y)
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"interpolation parameter {t} outside [0, 1]")
-        if t == 0.0 or x.payload == y.payload:
-            return x
+        p = self._between(x.payload, y.payload, t)
+        return x if p is x.payload else y if p is y.payload else Point(self, p)
+
+    def _between(self, a, b, t: float):
+        """The payload of (1-t)a + tb for t in [0, 1]: `a` itself at t = 0 or
+        when the payloads are equal, `b` itself at t = 1."""
+        if t == 0.0 or a == b:
+            return a
         if t == 1.0:
-            return y
-        return Point(self, self._interpolate(x.payload, y.payload, t))
+            return b
+        return self._interpolate(a, b, t)
 
     def random_point(self, rng, scale: float = 1.0) -> Point:
         """A seeded random point; `scale` bounds its rough extent."""
@@ -295,8 +306,8 @@ class PoincareDiskSpace(Space):
             return 0.0
         den = abs(1.0 - a.conjugate() * b)
         delta = num / den
-        if delta >= 1.0:  # interior points keep delta < 1; guard rounding
-            delta = math.nextafter(1.0, 0.0)
+        if delta >= 1.0:
+            delta = _BELOW_ONE
         return 2.0 * math.atanh(delta)
 
     def _interpolate(self, a, b, t):
@@ -306,7 +317,7 @@ class PoincareDiskSpace(Space):
         m = abs(z)
         if m == 0.0:
             return a
-        w = math.tanh(t * math.atanh(m)) * (z / m)
+        w = math.tanh(t * math.atanh(m if m < 1.0 else _BELOW_ONE)) * (z / m)
         return _mobius_shift(a, w)
 
     def _sample(self, rng, scale):
@@ -365,7 +376,7 @@ class PoincareDiskSpace(Space):
 
     def _dist_rows(self, P, Q):
         delta = self._kernel_rows(P, Q)
-        return 2.0 * np.arctanh(np.minimum(delta, math.nextafter(1.0, 0.0)))
+        return 2.0 * np.arctanh(np.minimum(delta, _BELOW_ONE))
 
     def _interp_rows(self, P, Q, t):
         # _interpolate's steps in real arithmetic, as _kernel_rows is written:
@@ -375,7 +386,7 @@ class PoincareDiskSpace(Space):
         zr, zi = _quot_rows(qr - pr, qi - pi, 1.0 - (pr * qr + pi * qi), -(pr * qi - pi * qr))
         m = np.hypot(zr, zi)
         # m = 0 gives w = 0 and so P itself, as _interpolate does.
-        f, safe = np.tanh(t * np.arctanh(m)), np.where(m > 0.0, m, 1.0)
+        f, safe = np.tanh(t * np.arctanh(np.minimum(m, _BELOW_ONE))), np.where(m > 0.0, m, 1.0)
         return _mobius_rows(pr, pi, f * (zr / safe), f * (zi / safe))
 
     def _reference(self):

@@ -309,10 +309,10 @@ class Cloud(cf.ConvexSet):
     def space(self):
         return self.points[0].space
 
-    def contains(self, x, tol=None):
-        return x in self.points
+    def _contains(self, p, tol):
+        return p in [q.payload for q in self.points]
 
-    def project(self, x):
+    def _project(self, p):
         raise NotImplementedError
 
     def grid(self, spec):
@@ -526,8 +526,8 @@ class TestDeltaLimit:
             def space(self):
                 return self._space
 
-            def __call__(self, x):
-                return self._space.point((2.0 * x.payload[0] + 1.0,))
+            def _step(self, p):
+                return (2.0 * p[0] + 1.0,)
 
         trace = cf.picard(Doubler(e1), e1.point((1.0,)), 40)
         verdict = cf.check_delta_limit(trace, e1.point((0.0,)), tol=1e-4)

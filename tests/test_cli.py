@@ -468,13 +468,13 @@ class TestExitCodes:
         assert trace.stationary_from is not None
         steps = len(trace.points) - 1
         calls = []
-        project = EuclideanBall.project
+        project = EuclideanBall._project
 
-        def counting(self, x):
-            calls.append(x)
-            return project(self, x)
+        def counting(self, p):
+            calls.append(p)
+            return project(self, p)
 
-        monkeypatch.setattr(EuclideanBall, "project", counting)
+        monkeypatch.setattr(EuclideanBall, "_project", counting)
         assert run_cli("certify", path, tmp_path / "balls-out") == 0
         assert len(calls) == 2 * steps
 
@@ -940,13 +940,13 @@ class TestTraceGaps:
             if inst.name == f"tangent-{mode}"
         ]
         calls = []
-        project = EuclideanBall.project
+        project = EuclideanBall._project
 
-        def counting(self, x):
-            calls.append(x)
-            return project(self, x)
+        def counting(self, p):
+            calls.append(p)
+            return project(self, p)
 
-        monkeypatch.setattr(EuclideanBall, "project", counting)
+        monkeypatch.setattr(EuclideanBall, "_project", counting)
         trace, gaps = cli._run_trace(inst, True)
         steps = len(trace.points) - 1
         assert trace.stationary_from is None and steps == inst.n_max
@@ -994,3 +994,20 @@ class TestZeroRateConstants:
         assert entry[constant] == 0.0
         certs = json.loads((out / "certificates_ball-halfspace.json").read_text())
         assert len(certs) == 3 and all(c["pass"] for c in certs)
+
+    @pytest.mark.parametrize("value", [-1e-13, math.nan], ids=["negative", "nan"])
+    @pytest.mark.parametrize("check, constant", [("rate", "b"), ("gap-rate", "M")])
+    def test_negative_or_nan_constant_is_3(self, tmp_path, capsys, check, constant, value):
+        # The start is the fixed point and u*, so d0 = 0 and the hypothesis
+        # d0 <= constant + 1e-12 would not stop a constant just below 0 (nor
+        # a NaN) before the rate formula refuses it.
+        doc = json.loads(bundled_config_path().read_text())
+        (inst,) = [i for i in doc["instances"] if i["name"] == "ball-halfspace"]
+        inst.update(start=[1.5, 0.0], checks=[check], rate={constant: value})
+        doc["instances"] = [inst]
+        path = tmp_path / "bad-constant.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("certify", path, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: instances[0].rate.{constant}:")
+        assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Picard traces, the explicit rate formulas, and certificate semantics."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 import cat0feas as cf
 from cat0feas import cli
+from cat0feas.config import InstanceConfig
 from cat0feas.iteration import IterationTrace
 
 
@@ -192,8 +194,8 @@ class TestPicard:
             def space(self):
                 return self._space
 
-            def __call__(self, x):
-                return self._space.point((x.payload[0] * 1e200,))
+            def _step(self, p):
+                return (p[0] * 1e200,)
 
         with pytest.raises(cf.NumericError) as err:
             cf.picard(Exploder(e1), e1.point((1.0,)), 100)
@@ -206,9 +208,8 @@ class TestPicard:
             kind = "halver"
             space = disk
 
-            def __call__(self, x):
-                u = x.payload
-                return cf.Point(disk, u / 2 if abs(u) > 0.1 else complex(math.nan, 0.0))
+            def _step(self, u):
+                return u / 2 if abs(u) > 0.1 else complex(math.nan, 0.0)
 
         with pytest.raises(cf.NumericError) as err:
             cf.picard(Halver(), disk.point((0.5, 0.0)), 100)
@@ -237,6 +238,83 @@ class TestPicard:
             e2, rows, report_row, t_map, a, b, e2.point((5, 5)), 300,
             e2.point((1.5, 0.0)),
         )
+
+
+def reference_picard(mapping, start, n_max):
+    """picard's loop written on Points: x = T(x), residuals by space.distance,
+    stationary at the first iterate equal to the one before it."""
+    space = mapping.space
+    points, residuals, stationary_from = [start], [], None
+    x = start
+    for step in range(n_max):
+        y = mapping(x)
+        residual = space.distance(x, y)
+        if not math.isfinite(residual):
+            raise cf.NumericError("non-finite iterate", step=step + 1)
+        points.append(y)
+        residuals.append(residual)
+        if y == x:
+            stationary_from = step
+            break
+        x = y
+    return points, residuals, stationary_from
+
+
+def reference_cases():
+    """(mapping, start) params: the averaged, composed and product-reduction
+    maps of every bundled instance (Euclidean, tree and disk spaces), the
+    run's gap-recording step of each, and on the product space of each the
+    pair map and the diagonal projection after it."""
+    cases = []
+    for inst in cf.load_bundled_config("default").instances:
+        if inst.set_a is None:
+            continue
+        for mode in ("averaged", "composed", "product-reduction"):
+            moded = dataclasses.replace(inst, mode=mode)
+            cases.append(pytest.param(cli._build_map(moded), inst.start, id=f"{inst.name}:{mode}"))
+            gaps = cli._gap_map(moded, [])
+            cases.append(pytest.param(gaps, inst.start, id=f"{inst.name}:{mode}:gaps"))
+        cs = cf.ConvexCombinationSpace(inst.space, inst.lam)
+        pair = cf.PairMap(cs, cf.ProjectionMap(inst.set_a), cf.ProjectionMap(inst.set_b))
+        twin = cf.ComposeMap(cf.diagonal_projection(cs), pair)
+        lifted = cf.embed_diagonal(cs, inst.start)
+        cases.append(pytest.param(pair, lifted, id=f"{inst.name}:pair-map"))
+        cases.append(pytest.param(twin, lifted, id=f"{inst.name}:twin"))
+    return cases
+
+
+class TestPicardReference:
+    """picard steps payloads; its trace is the Points loop's, bit for bit."""
+
+    @pytest.mark.parametrize("mapping, start", reference_cases())
+    def test_matches_the_points_loop(self, mapping, start):
+        trace = cf.picard(mapping, start, 1200)
+        points, residuals, stationary_from = reference_picard(mapping, start, 1200)
+        assert trace.points == points
+        assert trace.residuals == residuals
+        assert trace.stationary_from == stationary_from
+        assert all(type(x) is cf.Point and x.space == mapping.space for x in trace.points)
+
+    def test_both_kinds_of_trace_are_covered(self):
+        stationary = [
+            cf.picard(*case.values, 1200).stationary_from is not None
+            for case in reference_cases()
+        ]
+        assert any(stationary) and not all(stationary)
+
+    @pytest.mark.parametrize("mode", ["averaged", "composed", "product-reduction"])
+    def test_numeric_error_at_the_same_step(self, e2, mode):
+        # Lines 2e308 apart: their projections overflow to inf or nan.
+        a = cf.AffineSubspace(e2, (-1e308, 0.0), ((0.0, 1.0),))
+        b = cf.AffineSubspace(e2, (1e308, 0.0), ((0.0, 1.0),))
+        inst = InstanceConfig(name="far", space=e2, set_a=a, set_b=b,
+                              start=e2.point((0.0, 0.0)), mode=mode)
+        mapping = cli._build_map(inst)
+        with pytest.raises(cf.NumericError) as got:
+            cf.picard(mapping, inst.start, 10)
+        with pytest.raises(cf.NumericError) as want:
+            reference_picard(mapping, inst.start, 10)
+        assert got.value.step == want.value.step == 1
 
 
 class TestCertificates:

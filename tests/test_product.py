@@ -294,14 +294,17 @@ class TestApproxBestPairTransfer:
         half = cf.Halfspace(e2, (-1.0, 0.0), -2.0)
         lam = 0.5
         cs = cf.ConvexCombinationSpace(e2, lam)
-        ys = [ball.sample(rng) for _ in range(60)]
-        zs = [half.sample(rng) for _ in range(60)]
+        ys = [ball.project(e2.random_point(rng, 2.0)) for _ in range(60)]
+        zs = [half.project(e2.random_point(rng, 2.0)) for _ in range(60)]
         xs = [e2.random_point(rng, 3.0) for _ in range(40)]
+        # The diagonal grid also holds each pair's own nearest diagonal point
+        # (u, u), u = (1-lam) y + lam z, so that rhs_min is the least lifted
+        # value over the grid pairs, not one of a few random diagonal points.
         rhs_min = min(
             cs.distance(cf.embed_diagonal(cs, x), cs.pair(y, z)) ** 2
-            for x in xs
             for y in ys
             for z in zs
+            for x in xs + [e2.interpolate(y, z, lam)]
         )
         best_over_grid = min(e2.distance(y, z) for y in ys for z in zs)
         for disturbance in (0.0, 0.05, 0.2):

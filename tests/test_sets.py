@@ -143,13 +143,6 @@ def _numpy_ball(ball, x):
     return tuple(float(v) for v in np.asarray(ball.center) + (ball.radius / norm) * diff)
 
 
-def _numpy_ball_sample(ball, rng):
-    direction = np.array([rng.gauss(0.0, 1.0) for _ in range(len(ball.center))])
-    norm = float(np.linalg.norm(direction)) or 1.0
-    r = ball.radius * rng.random() ** (1.0 / len(ball.center))
-    return tuple(float(v) for v in np.asarray(ball.center) + (r / norm) * direction)
-
-
 def _euclidean_cases(dim, shift, rng):
     """Seeded sets of every Euclidean kind near `shift`, each with test points:
     random ones, ones on the boundary, and ones inside."""
@@ -234,18 +227,6 @@ class TestEuclideanScalarForms:
                 assert res.ok and res.scale == scale
                 assert res.residual <= REL_TOL * scale
 
-    @pytest.mark.parametrize("dim", [1, 2, 5])
-    def test_ball_sample_keeps_the_random_stream(self, dim):
-        space = cf.EuclideanSpace(dim)
-        ball = cf.EuclideanBall(space, tuple(0.5 * k for k in range(dim)), 1.5)
-        ours, theirs = random.Random(9), random.Random(9)
-        for _ in range(200):
-            got = ball.sample(ours).payload
-            want = _numpy_ball_sample(ball, theirs)
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 8 * math.ulp(max(1.0, abs(w)))
-            assert ours.getstate() == theirs.getstate()
-
     def test_payloads_are_float_tuples(self, e2, e5):
         rng = random.Random(4)
         spec = GridSpec(h=0.25, window=((-1.0, 1.0),) * 2)
@@ -254,10 +235,10 @@ class TestEuclideanScalarForms:
             for surface in ("auto", "full"):
                 payloads += [p.payload for p in cset.grid(GridSpec(spec.h, spec.window, surface))]
             for _ in range(20):
-                payloads.append(cset.sample(rng).payload)
+                payloads.append(cset.project(e2.random_point(rng, 2.0)).payload)
                 payloads.append(cset.project(e2.random_point(rng, 3.0)).payload)
         for cset, _ in _euclidean_cases(5, 0.0, rng):
-            payloads += [cset.sample(rng).payload for _ in range(5)]
+            payloads += [cset.project(e5.random_point(rng, 2.0)).payload for _ in range(5)]
             payloads += [cset.project(e5.random_point(rng, 3.0)).payload for _ in range(5)]
         assert len(payloads) > 400
         for p in payloads:
@@ -428,7 +409,7 @@ class TestProjectionProperties:
                 # minimality against sampled members
                 dx = space.distance(x, px)
                 for _ in range(25):
-                    w = cset.sample(rng)
+                    w = cset.project(space.random_point(rng, 2.0))
                     assert dx <= space.distance(x, w) + 1e-7
 
     def test_grid_points_are_members(self):
@@ -443,7 +424,8 @@ class TestProjectionProperties:
         rng = random.Random(11)
         for cset, space in self.all_sets():
             for _ in range(10):
-                y, z = cset.sample(rng), cset.sample(rng)
+                y = cset.project(space.random_point(rng, 2.0))
+                z = cset.project(space.random_point(rng, 2.0))
                 for t in (0.25, 0.5, 0.75):
                     assert cset.contains(space.interpolate(y, z, t), tol=1e-7)
 
@@ -661,7 +643,109 @@ class TestDiskBallRadius:
         with pytest.raises(cf.DomainError, match="disk ball radius"):
             cf.DiskBall(disk, center, radius * (1.0 + 1e-9))
         rng = random.Random(5)
-        moduli = [abs(ball.sample(rng).payload) for _ in range(2000)]
+        # Points at the edge of the representable disk project onto the
+        # ball's boundary, or are members themselves.
+        edge = [disk.point(cmath.rect(1.0 - 2e-9, rng.uniform(0.0, 2.0 * math.pi)))
+                for _ in range(2000)]
+        moduli = [abs(ball.project(x).payload) for x in edge]
         for spec in (GridSpec(h=1e7), GridSpec(h=1e8, surface="full")):
             moduli += np.abs(ball.grid(spec).rows).tolist()
         assert max(moduli) <= DISK_MAX_NORM
+
+
+def nine_kinds():
+    """One set of each kind, keyed by kind."""
+    e2, tri, disk = cf.EuclideanSpace(2), cf.tripod(), cf.PoincareDiskSpace()
+    cs = cf.ConvexCombinationSpace(e2, 0.5)
+    rect = cf.ProductRectangle(cs, euclidean_sets(e2)[2], euclidean_sets(e2)[0])
+    every = euclidean_sets(e2) + tree_sets(tri) + disk_sets(disk) + [rect, cf.DiagonalSet(cs)]
+    return {cset.kind: cset for cset in every}
+
+
+SETS = nine_kinds()
+
+
+class TestWrappers:
+    """`ConvexSet.project` and `ConvexSet.contains` are each written once: the
+    sets write only their payload formulas `_project` and `_contains`."""
+
+    def test_no_set_defines_a_wrapper(self):
+        assert len(SETS) == 9
+        for cset in SETS.values():
+            for cls in type(cset).__mro__[:-3]:  # up to ConvexSet, ABC, object
+                assert not {"project", "contains", "sample"} & set(vars(cls)), cls
+
+    @pytest.mark.parametrize("kind", sorted(SETS))
+    def test_foreign_point_raises(self, kind):
+        cset = SETS[kind]
+        own = cset.space.reference_point()
+        foreign = [
+            cf.EuclideanSpace(3).point((0.0, 0.0, 0.0)),
+            cf.tripod(2.0).vertex("O"),
+            cf.PoincareDiskSpace().point(0j),
+            cf.ConvexCombinationSpace(cf.EuclideanSpace(2), 0.25).reference_point(),
+            own.payload,  # a payload is no Point
+        ]
+        for x in foreign:
+            if isinstance(x, cf.Point) and x.space == cset.space:
+                continue
+            with pytest.raises(cf.SpaceMismatchError):
+                cset.project(x)
+            with pytest.raises(cf.SpaceMismatchError):
+                cset.contains(x)
+
+    @pytest.mark.parametrize("kind", ["halfspace", "ball", "disk-ball", "subtree"])
+    def test_member_comes_back_itself(self, kind):
+        cset = SETS[kind]
+        space, rng = cset.space, random.Random(23)
+        points = [space.random_point(rng, 2.0) for _ in range(200)]
+        points += [cset.project(x) for x in points]
+        kept = 0
+        for x in points:
+            # project keeps exactly the points its own member test admits.
+            assert (cset.project(x) is x) == cset.contains(x, tol=0.0)
+            kept += cset.project(x) is x
+        assert kept >= 50
+
+    def test_segment_ends_come_back_as_built(self, tripod_space, disk):
+        tri = tripod_space
+        cases = [
+            # From leg A through O into leg B; beyond each end on its leg.
+            (cf.TreeSegment(tri, tri.at(0, 0.5), tri.at(1, 0.25)), tri.at(0, 0.9), tri.at(1, 0.9)),
+            (disk_sets(disk)[0], disk.point((-0.7, 0.26)), disk.point((0.8, 0.05))),
+        ]
+        for seg, before, beyond in cases:
+            assert seg.project(before) is seg.start and seg.project(beyond) is seg.end
+            assert seg.project(seg.start) is seg.start and seg.project(seg.end) is seg.end
+
+    def test_rows_project_as_the_scalar_wrapper(self, tripod_space, caterpillar, disk):
+        tri, cat = tripod_space, caterpillar
+        a, b = disk.point((-0.3, 0.2)), disk.point((0.4, 0.1))
+        cases = [
+            cf.TreeSegment(tri, tri.at(0, 0.5), tri.at(0, 1.0)),
+            cf.TreeSegment(tri, tri.at(0, 0.5), tri.at(1, 0.25)),
+            cf.TreeSegment(tri, tri.at(1, 0.25), tri.at(1, 0.25)),  # zero length
+            cf.TreeSegment(cat, cat.vertex("A"), cat.vertex("D")),
+            cf.Subtree(tri, ("O", "A")),
+            cf.Subtree(tri, ("A",)),
+            cf.Subtree(cat, ("B", "C", "E")),
+            cf.DiskGeodesicSegment(disk, a, b),
+            cf.DiskGeodesicSegment(disk, a, a),  # zero length
+        ]
+        rng = random.Random(8)
+        for cset in cases:
+            space = cset.space
+            points = [space.random_point(rng, 2.0) for _ in range(200)]
+            if space.kind == "metric-tree":
+                points += [space.vertex(v) for v in space.tree.vertices]
+            else:
+                # Beyond either end (t clamped to 0 or 1), and along the geodesic.
+                points += [disk.point(p) for p in (-0.7 + 0.26j, 0.8 + 0.05j, 0.05 + 0.15j)]
+            points += [cset.start, cset.end] if isinstance(cset, sets._Segment) else []
+            images = [cset.project(x) for x in points]
+            if isinstance(cset, sets._Segment) and cset.length > 0.0:
+                # Some images sit at the ends: t in {0, 1}.
+                assert {cset.start.payload, cset.end.payload} <= {y.payload for y in images}
+            P = space._pack([x.payload for x in points])
+            want = space._pack([y.payload for y in images])
+            assert np.array_equal(cset._project_rows(P), want), cset
