@@ -24,8 +24,8 @@ u_map = cf.PairMap(cs, cf.ProjectionMap(ball), cf.ProjectionMap(half))
 q_map = cf.diagonal_projection(cs)
 
 p = cs.pair(e2.point((0, 3)), e2.point((0, 3)))
-print("U maps ((0,3),(0,3)) to", [c.payload for c in u_map(p).payload])
-print("Q maps that to        ", [c.payload for c in q_map(u_map(p)).payload])
+print("U maps ((0,3),(0,3)) to", list(u_map(p).payload))
+print("Q maps that to        ", list(q_map(u_map(p)).payload))
 
 t_map = cf.averaged_projections(ball, half, lam)
 print("averaged map sends (0,3) to", t_map(e2.point((0, 3))).payload)

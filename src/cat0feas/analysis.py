@@ -181,14 +181,15 @@ def _chunks(space, P, h):
     return starts, sizes, P[centres], radii
 
 
-def _point_sort_key(p: Point):
-    """Deterministic total order on payloads, for argmin tie-breaking."""
-    payload = p.payload
+def _sort_key(payload):
+    """Deterministic total order on payloads, for argmin tie-breaking: the
+    payload's numbers as one flat tuple (complex numbers do not order, so a
+    disk payload gives its two parts, and a product's pair is flattened)."""
     if isinstance(payload, complex):
         return (payload.real, payload.imag)
-    if isinstance(payload, tuple) and payload and isinstance(payload[0], Point):
-        return _point_sort_key(payload[0]) + _point_sort_key(payload[1])
-    return tuple(payload) if isinstance(payload, tuple) else (payload,)
+    if isinstance(payload, tuple):
+        return sum(map(_sort_key, payload), ())
+    return (payload,)
 
 
 def estimate_asymptotic_center(
@@ -216,7 +217,7 @@ def estimate_asymptotic_center(
     best = None
     for cand in candidates:
         radius = max(space.distance(cand, x) for x in tail)
-        key = (radius, _point_sort_key(cand))
+        key = (radius, _sort_key(cand.payload))
         if best is None or key < best[0]:
             best = (key, cand, radius)
     return AsymptoticCenterEstimate(

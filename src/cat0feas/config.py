@@ -133,7 +133,7 @@ def payload_from_json(space: Space, doc, path: str = "payload"):
             return complex(float(re), float(im))
         if isinstance(space, ConvexCombinationSpace):
             return tuple(
-                point_from_json(space.base, _get(doc, key, path), f"{path}.{key}")
+                point_from_json(space.base, _get(doc, key, path), f"{path}.{key}").payload
                 for key in ("first", "second")
             )
     except (TypeError, ValueError) as exc:

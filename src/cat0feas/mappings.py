@@ -172,7 +172,7 @@ class PairMap(Mapping):
         return self.owner
 
     def _step(self, p):
-        return (self.first(p[0]), self.second(p[1]))
+        return (self.first._step(p[0]), self.second._step(p[1]))
 
     def _rows(self, P):
         return (self.first._rows(P[0]), self.second._rows(P[1]))

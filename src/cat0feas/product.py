@@ -11,6 +11,11 @@ componentwise pair map followed by the metric projection onto the diagonal
 {(x, x)}.  That projection has the closed form (c, c) with c = (1-lam)x1 +
 lam x2, and the squared distance from any (x1, x2) to the diagonal equals
 lam (1-lam) d(x1, x2)^2.
+
+A product payload is a pair of base payloads, so every product formula calls
+its base's payload primitives.  ``pair``, ``embed_diagonal``,
+``extract_diagonal`` and ``lift_best_pair`` take and return Points; they make
+or unwrap the base Points at that public boundary only.
 """
 
 from __future__ import annotations
@@ -44,46 +49,35 @@ class ConvexCombinationSpace(Space):
 
     def _canonical(self, payload):
         first, second = payload
-        if not isinstance(first, Point):
-            first = self.base.point(first)
-        if not isinstance(second, Point):
-            second = self.base.point(second)
-        self.base.require_member(first)
-        self.base.require_member(second)
-        return (first, second)
+        return (self.base._canonical(first), self.base._canonical(second))
 
     def pair(self, first: Point, second: Point) -> Point:
         """Construct the product point (first, second)."""
-        return self.point((first, second))
+        self.base.require_member(first)
+        self.base.require_member(second)
+        return Point(self, (first.payload, second.payload))
 
     def _distance(self, a, b):
-        # _canonical admitted only base points, so go to the base payloads.
-        d1 = self.base._distance(a[0].payload, b[0].payload)
-        d2 = self.base._distance(a[1].payload, b[1].payload)
+        d1 = self.base._distance(a[0], b[0])
+        d2 = self.base._distance(a[1], b[1])
         return math.sqrt((1.0 - self.lam) * d1 * d1 + self.lam * d2 * d2)
 
     def _interpolate(self, a, b, t):
-        return (
-            self.base.interpolate(a[0], b[0], t),
-            self.base.interpolate(a[1], b[1], t),
-        )
+        return (self.base._between(a[0], b[0], t), self.base._between(a[1], b[1], t))
 
     def _sample(self, rng, scale):
-        return (
-            self.base.random_point(rng, scale),
-            self.base.random_point(rng, scale),
-        )
+        return (self.base._sample(rng, scale), self.base._sample(rng, scale))
 
     def _reference(self):
-        ref = self.base.reference_point()
+        ref = self.base._reference()
         return (ref, ref)
 
     # Packed product points are pairs (P1, P2) of packed base points.
 
     def _pack(self, payloads):
         return (
-            self.base._pack([a.payload for a, _ in payloads]),
-            self.base._pack([b.payload for _, b in payloads]),
+            self.base._pack([a for a, _ in payloads]),
+            self.base._pack([b for _, b in payloads]),
         )
 
     def _sample_rows(self, rng, n):
@@ -103,8 +97,7 @@ class ConvexCombinationSpace(Space):
 
 def embed_diagonal(cs: ConvexCombinationSpace, x: Point) -> Point:
     """The diagonal embedding x -> (x, x); it is an isometry onto the diagonal."""
-    cs.base.require_member(x)
-    return Point(cs, (x, x))
+    return cs.pair(x, x)
 
 
 def extract_diagonal(cs: ConvexCombinationSpace, p: Point, rel_tol: float = 1e-8) -> Point:
@@ -114,21 +107,22 @@ def extract_diagonal(cs: ConvexCombinationSpace, p: Point, rel_tol: float = 1e-8
     scale-aware bound keeps the test meaningful far from the base point.
     """
     cs.require_member(p)
+    base = cs.base
     first, second = p.payload
-    gap = cs.base.distance(first, second)
-    scale = 1.0 + cs.base.distance(first, cs.base.reference_point())
+    gap = base._distance(first, second)
+    scale = 1.0 + base._distance(first, base._reference())
     if gap > rel_tol * scale:
         raise NotDiagonalError(
             f"pair components are {gap:.3e} apart (allowed {rel_tol * scale:.3e})"
         )
-    return first
+    return Point(base, first)
 
 
 def lift_best_pair(cs: ConvexCombinationSpace, a: Point, b: Point) -> tuple[Point, Point]:
     """Lift a base-space pair (a, b) to the product-space pair realizing the
     diagonal-to-rectangle distance: (((1-lam)a + lam b) twice, (a, b))."""
     u = cs.base.interpolate(a, b, cs.lam)
-    return (Point(cs, (u, u)), Point(cs, (a, b)))
+    return (cs.pair(u, u), cs.pair(a, b))
 
 
 def squared_diagonal_gap(cs: ConvexCombinationSpace, set_a, set_b, tol: float = 1e-9) -> float:

@@ -563,13 +563,13 @@ class ProductRectangle(ConvexSet):
         return self.owner
 
     def _project(self, p):
-        return (self.first.project(p[0]), self.second.project(p[1]))
+        return (self.first._project(p[0]), self.second._project(p[1]))
 
     def _project_rows(self, P):
         return (self.first._project_rows(P[0]), self.second._project_rows(P[1]))
 
     def _contains(self, p, tol):
-        return self.first.contains(p[0], tol) and self.second.contains(p[1], tol)
+        return self.first._contains(p[0], tol) and self.second._contains(p[1], tol)
 
 
 @dataclass(frozen=True)
@@ -588,7 +588,7 @@ class DiagonalSet(ConvexSet):
         return self.owner
 
     def _project(self, p):
-        c = self.owner.base.interpolate(p[0], p[1], self.owner.lam)
+        c = self.owner.base._between(p[0], p[1], self.owner.lam)
         return (c, c)
 
     def _project_rows(self, P):
@@ -596,7 +596,7 @@ class DiagonalSet(ConvexSet):
         return (c, c)
 
     def _contains(self, p, tol):
-        return self.owner.base.distance(p[0], p[1]) <= tol
+        return self.owner.base._distance(p[0], p[1]) <= tol
 
 
 # -- helpers ------------------------------------------------------------------------

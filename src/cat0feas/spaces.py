@@ -68,7 +68,8 @@ class Point:
 
     The payload shape depends on the space: a coordinate tuple (Euclidean),
     an ``(edge_index, offset)`` pair (metric tree), a complex number with
-    ``abs < 1`` (Poincare disk), or a pair of Points (product space).
+    ``abs < 1`` (Poincare disk), or a pair of its base's payloads (product
+    space).  Payloads hold no Points, so every formula reads them directly.
     """
 
     space: "Space"

@@ -134,7 +134,7 @@ def test_criterion_3_diagonal_projection(e2, tripod_space, disk):
                 p = cs.random_point(rng)
                 qp = diag.project(p)
                 dq = cs.distance(p, qp)
-                x1, x2 = p.payload
+                x1, x2 = (cf.Point(base, c) for c in p.payload)
                 worst_identity = max(
                     worst_identity,
                     abs(dq * dq - lam * (1 - lam) * base.distance(x1, x2) ** 2),
@@ -170,7 +170,7 @@ def test_criterion_4_reduction_identity(inst):
         twin += twin[-1:] * (201 - len(twin))
         for n in range(201):
             budget = 1e-9 * max(n, 1)
-            first, second = twin[n].payload
+            first, second = (cf.Point(i.space, c) for c in twin[n].payload)
             dev = max(
                 i.space.distance(first, base[n]),
                 i.space.distance(second, base[n]),

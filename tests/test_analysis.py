@@ -476,6 +476,24 @@ class TestAsymptoticCenter:
         assert est.center.payload == (0.0,)
         assert est.radius == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("base_name", ["disk", "tripod_space"])
+    @pytest.mark.parametrize("product", [False, True], ids=["base", "product"])
+    def test_alternating_pair_midpoint_in_every_space(self, request, base_name, product):
+        # p and q tie in radius, so their payload keys are compared; a disk
+        # product's keys come from two complex numbers, which do not order.
+        base = request.getfixturevalue(base_name)
+        if base_name == "disk":
+            p, q = base.point((-0.5, 0.0)), base.point((0.5, 0.2))
+        else:
+            p, q = base.at(0, 0.5), base.at(1, 0.25)
+        space = base
+        if product:
+            space = cf.ConvexCombinationSpace(base, 0.5)
+            p, q = space.pair(p, q), space.pair(q, p)
+        est = cf.estimate_asymptotic_center([p, q] * 5)
+        assert space.distance(est.center, space.interpolate(p, q, 0.5)) <= 1e-12
+        assert est.radius == pytest.approx(0.5 * space.distance(p, q), abs=1e-12)
+
     def test_permutation_invariance(self, e2, rng):
         tail = [e2.random_point(rng) for _ in range(12)]
         est1 = cf.estimate_asymptotic_center(tail)

@@ -401,6 +401,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage: cat0-feas") and "error:" in err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_unusable_out_is_3(self, config_path, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        assert run_cli("run", config_path, out) == 3
+        err = capsys.readouterr().err
+        assert str(out) in err and len(err.splitlines()) == 1
+
     def test_help_is_0(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             cli.main(["certify", "--help"])
@@ -734,7 +743,7 @@ class TestMappingReport:
             slack, slack_scales, identity, identity_scales = [], [], [], []
             for x1, x2 in zip(*p):
                 x1, x2 = space.point(space._payload(x1)), space.point(space._payload(x2))
-                point = cs.point((x1, x2))
+                point = cs.pair(x1, x2)
                 dq = cs.distance(point, DiagonalSet(cs).project(point))
                 gap = lam * (1 - lam) * space.distance(x1, x2) ** 2
                 identity.append(abs(dq * dq - gap))
@@ -855,6 +864,32 @@ class TestModes:
             traces[mode] = (out / f"trace_{inst['name']}.csv").read_text()
         assert traces["averaged"] == traces["product-reduction"]
         assert len(traces["averaged"].splitlines()) > 2
+
+    @pytest.mark.parametrize("mode", ["averaged", "product-reduction"])
+    def test_one_ulp_off_the_diagonal_fails_run(self, tmp_path, monkeypatch, mode):
+        # The twin's orbit equals the averaged one bit for bit, so a diagonal
+        # point c moved by one ulp must fail the reduction check.
+        doc = mini_config()
+        inst = doc["instances"][0]
+        inst["mode"] = mode
+        doc["instances"] = [inst]
+        path = tmp_path / "ulp.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", path, tmp_path / "exact") == 0
+        (row,) = json.loads((tmp_path / "exact" / "report.json").read_text())["instances"]
+        assert row["reduction_max_gap"] == 0.0 and row["reduction_ok"]
+        project = DiagonalSet._project
+
+        def nudged(self, p):
+            c, _ = project(self, p)
+            c = c[:-1] + (math.nextafter(c[-1], math.inf),)
+            return (c, c)
+
+        monkeypatch.setattr(DiagonalSet, "_project", nudged)
+        assert run_cli("run", path, tmp_path / "ulp") == 1
+        (row,) = json.loads((tmp_path / "ulp" / "report.json").read_text())["instances"]
+        assert row["reduction_max_gap"] > 0.0
+        assert not row["reduction_ok"] and row["status"] == "fail"
 
 
 def gap_config(tmp_path):

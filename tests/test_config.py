@@ -167,6 +167,21 @@ class TestExperimentConfig:
             config_from_json(doc)
         assert "instances[0].space" in str(err.value)
 
+    def test_product_component_error_names_its_path(self):
+        tripod = {
+            "kind": "metric-tree",
+            "vertices": ["O", "A", "B", "C"],
+            "edges": [["O", "A", 1.0], ["O", "B", 1.0], ["O", "C", 1.0]],
+        }
+        doc = {
+            "name": "x",
+            "space": {"kind": "product", "base": tripod, "lambda": 0.5},
+            "start": {"first": {"edge": 0, "offset": 0.5}, "second": {"edge": 1, "offset": 1.5}},
+        }
+        with pytest.raises(cf.ConfigError) as err:
+            instance_from_json(doc, "instances[0]")
+        assert str(err.value).startswith("instances[0].start.second:")
+
     def test_schema_version_checked(self):
         with pytest.raises(cf.ConfigError):
             config_from_json({"schema": "2"})

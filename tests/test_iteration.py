@@ -272,7 +272,7 @@ def reference_cases():
         for mode in ("averaged", "composed", "product-reduction"):
             moded = dataclasses.replace(inst, mode=mode)
             cases.append(pytest.param(cli._build_map(moded), inst.start, id=f"{inst.name}:{mode}"))
-            gaps = cli._gap_map(moded, [])
+            gaps = cli._build_map(moded, [])
             cases.append(pytest.param(gaps, inst.start, id=f"{inst.name}:{mode}:gaps"))
         cs = cf.ConvexCombinationSpace(inst.space, inst.lam)
         pair = cf.PairMap(cs, cf.ProjectionMap(inst.set_a), cf.ProjectionMap(inst.set_b))

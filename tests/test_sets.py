@@ -370,8 +370,8 @@ class TestProductSetProjections:
         rect = cf.ProductRectangle(cs, ball, half)
         p = cs.pair(e2.point((2, 0)), e2.point((0, 7)))
         got = rect.project(p)
-        assert got.payload[0].payload == (1.0, 0.0)
-        assert got.payload[1].payload == (2.0, 7.0)
+        assert got.payload[0] == (1.0, 0.0)
+        assert got.payload[1] == (2.0, 7.0)
 
     def test_rectangle_requires_base_sets(self, e2, e5):
         cs = cf.ConvexCombinationSpace(e2, 0.5)
