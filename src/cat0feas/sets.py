@@ -27,12 +27,11 @@ Projection routes:
   * Diagonal of a product: closed form (c, c) with c = (1-lam)x1 + lam x2.
 
 ``_project_rows(P)`` projects packed rows of the set's space, as
-``verify-mapping`` draws them.  Half-spaces, flats, Euclidean balls, disk
-balls and the diagonal evaluate their closed forms on whole arrays, in the
-scalar ``_project``'s order and with its member test (distances and geodesic
-points come from the space's row kernels); product rectangles project each
-factor's rows; tree segments, subtrees and disk segments project one row at a
-time through ``_project``, so each set keeps one formula.
+``verify-mapping`` draws them.  Every set evaluates its closed form on whole
+arrays, in the scalar ``_project``'s order and with its member test
+(distances and geodesic points come from the space's row kernels), and
+product rectangles project each factor's rows.  Tree segments, subtrees and
+disk segments give each row the bits of ``project``.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .errors import DomainError, GridSizeError
 from .product import ConvexCombinationSpace
 from .spaces import (
     DISK_MAX_NORM, REL_TOL, EuclideanSpace, PoincareDiskSpace, Point, Space, _mobius_rows,
-    _mobius_shift,
+    _mobius_shift, _quot_rows,
 )
 from .trees import TreeSpace
 
@@ -127,10 +126,9 @@ class ConvexSet(ABC):
         """The Point of a payload that `_project` made."""
         return Point(self.space, p)
 
+    @abstractmethod
     def _project_rows(self, P):
-        """`_project` on packed rows; by default one row at a time."""
-        space = self.space
-        return space._pack([self._project(space._payload(p)) for p in P])
+        """`_project` on packed rows of the space, as arrays."""
 
     def grid(self, spec: GridSpec) -> Grid:
         raise DomainError(f"grid sampling not supported for {self.kind}")
@@ -361,8 +359,12 @@ class _Segment(ConvexSet):
         a, b = self.start.payload, self.end.payload
         n = max(1, _steps(self.length, spec.h))
         _cap(n + 1, "segment")
-        inner = [self.space._interpolate(a, b, k / n) for k in range(1, n)]
-        return Grid(self.space, self.space._pack([a, *inner, b] if self.length else [a]))
+        A, B = self.space._pack([a]), self.space._pack([b])
+        if not self.length:
+            return Grid(self.space, A)
+        # k / n for 0 < k < n, the interior points.
+        inner = self.space._interp_rows(A, B, np.arange(1, n) / n)
+        return Grid(self.space, np.concatenate([A, inner, B]))
 
 
 class TreeSegment(_Segment):
@@ -378,6 +380,20 @@ class TreeSegment(_Segment):
         d = self.owner._distance
         s = 0.5 * (d(p, a) + self.length - d(p, b))
         return self.owner._between(a, b, min(max(s / self.length, 0.0), 1.0))
+
+    def _project_rows(self, P):
+        # _project on rows: _dist_rows has the bits of _distance, the ends
+        # come back at t = 0 and t = 1 as _between returns them.
+        space = self.owner
+        A, B = space._pack([self.start.payload]), space._pack([self.end.payload])
+        length = space._dist_rows(A, B)
+        if length[0] == 0.0:
+            return np.repeat(A, len(P))
+        s = 0.5 * (space._dist_rows(P, A) + length - space._dist_rows(P, B))
+        t = np.minimum(np.maximum(s / length, 0.0), 1.0)
+        out = space._interp_rows(A, B, t)
+        out[t == 0.0], out[t == 1.0] = A[0], B[0]
+        return out
 
 
 class DiskGeodesicSegment(_Segment):
@@ -408,6 +424,25 @@ class DiskGeodesicSegment(_Segment):
         if s >= r:
             return b
         return _mobius_shift(a, s * rot)
+
+    def _project_rows(self, P):
+        # _project's steps in real arithmetic, each as Python's complex
+        # arithmetic rounds it (a float operand counts as x + 0j).
+        a, b = self.start.payload, self.end.payload
+        if self.length == 0.0:
+            return np.full(P.shape, a)
+        e = (b - a) / (1.0 - a.conjugate() * b)
+        r = abs(e)
+        rot = e / r
+        ar, ai, pr, pi = a.real, a.imag, P.real, P.imag
+        wr, wi = _quot_rows(pr - ar, pi - ai, 1.0 - (ar * pr + ai * pi), 0.0 - (ar * pi - ai * pr))
+        zr, zi = _quot_rows(wr, wi, rot.real, rot.imag)
+        # abs(z) ** 2 is C's pow, which can round apart from a product;
+        # float_power calls pow too.
+        m1, m2 = np.hypot(1.0 - zr, 0.0 - zi), np.hypot(1.0 + zr, 0.0 + zi)
+        s = 2.0 * zr / (1.0 + np.float_power(np.hypot(zr, zi), 2.0) + m1 * m2)
+        foot = _mobius_rows(ar, ai, s * rot.real - 0.0 * rot.imag, s * rot.imag + 0.0 * rot.real)
+        return np.where(s <= 0.0, a, np.where(s >= r, b, foot))
 
 
 # -- tree sets -------------------------------------------------------------------
@@ -468,6 +503,31 @@ class Subtree(ConvexSet):
         # first of equally near ones).
         d = self.owner._distance
         return min(self._vertices, key=lambda v: d(p, v))
+
+    @cached_property
+    def _member_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each edge, and each vertex, of the tree is in the subtree."""
+        tree, names = self.owner.tree, set(self.vertex_names)
+        inner = np.zeros(len(tree.edges), dtype=bool)
+        inner[list(self._edges_in)] = True
+        return inner, np.array([name in names for name in tree.vertices])
+
+    def _project_rows(self, P):
+        # Members by _contains' rule keep their row; the rest go to the first
+        # nearest of _vertices, by a running strict < minimum as min() takes it.
+        inner, member_vertex = self._member_tables
+        length = self.owner.tree.edge_arrays[2][P["edge"]]
+        vertex = np.where(P["du"] == 0.0, P["u"], np.where(P["du"] == length, P["v"], -1))
+        outside = ~(inner[P["edge"]] | ((vertex >= 0) & member_vertex[vertex]))
+        rest, V = P[outside], self.owner._pack(self._vertices)
+        best, nearest = np.full(len(rest), np.inf), np.zeros(len(rest), dtype=np.intp)
+        for k in range(len(V)):
+            d = self.owner._dist_rows(rest, V[k : k + 1])
+            closer = d < best
+            best, nearest = np.where(closer, d, best), np.where(closer, k, nearest)
+        out = P.copy()
+        out[outside] = V[nearest]
+        return out
 
     def grid(self, spec):
         lengths = [self.owner.tree.edges[i][2] for i in self._edges_in]

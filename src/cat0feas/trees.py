@@ -16,6 +16,12 @@ Canonical form: a point sitting exactly on a vertex is always represented on
 the smallest-index incident edge (offset 0 if the vertex is that edge's first
 endpoint, the full length otherwise), which makes structural equality decide
 geometric equality.
+
+Geodesic points on packed rows (``_interp_rows``) walk every row's route in
+lockstep: the route ``_route`` picks, then the first leg, whole edges through
+the next-edge table and the last leg, with the scalar ``_interpolate``'s
+subtractions, clamps and canonical form, so each row has the bits of the
+scalar point.  The scalar code stays the path of single points.
 """
 
 from __future__ import annotations
@@ -125,8 +131,9 @@ class MetricTree:
         c toward w), and N[w, c] = N[w, p] except N[p, c] = e.  D is exactly
         symmetric, and each entry sums the positive lengths along its path.
 
-        Returns D as an array for the row kernels, and D and N as nested
-        lists for the scalar code (whose values must stay Python numbers).
+        Returns D and N as arrays, then D as nested lists for the scalar
+        distances, whose values must stay Python numbers (the scalar walk
+        reads N through `item`, which gives Python ints).
         """
         order = self._bfs()
         n = len(order)
@@ -143,7 +150,7 @@ class MetricTree:
             N[p, k] = edge
         back = np.array([rank[v] for v in range(n)])
         D, N = D[np.ix_(back, back)], N[np.ix_(back, back)]
-        return D, D.tolist(), N.tolist()
+        return D, N, D.tolist()
 
 
 @dataclass(frozen=True)
@@ -210,7 +217,7 @@ class TreeSpace(Space):
         (length, exit vertex, entry vertex, arc to exit, arc from entry),
         with vertices as indices.  Each route is (arc + arc) + D[exit, entry],
         as in `_dist_rows`."""
-        _, dist, _ = self.tree._bfs_tables
+        dist = self.tree._bfs_tables[2]
         ends = self.tree.edge_ends
         ua, va, la = ends[a[0]]
         ub, vb, lb = ends[b[0]]
@@ -234,7 +241,7 @@ class TreeSpace(Space):
     def _rows(self, edge, offset):
         """Packed points at `offset` along edge `edge`, elementwise."""
         u, v, length = self.tree.edge_arrays
-        P = np.empty(len(edge), dtype=_PACKED_TREE_POINT)
+        P = np.empty(np.shape(edge), dtype=_PACKED_TREE_POINT)
         P["edge"], P["u"], P["du"] = edge, u[edge], offset
         P["v"], P["dv"] = v[edge], length[edge] - offset
         return P
@@ -265,10 +272,68 @@ class TreeSpace(Space):
         return (lambda x: 2.0 * _gamma(V + 1) * x), (lambda l: l * (1.0 - _gamma(V + 4)))
 
     def _interp_rows(self, P, Q, t):
-        a = zip(P["edge"].tolist(), P["du"].tolist())
-        b = zip(Q["edge"].tolist(), Q["du"].tolist())
-        t = np.broadcast_to(t, P.shape).tolist()
-        return self._pack([self._interpolate(*args) for args in zip(a, b, t)])
+        # _interpolate on every row at once, in its order of operations; P, Q
+        # and t broadcast.  Each temporary holds one entry per row, so every
+        # round of a walk reuses the blocks of memory of the round before.
+        u, v, length = self.tree.edge_arrays
+        D, N = self.tree._bfs_tables[:2]
+        # Each row's route as _route picks it: argmin takes the first least of
+        # the four, as _route's strict < does.
+        ends_a, ends_b = ((P["u"], P["du"]), (P["v"], P["dv"])), ((Q["u"], Q["du"]), (Q["v"], Q["dv"]))
+        routes = [(da + db) + D[pa, pb] for pa, da in ends_a for pb, db in ends_b]
+        k = np.argmin(routes, axis=0)
+        via_u, to_u = k < 2, k % 2 == 0
+        exit_v, da = np.where(via_u, P["u"], P["v"]), np.where(via_u, P["du"], P["dv"])
+        entry_v, db = np.where(to_u, Q["u"], Q["v"]), np.where(to_u, Q["du"], Q["dv"])
+        s = t * np.choose(k, routes)
+        # A shared edge, or the first leg: from the point along its own edge.
+        shared = P["edge"] == Q["edge"]
+        placed, edge = shared | (s <= da), P["edge"]
+        offset = np.where(
+            shared, P["du"] + t * (Q["du"] - P["du"]),
+            np.where(exit_v == P["u"], P["du"] - s, P["du"] + s),
+        )
+        s = s - da
+        # Middle legs: one whole edge per round, through the next-edge table,
+        # for every row not yet placed and not yet at its entry vertex.
+        p = exit_v
+        walking = ~placed & (p != entry_v)
+        while walking.any():
+            e = N[p, entry_v]
+            ue, le = u[e], length[e]
+            from_u = p == ue
+            stop = walking & (s <= le)
+            edge = np.where(stop, e, edge)
+            offset = np.where(stop, np.where(from_u, s, le - s), offset)
+            placed, walking = placed | stop, walking & ~stop
+            # s steps on for walking rows only (a row at its entry vertex keeps
+            # it for the last leg); no other row's p is used again.
+            s = np.where(walking, s - le, s)
+            p = np.where(from_u, v[e], ue)
+            walking &= p != entry_v
+        # Last leg: from the entry vertex toward the target point.
+        last = np.minimum(s, db)
+        target = np.where(entry_v == Q["u"], last, length[Q["edge"]] - last)
+        edge, offset = np.where(placed, edge, Q["edge"]), np.where(placed, offset, target)
+        offset = np.minimum(np.maximum(offset, 0.0), length[edge])
+        return self._canonical_rows(edge, offset)
+
+    def _canonical_rows(self, edge, offset):
+        """Packed rows of the canonical payloads of (edge, offset), elementwise,
+        offsets within [0, length]: `_canonical` through per-vertex tables."""
+        u, v, length = self.tree.edge_arrays
+        vertex = np.where(offset == 0.0, u[edge], np.where(offset == length[edge], v[edge], -1))
+        at = vertex >= 0
+        vertex_edge, vertex_offset = self._vertex_tables
+        return self._rows(
+            np.where(at, vertex_edge[vertex], edge), np.where(at, vertex_offset[vertex], offset)
+        )
+
+    @cached_property
+    def _vertex_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each vertex's canonical payload, as an edge array and an offset array."""
+        edge, offset = zip(*map(self._vertex_payload, self.tree.vertices))
+        return np.array(edge, dtype=np.intp), np.array(offset)
 
     def _sample_rows(self, rng, n):
         # As _sample: the edge proportional to its length, the offset uniform.
@@ -296,10 +361,10 @@ class TreeSpace(Space):
             return self._canonical((edge, min(max(new_offset, 0.0), length)))
         s -= da
         # Middle legs: whole edges, following the next-edge table.
-        next_edge = self.tree._bfs_tables[2]
+        next_edge = self.tree._bfs_tables[1]
         p = exit_v
         while p != entry_v:
-            edge = next_edge[p][entry_v]
+            edge = next_edge.item(p, entry_v)
             u, v, length = edges[edge]
             if s <= length:
                 offset = s if p == u else length - s

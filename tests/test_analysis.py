@@ -315,6 +315,9 @@ class Cloud(cf.ConvexSet):
     def _project(self, p):
         raise NotImplementedError
 
+    def _project_rows(self, P):
+        raise NotImplementedError
+
     def grid(self, spec):
         return Grid(self.space, self.space._pack([p.payload for p in self.points]))
 

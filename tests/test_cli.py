@@ -1046,3 +1046,38 @@ class TestZeroRateConstants:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: instances[0].rate.{constant}:")
         assert "Traceback" not in err
+
+
+class TestTreeRowsOnly:
+    """verify-mapping maps tree rows with row kernels only: no row path may
+    fall back to the scalar tree geodesic or projection code."""
+
+    def test_verify_mapping_without_scalar_tree_code(self, tmp_path, monkeypatch):
+        from cat0feas import Subtree, TreeSegment, TreeSpace
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("a row path ran scalar tree code")
+
+        for cls, name in [(TreeSpace, "_interpolate"), (TreeSpace, "_route"),
+                          (TreeSegment, "_project"), (Subtree, "_project")]:
+            monkeypatch.setattr(cls, name, scalar)
+        caterpillar = {
+            "kind": "metric-tree",
+            "vertices": ["A", "B", "C", "D", "E"],
+            "edges": [["A", "B", 2.0], ["B", "C", 1.0], ["C", "D", 0.5], ["B", "E", 3.0]],
+        }
+        doc = mini_config(instances=[{
+            "name": "segment-subtree",
+            "space": caterpillar,
+            "lambda": 0.5,
+            # From edge A--B into edge B--E, and the subtree on C--D.
+            "A": {"tree-segment": {"start": {"edge": 0, "offset": 0.5},
+                                    "end": {"edge": 3, "offset": 1.0}}},
+            "B": {"subtree": {"vertices": ["C", "D"]}},
+            "start": {"edge": 2, "offset": 0.25},
+            "checks": [],
+        }])
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        for config in (bundled_config_path("default"), path):
+            assert run_cli("verify-mapping", config, tmp_path / "vm") == 0

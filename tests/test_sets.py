@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import cat0feas as cf
-from cat0feas import GridSpec, sets
+from cat0feas import GridSpec, Point, sets
 from cat0feas.spaces import DISK_MAX_NORM, REL_TOL
 
 
@@ -534,10 +534,20 @@ class TestGridRows:
     def test_rows_are_the_scalar_construction(self, cset, surface):
         spec = GridSpec(h=0.01, window=((-1.0, 1.0),) * 2, surface=surface)
         grid = cset.grid(spec)
-        got = [p.payload for p in grid]
-        # repr tells every float apart (the sign of zero too) and names
-        # numpy scalar types, which a payload must not hold.
-        assert repr(got) == repr(scalar_grid(cset, spec))
+        got, want = [p.payload for p in grid], scalar_grid(cset, spec)
+        if isinstance(cset, cf.DiskGeodesicSegment):
+            # The inner points come from the disk's _interp_rows, whose numpy
+            # tanh and arctanh round apart from the math module's, within the
+            # bound of test_spaces' test_interp_rows_match_interpolate; the
+            # ends are the segment's own.
+            assert len(got) == len(want) and all(type(g) is complex for g in got)
+            assert repr([got[0], got[-1]]) == repr([want[0], want[-1]])
+            bound = 256 * np.finfo(float).eps * (1.0 + cset.length)
+            assert max(map(cset.space._distance, got, want)) <= bound
+        else:
+            # repr tells every float apart (the sign of zero too) and names
+            # numpy scalar types, which a payload must not hold.
+            assert repr(got) == repr(want)
         assert len(grid) == len(grid.rows) == len(got)
         for p in itertools.islice(grid, 0, None, 97):
             assert cset.space.point(p.payload) == p
@@ -749,3 +759,98 @@ class TestWrappers:
             P = space._pack([x.payload for x in points])
             want = space._pack([y.payload for y in images])
             assert np.array_equal(cset._project_rows(P), want), cset
+
+
+def scalar_projection_rows(cset, P):
+    """`project` one row at a time, packed: what `_project_rows` must equal."""
+    space = cset.space
+    return space._pack([cset.project(Point(space, space._payload(p))).payload for p in P])
+
+
+def assert_same_rows(got, want):
+    """Equal rows, every field to the bit (tolist alone equates 0.0 and -0.0)."""
+    assert got.tolist() == want.tolist()
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRowProjections:
+    """Tree segments, subtrees and disk segments project rows with the bits
+    of `project`, at the cases random draws rarely reach."""
+
+    def test_tree_segment_ends_vertices_and_zero_length(self, tripod_space, caterpillar):
+        tri, cat = tripod_space, caterpillar
+        cases = [
+            cf.TreeSegment(tri, tri.vertex("A"), tri.vertex("B")),
+            cf.TreeSegment(tri, tri.at(0, 0.5), tri.at(1, 0.25)),
+            cf.TreeSegment(tri, tri.vertex("O"), tri.vertex("O")),  # zero length, at a vertex
+            cf.TreeSegment(tri, tri.at(2, 0.5), tri.at(2, 0.5)),  # zero length, inside an edge
+            cf.TreeSegment(cat, cat.at(0, 0.5), cat.at(0, 1.5)),  # on one edge
+            cf.TreeSegment(cat, cat.vertex("A"), cat.at(2, 0.25)),
+            # _interpolate(C, end, 1.0) walks to (0, 0.013689346782219447),
+            # 4 ulps short of the end; points beyond the end must get it.
+            cf.TreeSegment(cat, cat.vertex("C"), cat.at(0, 0.013689346782219503)),
+        ]
+        for cset in cases:
+            space = cset.space
+            vertices = [space.vertex(v).payload for v in space.tree.vertices]
+            # Every vertex, and points of every edge at its ends, a quarter
+            # and halfway: the feet hit both ends (t clamped to 0 and 1) and
+            # vertices inside the segment.
+            payloads = vertices + [
+                space._canonical((e, f * length))
+                for e, (_, _, length) in enumerate(space.tree.edges)
+                for f in (0.0, 0.25, 0.5, 1.0)
+            ]
+            P = space._pack(payloads)
+            got = cset._project_rows(P)
+            assert_same_rows(got, scalar_projection_rows(cset, P))
+            if cset.length > 0.0:
+                ends = {cset.start.payload, cset.end.payload}
+                assert ends <= set(map(space._payload, got))
+
+    def test_subtree_rows_equally_near_two_vertices(self):
+        # The path from p to the subtree {A, X} enters at X, but the edge X--A
+        # is below the rounding of d(p, X), so A is as near: both project to
+        # the first of the nearest, A (the names sort A, X).
+        tree = cf.MetricTree(("P", "X", "A"), (("P", "X", 1.0), ("X", "A", 1e-17)))
+        space = cf.TreeSpace(tree)
+        sub = cf.Subtree(space, ("X", "A"))
+        P = space._pack([(0, 0.0), (0, 0.25), (0, 0.5)])
+        d = space._dist_rows
+        for k in range(len(P)):
+            assert d(P[k : k + 1], space._pack([space.vertex("A").payload])) == d(
+                P[k : k + 1], space._pack([space.vertex("X").payload])
+            )
+        got = sub._project_rows(P)
+        assert_same_rows(got, scalar_projection_rows(sub, P))
+        assert got.tolist() == space._pack([space.vertex("A").payload] * 3).tolist()
+
+    def test_subtree_members_by_the_exact_rule(self, caterpillar):
+        # Vertices of the subtree sit on edges outside it (B is canonical on
+        # edge 0), and keep their rows; a point on such an edge does not.
+        cat = caterpillar
+        sub = cf.Subtree(cat, ("B", "C", "E"))
+        payloads = [cat.vertex(v).payload for v in "ABCDE"] + [(0, 1.0), (1, 0.5), (2, 0.25)]
+        P = cat._pack(payloads)
+        got = sub._project_rows(P)
+        assert_same_rows(got, scalar_projection_rows(sub, P))
+        kept = [p == g for p, g in zip(P.tolist(), got.tolist())]
+        assert kept == [False, True, True, False, True, False, True, False]
+
+    def test_disk_segment_on_random_draws(self, disk):
+        rng = random.Random(29)
+        for _ in range(200):
+            a, b = disk._sample(rng, 1.0), disk._sample(rng, 1.0)
+            seg = cf.DiskGeodesicSegment(disk, disk.point(a), disk.point(b))
+            P = disk._pack([disk._sample(rng, 1.0) for _ in range(10)])
+            assert_same_rows(seg._project_rows(P), scalar_projection_rows(seg, P))
+
+    def test_disk_segment_on_the_axes(self, disk):
+        # Zero parts of either sign: Python's complex arithmetic takes a
+        # float operand as x + 0j, which the rows must round alike.
+        axis = [0j, 0.5 + 0j, -0.5 + 0j, 0.5j, -0.5j, complex(-0.0, 0.4), complex(0.3, -0.0),
+                complex(-0.0, -0.0)]
+        P = disk._pack(axis + [0.1 + 0.1j, -0.7 + 0j, 0.8j])
+        for a, b in itertools.product(axis, repeat=2):
+            seg = cf.DiskGeodesicSegment(disk, disk.point(a), disk.point(b))
+            assert_same_rows(seg._project_rows(P), scalar_projection_rows(seg, P))

@@ -1,9 +1,13 @@
 """Tree structure validation, canonical points, and exact path geometry."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cat0feas as cf
 
@@ -150,8 +154,11 @@ class TestBatchedKernel:
 
     def test_scalar_tables_hold_python_floats(self):
         # Trace files write repr() of distances, which must not read np.float64(...).
-        _, dist, next_edge = self.ORDER_SENSITIVE._bfs_tables
-        assert type(dist[1][4]) is float and type(next_edge[1][4]) is int
+        tree = self.ORDER_SENSITIVE
+        assert type(tree._bfs_tables[2][1][4]) is float
+        # Halfway from X--A to C--D lies on A--B, an edge of the middle leg.
+        edge, offset = cf.TreeSpace(tree)._interpolate((0, 0.1), (3, 0.1), 0.5)
+        assert edge == 1 and type(edge) is int and type(offset) is float
 
 
 class TestNonFiniteLengths:
@@ -172,3 +179,160 @@ class TestNonFiniteLengths:
         tree = cf.MetricTree(vertices=("A", "B", "C"), edges=edges)
         space = cf.TreeSpace(tree)
         assert space.distance(space.vertex("A"), space.vertex("C")) == 8e307
+
+
+def scalar_rows(space, P, Q, t):
+    """_interpolate one row at a time, packed: what _interp_rows must equal."""
+    P, Q, t = np.broadcast_arrays(P, Q, t)
+    pairs = zip(map(space._payload, P), map(space._payload, Q))
+    return space._pack([space._interpolate(a, b, s) for (a, b), s in zip(pairs, t.tolist())])
+
+
+def assert_same_rows(got, want):
+    """Equal rows, every field to the bit (tolist alone equates 0.0 and -0.0)."""
+    assert got.tolist() == want.tolist()
+    assert got.tobytes() == want.tobytes()
+
+
+def canonical_rows(space, rows):
+    return space._pack([space._canonical(space._payload(row)) for row in rows])
+
+
+class TestInterpRows:
+    """TreeSpace._interp_rows walks every row's route in lockstep and must
+    give each row the bits of the scalar _interpolate, in canonical form."""
+
+    T = (0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)
+
+    def test_vertex_points(self, tripod_space, caterpillar):
+        for space in (tripod_space, caterpillar):
+            V = space._pack([space.vertex(v).payload for v in space.tree.vertices])
+            P, Q = (np.array(rows) for rows in zip(*itertools.product(V, repeat=2)))
+            for t in self.T:
+                got = space._interp_rows(P, Q, t)
+                assert_same_rows(got, scalar_rows(space, P, Q, t))
+                assert_same_rows(got, canonical_rows(space, got))
+
+    def test_midpoint_of_two_legs_is_the_canonical_center(self, tripod_space):
+        # A and B on legs 0 and 1: halfway is O, which sits on leg 0.
+        tri = tripod_space
+        A, B = (tri._pack([tri.vertex(v).payload]) for v in "AB")
+        got = tri._interp_rows(A, B, 0.5)
+        assert got.tolist() == tri._pack([tri.vertex("O").payload]).tolist()
+        assert got["edge"].tolist() == [0] and got["du"].tolist() == [0.0]
+
+    def test_pairs_on_a_shared_edge(self, caterpillar):
+        # B sits on edge 0 (canonical), so it shares that edge with A and
+        # with interior points of A--B; edge 3 holds points beyond B.
+        sp = caterpillar
+        payloads = [(0, 0.0), (0, 0.5), (0, 1.25), (0, 2.0), (3, 0.0), (3, 1.5), (3, 3.0)]
+        pts = sp._pack([sp._canonical(p) for p in payloads])
+        P, Q = (np.array(rows) for rows in zip(*itertools.product(pts, repeat=2)))
+        assert (P["edge"] == Q["edge"]).sum() > len(payloads)
+        for t in self.T:
+            got = sp._interp_rows(P, Q, t)
+            assert_same_rows(got, scalar_rows(sp, P, Q, t))
+            assert_same_rows(got, canonical_rows(sp, got))
+
+    def test_t_at_the_ends(self, tripod_space, caterpillar):
+        # At t = 1 the walk's sequential subtractions can leave more than the
+        # last arc, which _interpolate cuts to it: from B to this point the
+        # uncut offset would be 0.4030927323372038.
+        tri = tripod_space
+        B, q = tri._pack([tri.vertex("B").payload]), tri._pack([(0, 0.40309273233720366)])
+        assert tri._interp_rows(B, q, 1.0).tolist() == q.tolist()
+        for space in (tripod_space, caterpillar):
+            rng = random.Random(41)
+            V = space._pack([space.vertex(v).payload for v in space.tree.vertices])
+            P = np.concatenate([space._sample_rows(rng, 200), np.repeat(V, 50)])
+            Q = space._sample_rows(rng, len(P))
+            for t in (0.0, 1.0):
+                assert_same_rows(space._interp_rows(P, Q, t), scalar_rows(space, P, Q, t))
+
+    def test_equal_length_routes_on_the_tripod(self, tripod_space):
+        # a one ulp short of A, b at B: all four endpoint routes (out through
+        # O or through A and back over the ulp, in at O or at B) sum to 2.0,
+        # and their walks round differently.  Rows take the first least, as
+        # _route does.
+        tri = tripod_space
+        a, b = (0, 1.0 - 2.0**-53), tri.vertex("B").payload
+        ends = tri.tree.edge_ends
+        dist = tri.tree._bfs_tables[2]
+        routes = [
+            (da + db) + dist[pa][pb]
+            for pa, da in ((ends[0][0], a[1]), (ends[0][1], 1.0 - a[1]))
+            for pb, db in ((ends[1][0], b[1]), (ends[1][1], 1.0 - b[1]))
+        ]
+        assert routes == [2.0] * 4
+        t = np.array([0.1, 0.25, 0.5, 0.6, 0.7])
+        P, Q = tri._pack([a]), tri._pack([b])
+        want = [(0, 0.7999999999999998), (0, 0.4999999999999999), (1, 1.1102230246251565e-16),
+                (1, 0.20000000000000007), (1, 0.4)]
+        assert [tri._interpolate(a, b, s) for s in t.tolist()] == want
+        assert_same_rows(tri._interp_rows(P, Q, t), tri._pack(want))
+
+    def test_broadcasts_one_pair_over_many_t(self, caterpillar):
+        sp = caterpillar
+        a, b = sp._pack([(0, 0.5)]), sp._pack([(3, 1.0)])
+        t = np.arange(1, 40) / 40
+        assert_same_rows(sp._interp_rows(a, b, t), scalar_rows(sp, a, b, t))
+        assert sp._interp_rows(a[:0], b[:0], 0.5).shape == (0,)
+
+
+@st.composite
+def random_trees(draw):
+    """A tree on 2-8 vertices, each attached to an earlier one."""
+    n = draw(st.integers(2, 8))
+    lengths = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 2.5]) | st.floats(0.01, 10.0)
+    edges = tuple(
+        (f"v{draw(st.integers(0, k - 1))}", f"v{k}", draw(lengths)) for k in range(1, n)
+    )
+    return cf.TreeSpace(cf.MetricTree(tuple(f"v{k}" for k in range(n)), edges))
+
+
+def tree_points(space, draw, count):
+    """Packed canonical points: vertices, ends of edges, one ulp inside them,
+    and interior points."""
+    fractions = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+    payloads = []
+    for _ in range(count):
+        edge = draw(st.integers(0, len(space.tree.edges) - 1))
+        length = space.tree.edges[edge][2]
+        offset = min(length * draw(fractions), length)
+        if draw(st.booleans()):
+            offset = math.nextafter(offset, draw(st.sampled_from([0.0, length])))
+        payloads.append(space._canonical((edge, offset)))
+    return space._pack(payloads)
+
+
+class TestRowProperties:
+    """On random trees, every row a tree row kernel returns is canonical and
+    has the bits of the scalar result."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_interp_rows(self, data):
+        space = data.draw(random_trees())
+        P, Q = tree_points(space, data.draw, 12), tree_points(space, data.draw, 12)
+        t = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0), min_size=12, max_size=12,
+        )))
+        got = space._interp_rows(P, Q, t)
+        assert_same_rows(got, canonical_rows(space, got))
+        assert_same_rows(got, scalar_rows(space, P, Q, t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_segment_and_subtree_rows(self, data):
+        space = data.draw(random_trees())
+        ends = tree_points(space, data.draw, 2)
+        a, b = (cf.Point(space, space._payload(row)) for row in ends)
+        # v0..vk induce a connected subtree: each vertex hangs from an earlier one.
+        k = data.draw(st.integers(0, len(space.tree.vertices) - 1))
+        sets_ = [cf.TreeSegment(space, a, b), cf.Subtree(space, tuple(f"v{i}" for i in range(k + 1)))]
+        P = tree_points(space, data.draw, 12)
+        for cset in sets_:
+            got = cset._project_rows(P)
+            assert_same_rows(got, canonical_rows(space, got))
+            want = space._pack([cset.project(cf.Point(space, space._payload(p))).payload for p in P])
+            assert_same_rows(got, want)
