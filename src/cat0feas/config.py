@@ -28,16 +28,16 @@ and each instance these:
     lambda = 0.5                    in (0, 1)
     A, B, start = null              two sets and a start payload
     fixed_point, best_pair = null   a payload; a list of two payloads
-    set_distance = null             d(A, B), when known
+    set_distance = null             d(A, B) when known, finite and >= 0
     mode = "averaged"               "averaged" | "composed" | "product-reduction"
     n_max = 10000                   Picard steps, >= 1
-    eps_grid = [1.0, 0.5, 0.1]      descending positive targets of "rate"
-    gap_eps_grid = [1.0, 0.5, 0.25] descending positive targets of "gap-rate"
+    eps_grid = [1.0, 0.5, 0.1]      descending finite positive targets of "rate"
+    gap_eps_grid = [1.0, 0.5, 0.25] descending finite positive targets of "gap-rate"
     rate = {"b": null, "M": null}   finite rate constants >= 0, measured from
                                     start when null
     grid = {"h": 0.001, "window": null, "surface": "auto"}
-                                    oracle grid: step > 0, per-dimension [lo, hi]
-                                    ranges, "auto" | "full"
+                                    oracle grid: finite step > 0, per-dimension
+                                    finite [lo, hi] ranges, "auto" | "full"
     product_lambdas = []            extra verify-space product weights, in (0, 1)
     checks = []                     any of "rate", "gap-rate", "delta-limit",
                                     "oracle-agreement"; only the last in
@@ -314,17 +314,17 @@ def _floats(values) -> tuple[float, ...]:
 
 def _eps_grid(doc: dict, key: str, path: str, default: tuple[float, ...]):
     grid = _value(doc, key, path, _floats, default)
-    if not grid or any(e <= 0.0 for e in grid):
-        _fail(f"{path}.{key}", "eps grid entries must be positive")
+    if not grid or not all(0.0 < e < math.inf for e in grid):
+        _fail(f"{path}.{key}", "eps grid entries must be positive and finite")
     if any(a < b for a, b in zip(grid, grid[1:])):
         _fail(f"{path}.{key}", "eps grid must be sorted descending")
     return grid
 
 
-def _rate_constant(doc: dict, key: str, path: str) -> float | None:
+def _finite_nonnegative(doc: dict, key: str, path: str) -> float | None:
     value = _value(doc, key, path, float)
-    if value is not None and not (math.isfinite(value) and value >= 0.0):
-        _fail(f"{path}.{key}", f"rate constant must be finite and >= 0, got {value}")
+    if value is not None and not 0.0 <= value < math.inf:
+        _fail(_join(path, key), f"must be finite and >= 0, got {value}")
     return value
 
 
@@ -369,8 +369,10 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         ),
         surface=_value(grid_doc, "surface", grid_path, str, "auto"),
     )
-    if not grid.h > 0.0:
-        _fail(grid_path + ".h", f"grid step must be positive, got {grid.h}")
+    if not 0.0 < grid.h < math.inf:
+        _fail(grid_path + ".h", f"grid step must be positive and finite, got {grid.h}")
+    if grid.window is not None and not all(math.isfinite(b) for r in grid.window for b in r):
+        _fail(grid_path + ".window", f"window bounds must be finite, got {grid.window}")
     if grid.surface not in VALID_SURFACES:
         _fail(grid_path + ".surface", f"unknown surface '{grid.surface}'")
     mode = _value(doc, "mode", path, str, "averaged")
@@ -386,7 +388,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
                 f"'{c}' certifies averaged maps, and the composed map P_A P_B is not averaged",
             )
     rate_doc = _section(doc, "rate", path)
-    rate_b, rate_m = (_rate_constant(rate_doc, key, path + ".rate") for key in ("b", "M"))
+    rate_b, rate_m = (_finite_nonnegative(rate_doc, key, path + ".rate") for key in ("b", "M"))
     product_lambdas = _value(doc, "product_lambdas", path, _floats, ())
     if not all(0.0 < w < 1.0 for w in product_lambdas):
         _fail(path + ".product_lambdas", f"weights must lie in (0, 1), got {product_lambdas}")
@@ -403,7 +405,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         mode=mode,
         fixed_point=opt_point("fixed_point"),
         best_pair=best_pair,
-        set_dist=_value(doc, "set_distance", path, float),
+        set_dist=_finite_nonnegative(doc, "set_distance", path),
         rate_b=rate_b,
         rate_m=rate_m,
         grid=grid,

@@ -27,14 +27,13 @@ checks do (a residual passes when it is at most REL_TOL times its scale):
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .product import ConvexCombinationSpace
 from .sets import ConvexSet, DiagonalSet
-from .spaces import FN_T_GRID, CheckResult, Point, Space, _result
+from .spaces import FN_T_GRID, CheckResult, Point, Space, _firmly_nonexpansive, _p2, _result
 
 
 class Mapping(ABC):
@@ -197,12 +196,9 @@ def check_p2(mapping: Mapping, x: Point, y: Point) -> CheckResult:
     """The quadratic firm-nonexpansivity inequality at (x, y): the residual
     2 d^2(Tx,Ty) - [d^2(x,Ty) + d^2(y,Tx) - d^2(x,Tx) - d^2(y,Ty)] is nonpositive
     when the mapping satisfies it; its scale is the sum of the five terms."""
-    space = mapping.space
     tx, ty = mapping(x), mapping(y)
-    lhs = 2.0 * space.distance(tx, ty) ** 2
-    xty, ytx = space.distance(x, ty) ** 2, space.distance(y, tx) ** 2
-    xtx, yty = space.distance(x, tx) ** 2, space.distance(y, ty) ** 2
-    return _result(lhs - (xty + ytx - xtx - yty), lhs + (xty + ytx + xtx + yty), None)
+    d = mapping.space._distance
+    return _result(*_p2(d, x.payload, y.payload, tx.payload, ty.payload), None)
 
 
 def check_firmly_nonexpansive(
@@ -215,13 +211,7 @@ def check_firmly_nonexpansive(
     the map contracts."""
     space = mapping.space
     tx, ty = mapping(x), mapping(y)
-    base = space.distance(tx, ty)
-    worst, scale = -math.inf, 0.0
-    for t in t_grid:
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"firm-nonexpansivity grid value {t} outside [0, 1]")
-        dt = space.distance(space.interpolate(x, tx, t), space.interpolate(y, ty, t))
-        lhs = base - dt
-        if lhs > worst or math.isnan(lhs):  # nothing exceeds a NaN, so it stays
-            worst, scale = lhs, base + dt
-    return _result(worst, scale, None)
+    worst, scale = _firmly_nonexpansive(
+        space._distance, space._between, x.payload, y.payload, tx.payload, ty.payload, t_grid
+    )
+    return _result(float(worst), float(scale), None)

@@ -18,7 +18,10 @@ arrays elementwise, broadcasting like numpy: ``_sample_rows(rng, n)`` draws
 n points from a ``random.Random``, ``_dist_rows(P, Q)`` gives distances and
 ``_interp_rows(P, Q, t)`` the geodesic points (1-t)P + tQ, for one t or one
 per row; ``verify-space`` and ``verify-mapping`` draw and reduce their samples
-in blocks through them.
+in blocks through them.  Each sampled inequality (four-point, CN, P2, firm
+nonexpansivity) is written once, as a function of a distance function that
+returns (residual, scale): the public checkers pass ``_distance`` and
+payloads, the row checkers ``_dist_rows`` and packed rows.
 
 A space with a grid oracle has one pair kernel ``_kernel_rows(P, Q)``,
 monotone in the distance, from which ``_dist_rows`` is computed: the squared
@@ -201,6 +204,8 @@ class EuclideanSpace(Space):
             raise DomainError(
                 f"expected {self.dim} coordinates, got {len(coords)}"
             )
+        if not all(map(math.isfinite, coords)):
+            raise DomainError(f"coordinates {coords} are not all finite")
         return coords
 
     def _distance(self, a, b):
@@ -295,7 +300,7 @@ class PoincareDiskSpace(Space):
         else:
             x, y = payload
             u = complex(float(x), float(y))
-        if abs(u) > DISK_MAX_NORM:
+        if not abs(u) <= DISK_MAX_NORM:  # also refuses NaN coordinates
             raise DomainError(
                 f"disk point {u} has norm {abs(u):.12f} > {DISK_MAX_NORM}"
             )
@@ -434,13 +439,7 @@ def check_cn_inequality(
     """
     space.require_member(z)
     g = space.interpolate(x, y, t).payload
-    d = space._distance
-    z, x, y = z.payload, x.payload, y.payload
-    zg = d(z, g) ** 2
-    zx = (1.0 - t) * d(z, x) ** 2
-    zy = t * d(z, y) ** 2
-    xy = t * (1.0 - t) * d(x, y) ** 2
-    return _result(zg - (zx + zy - xy), zg + zx + zy + xy, tol)
+    return _result(*_cn(space._distance, z.payload, x.payload, y.payload, g, t), tol)
 
 
 def check_four_point(
@@ -455,55 +454,68 @@ def check_four_point(
     for p in (x, y, z, w):
         space.require_member(p)
     d = space._distance
-    x, y, z, w = x.payload, y.payload, z.payload, w.payload
+    return _result(*_four_point(d, x.payload, y.payload, z.payload, w.payload), tol)
+
+
+def _four_point(d, x, y, z, w):
     xz, yw = d(x, z) ** 2, d(y, w) ** 2
     xy, yz, zw, wx = d(x, y) ** 2, d(y, z) ** 2, d(z, w) ** 2, d(w, x) ** 2
-    return _result(xz + yw - xy - yz - zw - wx, xz + yw + xy + yz + zw + wx, tol)
+    return xz + yw - xy - yz - zw - wx, xz + yw + xy + yz + zw + wx
 
 
-def _cn_rows(space: Space, Z, X, Y, t):
-    """check_cn_inequality on packed rows: (residuals, scales) as arrays."""
-    d = space._dist_rows
-    zg = d(Z, space._interp_rows(X, Y, t)) ** 2
-    zx = (1.0 - t) * d(Z, X) ** 2
-    zy = t * d(Z, Y) ** 2
-    xy = t * (1.0 - t) * d(X, Y) ** 2
+def _cn(d, z, x, y, g, t):
+    """The CN inequality at g, the geodesic point (1-t)x + ty."""
+    zg = d(z, g) ** 2
+    zx = (1.0 - t) * d(z, x) ** 2
+    zy = t * d(z, y) ** 2
+    xy = t * (1.0 - t) * d(x, y) ** 2
     return zg - (zx + zy - xy), zg + zx + zy + xy
+
+
+def _p2(d, x, y, tx, ty):
+    """Property (P2) at x, y and their images tx, ty."""
+    lhs = 2.0 * d(tx, ty) ** 2
+    xty, ytx = d(x, ty) ** 2, d(y, tx) ** 2
+    xtx, yty = d(x, tx) ** 2, d(y, ty) ** 2
+    return lhs - (xty + ytx - xtx - yty), lhs + (xty + ytx + xtx + yty)
+
+
+def _firmly_nonexpansive(d, between, x, y, tx, ty, t_grid=FN_T_GRID):
+    """Firm nonexpansivity at x, y and their images tx, ty: the worst t-grid
+    term and its scale, with between(a, b, t) the geodesic point (1-t)a + tb."""
+    base = d(tx, ty)
+    worst, scale = -np.inf, 0.0
+    for t in t_grid:
+        if not 0.0 <= t <= 1.0:
+            raise DomainError(f"firm-nonexpansivity grid value {t} outside [0, 1]")
+        # The geodesic point at t = 0 is the start itself.
+        dt = d(x, y) if t == 0.0 else d(between(x, tx, t), between(y, ty, t))
+        lhs = base - dt
+        worse = (lhs > worst) | np.isnan(lhs)  # nothing exceeds a NaN, so it stays
+        worst, scale = np.where(worse, lhs, worst), np.where(worse, base + dt, scale)
+    return worst, scale
 
 
 def _four_point_rows(space: Space, X, Y, Z, W):
     """check_four_point on packed rows: (residuals, scales) as arrays."""
-    d = space._dist_rows
-    xz, yw = d(X, Z) ** 2, d(Y, W) ** 2
-    xy, yz, zw, wx = d(X, Y) ** 2, d(Y, Z) ** 2, d(Z, W) ** 2, d(W, X) ** 2
-    return xz + yw - xy - yz - zw - wx, xz + yw + xy + yz + zw + wx
+    return _four_point(space._dist_rows, X, Y, Z, W)
+
+
+def _cn_rows(space: Space, Z, X, Y, t):
+    """check_cn_inequality on packed rows: (residuals, scales) as arrays."""
+    return _cn(space._dist_rows, Z, X, Y, space._interp_rows(X, Y, t), t)
 
 
 def _p2_rows(space: Space, X, Y, TX, TY):
     """mappings.check_p2 on packed rows and their images TX, TY:
     (residuals, scales) as arrays."""
-    d = space._dist_rows
-    lhs = 2.0 * d(TX, TY) ** 2
-    xty, ytx = d(X, TY) ** 2, d(Y, TX) ** 2
-    xtx, yty = d(X, TX) ** 2, d(Y, TY) ** 2
-    return lhs - (xty + ytx - xtx - yty), lhs + (xty + ytx + xtx + yty)
+    return _p2(space._dist_rows, X, Y, TX, TY)
 
 
 def _fn_rows(space: Space, X, Y, TX, TY):
     """mappings.check_firmly_nonexpansive on packed rows and their images
     TX, TY, over FN_T_GRID: (residuals, scales) as arrays."""
-    d = space._dist_rows
-    base = d(TX, TY)
-    worst, scale = np.full(base.shape, -np.inf), np.zeros(base.shape)
-    for t in FN_T_GRID:
-        if t == 0.0:  # interpolate returns the points themselves
-            dt = d(X, Y)
-        else:
-            dt = d(space._interp_rows(X, TX, t), space._interp_rows(Y, TY, t))
-        lhs = base - dt
-        worse = (lhs > worst) | np.isnan(lhs)  # nothing exceeds a NaN, so it stays
-        worst, scale = np.where(worse, lhs, worst), np.where(worse, base + dt, scale)
-    return worst, scale
+    return _firmly_nonexpansive(space._dist_rows, space._interp_rows, X, Y, TX, TY)
 
 
 def _result(residual: float, scale: float, tol: float | None) -> CheckResult:

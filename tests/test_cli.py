@@ -502,6 +502,35 @@ class TestExitCodes:
         check = report["instances"][0]["checks"][0]
         assert check["status"] == "hypothesis-unsatisfied"
 
+    @pytest.mark.parametrize(
+        "set_distance, code",
+        [(2.0, 0), (math.nextafter(2.0, 3.0), 0), (2.0 + 1e-9, 2), (100.0, 2)],
+        ids=["exact", "one-ulp-above", "above-rounding", "far-above"],
+    )
+    def test_overstated_set_distance_marks_gap_rate_hypothesis(
+        self, tmp_path, set_distance, code
+    ):
+        # ball-ball's alternating projections reach a pair of points of A and
+        # B at distance 2, an upper bound on d(A, B), so a configured
+        # distance above it by more than rounding is a false hypothesis.
+        doc = json.loads(bundled_config_path().read_text())
+        (inst,) = [i for i in doc["instances"] if i["name"] == "ball-ball"]
+        inst.update(set_distance=set_distance, checks=["gap-rate"])
+        doc["instances"] = [inst]
+        path = tmp_path / "set-distance.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "set-distance-out"
+        assert run_cli("certify", path, out) == code
+        (row,) = json.loads((out / "report.json").read_text())["instances"]
+        (check,) = row["checks"]
+        if code == 0:
+            assert check["status"] == "pass" and check["r"] == set_distance
+        else:
+            assert check["status"] == "hypothesis-unsatisfied"
+            assert (check["r"], check["alternating"]) == (set_distance, 2.0)
+            assert repr(set_distance) in check["reason"] and "2.0" in check["reason"]
+            assert row["certificates"] == []
+
     def test_huge_rate_bound_is_written_as_log2(self, tmp_path):
         # eps = 1e-4 with b = 2 gives a bound of about 40,000 bits, past
         # Python's int -> str digit limit.
@@ -575,6 +604,47 @@ class TestDerivedTolerance:
         assert row["max_cn_residual"] <= row["tolerance"]
         # REL_TOL times at most six squared distances, each at most 200^2
         assert row["tolerance"] <= REL_TOL * 6 * 200.0**2
+
+
+class TestSpaceRows:
+    """verify-space judges each inequality by REL_TOL times its own largest
+    scale, as verify-mapping judges each of its checks."""
+
+    def test_kept_keys_are_the_per_check_values(self, config_path, tmp_path):
+        out = tmp_path / "vs"
+        assert run_cli("verify-space", config_path, out) == 0
+        rows = json.loads((out / "report.json").read_text())["spaces"]
+        assert len(rows) == 3
+        for row in rows:
+            fp, cn = row["four_point"], row["cn"]
+            assert row["max_four_point_residual"] == fp["max"]
+            assert row["max_cn_residual"] == cn["max"]
+            assert row["tolerance"] == max(fp["tolerance"], cn["tolerance"])
+            for check in (fp, cn):
+                assert check["p50"] <= check["p90"] <= check["max"] <= check["tolerance"]
+            assert row["status"] == "pass"
+
+    def test_cn_residual_between_its_own_and_the_four_point_bound_fails(self, monkeypatch):
+        # The four-point scale sums six squared distances, the CN scale four
+        # (three of them weighted by t or 1 - t), so on line-line's R^2 row
+        # a CN residual 1.5 times its own bound lies below the four-point
+        # bound, which a bound shared by both checks would pass.
+        cn_rows = cli._cn_rows
+
+        def over_its_own_bound(space, *rows):
+            residuals, scales = cn_rows(space, *rows)
+            return np.full_like(residuals, 1.5 * REL_TOL * scales.max()), scales
+
+        monkeypatch.setattr(cli, "_cn_rows", over_its_own_bound)
+        cfg = load_config(bundled_config_path())
+        row = cli._verify_one_space(
+            "line-line:euclidean", EuclideanSpace(2), cli._BLOCK + 500, cfg.seed
+        )
+        fp, cn = row["four_point"], row["cn"]
+        assert fp["tolerance"] > 1.5 * cn["tolerance"]
+        assert cn["tolerance"] < cn["max"] <= fp["tolerance"] == row["tolerance"]
+        assert fp["max"] <= fp["tolerance"]
+        assert row["status"] == "fail"
 
 
 class TestMappingRows:
@@ -704,7 +774,7 @@ class TestMappingReport:
     def report(self, samples):
         rng = random.Random("m")
         checks = {"p2": cli._p2_rows, "firmly_nonexpansive": cli._fn_rows}
-        return cli._mapping_report("P", self.proj, self.space, rng, samples, True, checks)
+        return cli._mapping_report("P", self.proj, rng, samples, True, checks)
 
     def test_quantiles_are_the_scalar_checkers_on_the_same_draws(self):
         samples = cli._BLOCK + 100

@@ -5,6 +5,7 @@ object built directly with the library's constructors.
 """
 
 import json
+import math
 
 import pytest
 
@@ -18,6 +19,7 @@ from cat0feas.config import (
 )
 
 E2 = {"kind": "euclidean", "dim": 2}
+DISK = {"kind": "poincare-disk"}
 
 
 def parse_space(text):
@@ -198,6 +200,27 @@ class TestExperimentConfig:
             ({}, {"product_lambdas": [2.0]}, "instances[0].product_lambdas"),
             ({}, {"product_lambdas": [0.5, 0.0]}, "instances[0].product_lambdas"),
             ({}, {"grid": {"surface": "boundary"}}, "instances[0].grid.surface"),
+            ({}, {"eps_grid": [math.nan]}, "instances[0].eps_grid"),
+            ({}, {"gap_eps_grid": [math.inf, 1.0]}, "instances[0].gap_eps_grid"),
+            ({}, {"set_distance": math.inf}, "instances[0].set_distance"),
+            ({}, {"set_distance": math.nan}, "instances[0].set_distance"),
+            ({}, {"set_distance": -1.0}, "instances[0].set_distance"),
+            ({}, {"grid": {"h": math.inf}}, "instances[0].grid.h"),
+            ({}, {"grid": {"window": [[math.nan, 1.0], [0.0, 1.0]]}}, "instances[0].grid.window"),
+            ({}, {"grid": {"window": [[0.0, 1.0], [0.0, math.inf]]}}, "instances[0].grid.window"),
+            ({}, {"start": [math.nan, 0.0]}, "instances[0].start"),
+            ({}, {"fixed_point": [0.0, -math.inf]}, "instances[0].fixed_point"),
+            ({}, {"best_pair": [[0.0, 0.0], [math.nan, 0.0]]}, "instances[0].best_pair[1]"),
+            ({}, {"space": DISK, "start": [math.nan, 0.0]}, "instances[0].start"),
+            ({}, {"space": DISK, "fixed_point": [0.0, math.inf]}, "instances[0].fixed_point"),
+            (
+                {},
+                {
+                    "space": DISK,
+                    "A": {"disk-geodesic-segment": {"start": [0, 0], "end": [1, math.nan]}},
+                },
+                "instances[0].A.end",
+            ),
         ],
     )
     def test_unusable_values_rejected(self, top, field, path):

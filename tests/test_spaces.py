@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 import cat0feas as cf
 from cat0feas import cli
-from cat0feas.spaces import DISK_MAX_NORM, REL_TOL, _quot_rows, _random_rows
+from cat0feas.spaces import (
+    DISK_MAX_NORM,
+    REL_TOL,
+    _cn_rows,
+    _four_point_rows,
+    _quot_rows,
+    _random_rows,
+)
 
 T_GRID = [k / 10 for k in range(11)]
 
@@ -429,6 +436,29 @@ class TestRowKernels:
                 assert got.tolist() == want
             else:
                 np.testing.assert_allclose(got, want, rtol=4 * ULP, atol=0.0)
+
+    def test_row_checkers_are_the_scalar_checkers(self, row_space):
+        # One formula per inequality, fed by either kernel: the distances
+        # (and Python's x ** 2, a pow, against numpy's square) may differ in
+        # their last bits, far below the pass rule's REL_TOL.
+        rng = random.Random(6)
+        X, Y, Z, W = (row_space._sample_rows(rng, self.N) for _ in range(4))
+        t = _random_rows(rng, self.N)
+        x, y, z, w = (_row_points(row_space, R) for R in (X, Y, Z, W))
+        four_point = [cf.check_four_point(row_space, *p) for p in zip(x, y, z, w)]
+        cn = [
+            cf.check_cn_inequality(row_space, c, a, b, s)
+            for a, b, c, s in zip(x, y, z, t.tolist())
+        ]
+        cases = [
+            (_four_point_rows(row_space, X, Y, Z, W), four_point),
+            (_cn_rows(row_space, Z, X, Y, t), cn),
+        ]
+        for (residuals, scales), results in cases:
+            assert len(residuals) == len(results) == self.N
+            for residual, scale, want in zip(residuals, scales, results):
+                assert abs(residual - want.residual) <= REL_TOL * want.scale
+                assert scale == pytest.approx(want.scale, rel=1e-12)
 
     def test_quot_rows_is_pythons_complex_quotient(self):
         rng = random.Random(4)
