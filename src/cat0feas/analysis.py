@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InconclusiveError
 from .iteration import IterationTrace
+from .product import ConvexCombinationSpace
 from .sets import ConvexSet, GridSpec
 from .spaces import Point, _gamma
 
@@ -102,6 +103,12 @@ def set_distance(
         f"alternating projections did not stabilize within {max_iter} iterations",
         bracket=(0.0, gap),
     )
+
+
+def squared_diagonal_gap(cs: ConvexCombinationSpace, set_a, set_b, tol: float = 1e-9) -> float:
+    """Squared distance from the diagonal to A x B: lam (1-lam) d(A, B)^2."""
+    r = set_distance(set_a, set_b, tol=tol)
+    return cs.lam * (1.0 - cs.lam) * r * r
 
 
 def best_pair_bruteforce(

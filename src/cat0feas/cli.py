@@ -102,32 +102,6 @@ def _quantiles(values):
     }
 
 
-class _ProductReduction(Mapping):
-    """x -> first component of Q(U(x, x)): the averaged map computed through
-    its product-space twin, where U is the pair map (P_A, P_B) on the
-    lam-weighted product and Q the projection onto its diagonal.  Given a
-    list `gaps`, it appends d(P_A x, P_B x), read off U(x, x), for each x."""
-
-    kind = "product-reduction"
-
-    def __init__(self, inst: InstanceConfig, gaps=None):
-        set_a, set_b, _ = inst.require_sets()
-        self.cs = ConvexCombinationSpace(inst.space, inst.lam)
-        self.pair_map = PairMap(self.cs, ProjectionMap(set_a), ProjectionMap(set_b))
-        self.diagonal = diagonal_projection(self.cs)
-        self.gaps = gaps
-
-    @property
-    def space(self):
-        return self.cs.base
-
-    def _step(self, p):
-        pair = self.pair_map._step((p, p))
-        if self.gaps is not None:
-            self.gaps.append(self.cs.base._distance(*pair))
-        return self.diagonal._step(pair)[0]
-
-
 class _Stepper(Mapping):
     """A map given by a payload step function, named by `kind`."""
 
@@ -142,31 +116,48 @@ class _Stepper(Mapping):
         return self.step(p)
 
 
-def _build_map(inst: InstanceConfig, gaps=None):
-    """The instance's map.  Given a list `gaps`, the map also appends
-    d(P_A x, P_B x) to it for each x it maps, from the projections its step
-    makes: the pair U(x, x) of the product twin, the two images the averaged
-    map interpolates, or the P_B x that P_A P_B composes and one more
-    projection, P_A x."""
-    if inst.mode == "product-reduction":
-        return _ProductReduction(inst, gaps)
+def _build_map(inst: InstanceConfig, gaps=None, mode=None):
+    """The instance's map in `mode`, its own by default: the averaged map,
+    the composition P_A P_B, or the averaged map's product-space twin
+    x -> first component of Q(U(x, x)), where U is the pair map (P_A, P_B) on
+    the lam-weighted product and Q the projection onto its diagonal.
+
+    Given a list `gaps`, the map also appends d(P_A x, P_B x) to it for each
+    x it maps, from the projections its step makes: the two images the
+    averaged map interpolates, the pair U(x, x), or the P_B x that P_A P_B
+    composes and one more projection, P_A x."""
     set_a, set_b, _ = inst.require_sets()
-    composed = inst.mode == "composed"
-    if gaps is None:
-        if composed:
-            return ComposeMap(ProjectionMap(set_a), ProjectionMap(set_b))
-        return averaged_projections(set_a, set_b, inst.lam)
-    space = inst.space
-    project_a, project_b = set_a._project, set_b._project
-    distance, between, lam = space._distance, space._between, inst.lam
+    space, mode = inst.space, mode or inst.mode
+    project_a, project_b, distance = set_a._project, set_b._project, space._distance
+
+    if mode == "composed":
+        def step(p):
+            pb = project_b(p)
+            if gaps is not None:
+                gaps.append(distance(project_a(p), pb))
+            return project_a(pb)
+
+        return _Stepper(ComposeMap.kind, space, step)
+    if mode == "averaged":
+        between, lam = space._between, inst.lam
+
+        def step(p):
+            pa, pb = project_a(p), project_b(p)
+            if gaps is not None:
+                gaps.append(distance(pa, pb))
+            return between(pa, pb, lam)
+
+        return _Stepper(ConvexCombinationMap.kind, space, step)
+    cs = ConvexCombinationSpace(space, inst.lam)
+    pair_map, diagonal = PairMap(cs, ProjectionMap(set_a), ProjectionMap(set_b)), DiagonalSet(cs)
 
     def step(p):
-        pa, pb = project_a(p), project_b(p)
-        gaps.append(distance(pa, pb))
-        return project_a(pb) if composed else between(pa, pb, lam)
+        pair = pair_map._step((p, p))
+        if gaps is not None:
+            gaps.append(distance(*pair))
+        return diagonal._project(pair)[0]
 
-    kind = ComposeMap.kind if composed else ConvexCombinationMap.kind
-    return _Stepper(kind, space, step)
+    return _Stepper("product-reduction", space, step)
 
 
 def _run_trace(inst: InstanceConfig, with_gaps: bool):
@@ -361,8 +352,7 @@ def _padded(points, length):
 
 
 def _run_one(inst: InstanceConfig, out: Path):
-    set_a, set_b, start = inst.require_sets()
-    space = inst.space
+    space, start = inst.space, inst.start
     trace, aux_dist = _run_trace(inst, True)
     p = inst.fixed_point
     dist_to_p = [space.distance(x, p) for x in trace.points] if p is not None else None
@@ -381,10 +371,9 @@ def _run_one(inst: InstanceConfig, out: Path):
         # the two orbits, so only the other is computed here.
         steps = min(200, inst.n_max)
         if inst.mode == "averaged":
-            base, twin = trace, picard(_ProductReduction(inst), start, steps)
+            base, twin = trace, picard(_build_map(inst, mode="product-reduction"), start, steps)
         else:
-            base = picard(averaged_projections(set_a, set_b, inst.lam), start, steps)
-            twin = trace
+            base, twin = picard(_build_map(inst, mode="averaged"), start, steps), trace
         cs = ConvexCombinationSpace(space, inst.lam)
         gaps = reduction_deviations(
             cs,

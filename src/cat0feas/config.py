@@ -43,9 +43,11 @@ and each instance these:
                                     "oracle-agreement"; only the last in
                                     "composed" mode, whose map is not averaged
 
-A null value reads as an absent key.  Integer fields (seed, sample counts,
-n_max) take integral numbers only: 3.0 reads as 3, 2.5 is an error.  Every
-parse error raises ConfigError with the JSON path.
+A null value reads as an absent key.  Every number must be a JSON number: a
+string such as "1.0" or a boolean is an error.  Integer fields (seed, sample
+counts, n_max, a Euclidean dim, a tree payload's edge) take integral numbers
+only: 3.0 reads as 3, 2.5 is an error.  Lists (instances, checks, coordinates)
+must be JSON arrays.  Every parse error raises ConfigError with the JSON path.
 """
 
 from __future__ import annotations
@@ -86,6 +88,33 @@ def _get(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _number(value) -> float:
+    """A JSON number as a float; float() alone would also take "1.0" and true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(map(_number, values))
+
+
+def _integer(value) -> int:
+    """An integral JSON number; int() alone would truncate 2.5 to 2 and take
+    true and "2"."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 # -- spaces --------------------------------------------------------------------
 
 
@@ -95,12 +124,12 @@ def space_from_json(doc, path: str = "space") -> Space:
     kind = _get(doc, "kind", path)
     try:
         if kind == "euclidean":
-            return EuclideanSpace(dim=int(_get(doc, "dim", path)))
+            return EuclideanSpace(dim=_integer(_get(doc, "dim", path)))
         if kind == "metric-tree":
             tree = MetricTree(
                 vertices=tuple(str(v) for v in _get(doc, "vertices", path)),
                 edges=tuple(
-                    (str(u), str(v), float(length))
+                    (str(u), str(v), _number(length))
                     for u, v, length in _get(doc, "edges", path)
                 ),
             )
@@ -109,12 +138,12 @@ def space_from_json(doc, path: str = "space") -> Space:
             return PoincareDiskSpace()
         if kind == "product":
             base = space_from_json(_get(doc, "base", path), path + ".base")
-            return ConvexCombinationSpace(base, float(_get(doc, "lambda", path)))
+            return ConvexCombinationSpace(base, _number(_get(doc, "lambda", path)))
     except Cat0FeasError as exc:
         if isinstance(exc, ConfigError):
             raise
         _fail(path, str(exc))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         _fail(path, f"bad space spec: {exc}")
     _fail(path, f"unknown space kind '{kind}'")
 
@@ -125,18 +154,18 @@ def space_from_json(doc, path: str = "space") -> Space:
 def payload_from_json(space: Space, doc, path: str = "payload"):
     try:
         if isinstance(space, EuclideanSpace):
-            return tuple(float(c) for c in doc)
+            return _floats(doc)
         if isinstance(space, TreeSpace):
-            return (int(_get(doc, "edge", path)), float(_get(doc, "offset", path)))
+            return (_integer(_get(doc, "edge", path)), _number(_get(doc, "offset", path)))
         if isinstance(space, PoincareDiskSpace):
             re, im = doc
-            return complex(float(re), float(im))
+            return complex(_number(re), _number(im))
         if isinstance(space, ConvexCombinationSpace):
             return tuple(
                 point_from_json(space.base, _get(doc, key, path), f"{path}.{key}").payload
                 for key in ("first", "second")
             )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         _fail(path, f"bad payload: {exc}")
     raise ConfigError(f"{path}: unsupported space kind {space.kind}")
 
@@ -163,22 +192,20 @@ def set_from_json(space: Space, doc, path: str = "set") -> ConvexSet:
         if kind == "halfspace":
             return Halfspace(
                 space,
-                normal=tuple(float(c) for c in _get(body, "normal", path)),
-                offset=float(_get(body, "offset", path)),
+                normal=_floats(_get(body, "normal", path)),
+                offset=_number(_get(body, "offset", path)),
             )
         if kind == "affine-subspace":
             return AffineSubspace(
                 space,
-                anchor=tuple(float(c) for c in _get(body, "anchor", path)),
-                basis=tuple(
-                    tuple(float(c) for c in row) for row in _get(body, "basis", path)
-                ),
+                anchor=_floats(_get(body, "anchor", path)),
+                basis=tuple(_floats(row) for row in _get(body, "basis", path)),
             )
         if kind == "ball":
             return EuclideanBall(
                 space,
-                center=tuple(float(c) for c in _get(body, "center", path)),
-                radius=float(_get(body, "radius", path)),
+                center=_floats(_get(body, "center", path)),
+                radius=_number(_get(body, "radius", path)),
             )
         if kind in _SEGMENTS:
             return _SEGMENTS[kind](
@@ -193,8 +220,8 @@ def set_from_json(space: Space, doc, path: str = "set") -> ConvexSet:
         if kind == "disk-ball":
             re, im = _get(body, "center", path)
             return DiskBall(
-                space, center=complex(float(re), float(im)),
-                radius=float(_get(body, "radius", path)),
+                space, center=complex(_number(re), _number(im)),
+                radius=_number(_get(body, "radius", path)),
             )
         if kind == "product-rectangle":
             if not isinstance(space, ConvexCombinationSpace):
@@ -212,7 +239,7 @@ def set_from_json(space: Space, doc, path: str = "set") -> ConvexSet:
         if isinstance(exc, ConfigError):
             raise
         _fail(path, str(exc))
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
         _fail(path, f"bad set spec: {exc}")
     _fail(path, f"unknown set kind '{kind}'")
 
@@ -283,15 +310,6 @@ def _value(doc: dict, key: str, path: str, cast, default=None):
         _fail(_join(path, key), f"bad value {value!r}: {exc}")
 
 
-def _integer(value) -> int:
-    """An integral JSON number; int() alone would truncate 2.5 to 2."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError("not an integer")
-
-
 def _count(doc: dict, key: str, path: str, default: int) -> int:
     n = _value(doc, key, path, _integer, default)
     if n < 1:
@@ -308,10 +326,6 @@ def _section(doc: dict, key: str, path: str = "") -> dict:
     return section
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
 def _eps_grid(doc: dict, key: str, path: str, default: tuple[float, ...]):
     grid = _value(doc, key, path, _floats, default)
     if not grid or not all(0.0 < e < math.inf for e in grid):
@@ -322,7 +336,7 @@ def _eps_grid(doc: dict, key: str, path: str, default: tuple[float, ...]):
 
 
 def _finite_nonnegative(doc: dict, key: str, path: str) -> float | None:
-    value = _value(doc, key, path, float)
+    value = _value(doc, key, path, _number)
     if value is not None and not 0.0 <= value < math.inf:
         _fail(_join(path, key), f"must be finite and >= 0, got {value}")
     return value
@@ -333,7 +347,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         _fail(path, "instance must be an object")
     name = str(_get(doc, "name", path))
     space = space_from_json(_get(doc, "space", path), path + ".space")
-    lam = _value(doc, "lambda", path, float, 0.5)
+    lam = _value(doc, "lambda", path, _number, 0.5)
     if not 0.0 < lam < 1.0:
         _fail(path, f"lambda must be in (0, 1), got {lam}")
 
@@ -351,7 +365,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         set_from_json(space, doc["B"], path + ".B") if doc.get("B") is not None else None
     )
     best_pair = None
-    pair = _value(doc, "best_pair", path, list)
+    pair = _value(doc, "best_pair", path, _list)
     if pair is not None:
         if len(pair) != 2:
             _fail(path + ".best_pair", "expected two payloads")
@@ -362,10 +376,10 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
     grid_doc = _section(doc, "grid", path)
     grid_path = path + ".grid"
     grid = GridSpec(
-        h=_value(grid_doc, "h", grid_path, float, 1e-3),
+        h=_value(grid_doc, "h", grid_path, _number, 1e-3),
         window=_value(
             grid_doc, "window", grid_path,
-            lambda w: tuple((float(lo), float(hi)) for lo, hi in w),
+            lambda w: tuple((_number(lo), _number(hi)) for lo, hi in w),
         ),
         surface=_value(grid_doc, "surface", grid_path, str, "auto"),
     )
@@ -378,7 +392,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
     mode = _value(doc, "mode", path, str, "averaged")
     if mode not in VALID_MODES:
         _fail(path + ".mode", f"unknown mode '{mode}'")
-    checks = _value(doc, "checks", path, lambda v: tuple(str(c) for c in v), ())
+    checks = _value(doc, "checks", path, lambda v: tuple(str(c) for c in _list(v)), ())
     for c in checks:
         if c not in VALID_CHECKS:
             _fail(path + ".checks", f"unknown check '{c}'")
@@ -425,7 +439,7 @@ def config_from_json(doc) -> ExperimentConfig:
     samples = _section(doc, "samples")
     instances = tuple(
         instance_from_json(inst, f"instances[{i}]")
-        for i, inst in enumerate(_value(doc, "instances", "", list, []))
+        for i, inst in enumerate(_value(doc, "instances", "", _list, []))
     )
     names = [inst.name for inst in instances]
     if len(set(names)) != len(names):

@@ -125,14 +125,6 @@ def lift_best_pair(cs: ConvexCombinationSpace, a: Point, b: Point) -> tuple[Poin
     return (cs.pair(u, u), cs.pair(a, b))
 
 
-def squared_diagonal_gap(cs: ConvexCombinationSpace, set_a, set_b, tol: float = 1e-9) -> float:
-    """Squared distance from the diagonal to A x B: lam (1-lam) d(A, B)^2."""
-    from .analysis import set_distance  # runtime import; analysis sits above this module
-
-    r = set_distance(set_a, set_b, tol=tol)
-    return cs.lam * (1.0 - cs.lam) * r * r
-
-
 def reduction_deviations(
     cs: ConvexCombinationSpace, base_points: list[Point], product_points: list[Point]
 ) -> list[float]:

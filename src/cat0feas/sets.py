@@ -13,14 +13,15 @@ A grid is a `Grid` of packed rows of the set's space, which the oracle's
 is a canonical payload with the bits of the point's scalar construction.
 
 Projection routes:
-  * Euclidean half-spaces, affine flats and balls: closed forms in plain
-    Python on coordinate tuples, since a numpy call on a 2-vector costs more
-    than the arithmetic; numpy builds their grids (and the flat's
-    orthonormal basis, once) and their packed-row projections.
+  * Euclidean half-spaces and affine flats: closed forms in plain Python on
+    coordinate tuples, since a numpy call on a 2-vector costs more than the
+    arithmetic; numpy builds their grids (and the flat's orthonormal basis,
+    once) and their packed-row projections.
+  * Balls in R^n and in the disk: one cut, keeping a member and otherwise
+    cutting the geodesic from the center at the radius (`_Ball`).
   * Tree segments and subtrees: exact path arithmetic (the nearest point of a
     segment sits at the arc length given by the Gromov product; the gate into
     a subtree is always one of its vertices).
-  * Disk balls: exact, by cutting the geodesic to the center at the radius.
   * Disk geodesic segments: the foot of the perpendicular, in closed form after
     a Mobius map puts the segment on the real axis, clamped to the ends.
   * Product rectangles: componentwise; the weighted product metric decouples.
@@ -48,8 +49,8 @@ import numpy as np
 from .errors import DomainError, GridSizeError
 from .product import ConvexCombinationSpace
 from .spaces import (
-    DISK_MAX_NORM, REL_TOL, EuclideanSpace, PoincareDiskSpace, Point, Space, _mobius_rows,
-    _mobius_shift, _quot_rows,
+    DISK_MAX_NORM, REL_TOL, EuclideanSpace, Point, Space, _mobius_rows, _mobius_shift,
+    _quot_rows,
 )
 from .trees import TreeSpace
 
@@ -97,13 +98,14 @@ class Grid(Sequence):
 
 
 class ConvexSet(ABC):
-    """A nonempty closed convex subset of a geodesic space."""
+    """A nonempty closed convex subset of a geodesic space, its `owner`."""
 
     kind: str
+    owner: Space
 
     @property
-    @abstractmethod
-    def space(self): ...
+    def space(self):
+        return self.owner
 
     @abstractmethod
     def _contains(self, payload, tol: float) -> bool: ...
@@ -157,10 +159,6 @@ class Halfspace(ConvexSet):
         object.__setattr__(self, "offset", offset)
         if not math.isfinite(self._unit[1]):
             raise DomainError("halfspace offset / |normal| overflows")
-
-    @property
-    def space(self):
-        return self.owner
 
     @cached_property
     def _unit(self) -> tuple[tuple[float, ...], float]:
@@ -219,10 +217,6 @@ class AffineSubspace(ConvexSet):
         rows = tuple(_finite_coords(row, dim, "affine basis vector") for row in self.basis)
         object.__setattr__(self, "basis", rows)
 
-    @property
-    def space(self):
-        return self.owner
-
     @cached_property
     def _orthonormal(self) -> np.ndarray:
         """Orthonormal rows spanning the direction space (possibly empty)."""
@@ -265,12 +259,44 @@ class AffineSubspace(ConvexSet):
 
 
 @dataclass(frozen=True)
-class EuclideanBall(ConvexSet):
+class _Ball(ConvexSet):
+    """The closed ball of `radius` about `center`; subclasses validate both.
+    Projection keeps a member and cuts the geodesic from the center at the
+    radius otherwise."""
+
+    owner: Space
+    center: tuple[float, ...] | complex
+    radius: float
+
+    def _contains(self, p, tol):
+        return self.owner._distance(self.center, p) <= self.radius + tol
+
+    def _project(self, p):
+        # The same distance as `_contains`, so members come back unchanged.
+        space, c, r = self.owner, self.center, self.radius
+        d = space._distance(c, p)
+        return p if d <= r else space._interpolate(c, p, r / d)
+
+    def _project_rows(self, P):
+        space, r = self.owner, self.radius
+        C = np.asarray(self.center)  # one packed row, broadcast against P
+        d = space._dist_rows(C, P)
+        # A row distance can round apart from the scalar one (numpy's arctanh
+        # is not math.atanh, nor a sum of squares math.dist), by far less than
+        # REL_TOL of it, so the rows that near the radius take the scalar test.
+        inside = d <= r
+        for k in np.flatnonzero(np.abs(d - r) <= REL_TOL * r):
+            inside[k] = self._contains(space._payload(P[k]), 0.0)
+        # Members keep their row; the rest are cut at the radius.  (An R^n
+        # row is a coordinate vector, so the mask gains an axis for it.)
+        keep = inside.reshape((-1,) + (1,) * (P.ndim - 1))
+        return np.where(keep, P, space._interp_rows(C, P, r / np.maximum(d, r)))
+
+
+@dataclass(frozen=True)
+class EuclideanBall(_Ball):
     """Closed ball {x : |x - center| <= radius}."""
 
-    owner: EuclideanSpace
-    center: tuple[float, ...]
-    radius: float
     kind = "ball"
 
     def __post_init__(self):
@@ -280,29 +306,6 @@ class EuclideanBall(ConvexSet):
             raise DomainError(f"ball radius must be positive and finite, got {radius}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", radius)
-
-    @property
-    def space(self):
-        return self.owner
-
-    def _project(self, p):
-        # The same norm as `_contains`, so members come back unchanged.
-        c = self.center
-        norm = math.dist(p, c)
-        if norm <= self.radius:
-            return p
-        s = self.radius / norm
-        return tuple([ci + s * (xi - ci) for xi, ci in zip(p, c)])
-
-    def _project_rows(self, P):
-        c, r = np.array(self.center), self.radius
-        norm = self.owner._dist_rows(P, c)
-        # Members keep their row; the rest are cut at the radius.
-        s = (r / np.maximum(norm, r))[:, None]
-        return np.where(_inside(self, P, norm)[:, None], P, c + s * (P - c))
-
-    def _contains(self, p, tol):
-        return math.dist(p, self.center) <= self.radius + tol
 
     def grid(self, spec):
         center = np.asarray(self.center)
@@ -336,10 +339,6 @@ class _Segment(ConvexSet):
     def __post_init__(self):
         self.owner.require_member(self.start)
         self.owner.require_member(self.end)
-
-    @property
-    def space(self):
-        return self.owner
 
     @cached_property
     def length(self) -> float:
@@ -479,10 +478,6 @@ class Subtree(ConvexSet):
         object.__setattr__(self, "vertex_names", names)
         object.__setattr__(self, "_edges_in", tuple(inner_edges))
 
-    @property
-    def space(self):
-        return self.owner
-
     def _contains(self, p, tol):
         # Membership is exact: an edge of the subtree, or one of its vertices.
         edge, offset = p
@@ -548,12 +543,9 @@ _DISK_EXTENT = 2.0 * math.atanh(DISK_MAX_NORM) - 1e-6
 
 
 @dataclass(frozen=True)
-class DiskBall(ConvexSet):
-    """Closed hyperbolic ball; projection cuts the geodesic to the center."""
+class DiskBall(_Ball):
+    """Closed hyperbolic ball about a disk point."""
 
-    owner: PoincareDiskSpace
-    center: complex
-    radius: float
     kind = "disk-ball"
 
     def __post_init__(self):
@@ -563,25 +555,6 @@ class DiskBall(ConvexSet):
             raise DomainError(f"disk ball radius {self.radius} not in (0, {limit:.6g}]")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
-
-    @property
-    def space(self):
-        return self.owner
-
-    def _project(self, p):
-        d = self.owner._distance(self.center, p)
-        if d <= self.radius:
-            return p
-        return self.owner._between(self.center, p, self.radius / d)
-
-    def _project_rows(self, P):
-        c, r = self.center, self.radius
-        d = self.owner._dist_rows(c, P)
-        # Members keep their row; the rest are cut at the radius.
-        return np.where(_inside(self, P, d), P, self.owner._interp_rows(c, P, r / np.maximum(d, r)))
-
-    def _contains(self, p, tol):
-        return self.owner._distance(self.center, p) <= self.radius + tol
 
     def _ring(self, s: float, n: int):
         """The n points at distance s from the center at angles 2 pi k / n."""
@@ -618,10 +591,6 @@ class ProductRectangle(ConvexSet):
         if self.first.space != self.owner.base or self.second.space != self.owner.base:
             raise DomainError("rectangle factors must live in the product's base space")
 
-    @property
-    def space(self):
-        return self.owner
-
     def _project(self, p):
         return (self.first._project(p[0]), self.second._project(p[1]))
 
@@ -642,10 +611,6 @@ class DiagonalSet(ConvexSet):
 
     owner: ConvexCombinationSpace
     kind = "diagonal"
-
-    @property
-    def space(self):
-        return self.owner
 
     def _project(self, p):
         c = self.owner.base._between(p[0], p[1], self.owner.lam)
@@ -669,19 +634,6 @@ def _finite_coords(values, dim: int, what: str) -> tuple[float, ...]:
     if not all(map(math.isfinite, coords)):
         raise DomainError(f"{what} must be finite, got {coords}")
     return coords
-
-
-def _inside(ball, P, d) -> np.ndarray:
-    """d <= radius for packed rows P at row distances d from a ball's center,
-    as the ball's scalar `_project` decides it.  A row distance can round
-    apart from the scalar one (numpy's arctanh is not math.atanh, nor a sum
-    of squares math.dist), by far less than REL_TOL of it, so the rows that
-    near the radius take the scalar test."""
-    r = ball.radius
-    inside = d <= r
-    for k in np.flatnonzero(np.abs(d - r) <= REL_TOL * r):
-        inside[k] = ball._contains(ball.space._payload(P[k]), 0.0)
-    return inside
 
 
 def _even(n: int) -> int:

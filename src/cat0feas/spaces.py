@@ -212,7 +212,7 @@ class EuclideanSpace(Space):
         return math.dist(a, b)
 
     def _interpolate(self, a, b, t):
-        return tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
+        return tuple([ai + t * (bi - ai) for ai, bi in zip(a, b)])
 
     def _sample(self, rng, scale):
         return tuple(rng.uniform(-scale, scale) for _ in range(self.dim))

@@ -10,6 +10,7 @@ import pytest
 
 from cat0feas import (
     AffineSubspace,
+    ComposeMap,
     ConvexCombinationSpace,
     DiagonalSet,
     EuclideanBall,
@@ -1020,7 +1021,14 @@ class TestTraceGaps:
         report = json.loads((out / "report.json").read_text())
         rows = {row["name"]: row for row in report["instances"]}
         for inst in load_config(path).instances:
-            trace = picard(cli._build_map(inst), inst.start, inst.n_max)
+            # The reference orbit comes from the library maps; the product
+            # twin's orbit is the averaged one, bit for bit.
+            a, b = inst.set_a, inst.set_b
+            if inst.mode == "composed":
+                reference = ComposeMap(ProjectionMap(a), ProjectionMap(b))
+            else:
+                reference = averaged_projections(a, b, inst.lam)
+            trace = picard(reference, inst.start, inst.n_max)
             lines = (out / f"trace_{inst.name}.csv").read_text().splitlines()[1:]
             assert len(lines) == len(trace.points)
             for line, x in zip(lines, trace.points):

@@ -20,6 +20,7 @@ from cat0feas.config import (
 
 E2 = {"kind": "euclidean", "dim": 2}
 DISK = {"kind": "poincare-disk"}
+SEGMENT = {"kind": "metric-tree", "vertices": ["a", "b"], "edges": [["a", "b", 1.0]]}
 
 
 def parse_space(text):
@@ -221,6 +222,23 @@ class TestExperimentConfig:
                 },
                 "instances[0].A.end",
             ),
+            # Numbers are JSON numbers: no strings, no booleans, and integer
+            # fields take integral numbers only.
+            ({}, {"grid": {"h": True}}, "instances[0].grid.h"),
+            ({}, {"lambda": "0.5"}, "instances[0].lambda"),
+            ({}, {"rate": {"b": "5"}}, "instances[0].rate.b"),
+            ({}, {"A": {"ball": {"center": [0, 0], "radius": "1.0"}}}, "instances[0].A"),
+            ({}, {"A": {"ball": {"center": [0, 0], "radius": 10**400}}}, "instances[0].A"),
+            ({}, {"start": [True, False]}, "instances[0].start"),
+            ({}, {"space": {"kind": "euclidean", "dim": 2.5}}, "instances[0].space"),
+            (
+                {},
+                {"space": {**SEGMENT, "edges": [["a", "b", "1.0"]]}},
+                "instances[0].space",
+            ),
+            ({}, {"space": SEGMENT, "start": {"edge": 0.5, "offset": 0.5}}, "instances[0].start"),
+            ({}, {"space": SEGMENT, "start": {"edge": True, "offset": 0.5}}, "instances[0].start"),
+            ({}, {"checks": "rate"}, "instances[0].checks"),
         ],
     )
     def test_unusable_values_rejected(self, top, field, path):

@@ -261,10 +261,11 @@ def reference_picard(mapping, start, n_max):
 
 
 def reference_cases():
-    """(mapping, start) params: the averaged, composed and product-reduction
-    maps of every bundled instance (Euclidean, tree and disk spaces), the
-    run's gap-recording step of each, and on the product space of each the
-    pair map and the diagonal projection after it."""
+    """(mapping, start) params: the CLI's averaged, composed and
+    product-reduction maps of every bundled instance (Euclidean, tree and disk
+    spaces), the run's gap-recording step of each, the library's averaged and
+    composed maps, and on the product space of each the pair map and the
+    diagonal projection after it."""
     cases = []
     for inst in cf.load_bundled_config("default").instances:
         if inst.set_a is None:
@@ -274,6 +275,10 @@ def reference_cases():
             cases.append(pytest.param(cli._build_map(moded), inst.start, id=f"{inst.name}:{mode}"))
             gaps = cli._build_map(moded, [])
             cases.append(pytest.param(gaps, inst.start, id=f"{inst.name}:{mode}:gaps"))
+        averaged = cf.averaged_projections(inst.set_a, inst.set_b, inst.lam)
+        composed = cf.ComposeMap(cf.ProjectionMap(inst.set_a), cf.ProjectionMap(inst.set_b))
+        cases.append(pytest.param(averaged, inst.start, id=f"{inst.name}:library-averaged"))
+        cases.append(pytest.param(composed, inst.start, id=f"{inst.name}:library-composed"))
         cs = cf.ConvexCombinationSpace(inst.space, inst.lam)
         pair = cf.PairMap(cs, cf.ProjectionMap(inst.set_a), cf.ProjectionMap(inst.set_b))
         twin = cf.ComposeMap(cf.diagonal_projection(cs), pair)

@@ -26,7 +26,7 @@ class TestEvaluate:
                 todo.append(cls)
                 if cls.__module__.startswith("cat0feas"):
                     found.append(cls)
-        assert len(found) == 8
+        assert len(found) == 7
         assert all("_step" in vars(cls) and "__call__" not in vars(cls) for cls in found)
 
     def test_identity(self, e2, rng):
