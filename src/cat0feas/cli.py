@@ -8,8 +8,8 @@
 Instances run one after another; ``--jobs K`` is still accepted and ignored.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 some check was
-inconclusive (or a stated hypothesis did not hold), 3 configuration or usage
-error.
+inconclusive (or a stated hypothesis did not hold), 3 configuration, usage or
+output error.
 
 Outputs are deterministic for a fixed config and seed: report.json, trace
 CSVs, and certificate JSON files are byte-identical across runs.  Wall-clock
@@ -23,6 +23,7 @@ import json
 import random
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from .mappings import (
 )
 from .product import ConvexCombinationSpace, embed_diagonal, reduction_deviations
 from .sets import DiagonalSet
-from .spaces import REL_TOL, _cn_rows, _fn_rows, _four_point_rows, _p2_rows, _random_rows
+from .spaces import REL_TOL, _cn, _firmly_nonexpansive, _four_point, _p2, _random_rows
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_CONFIG = 0, 1, 2, 3
 
@@ -77,6 +78,17 @@ SEMANTICS_NOTES = {
         "asymptotic center"
     ),
 }
+
+
+class _OutputError(Exception):
+    """An output file could not be written (exit 3)."""
+
+
+def _write(path: Path, text: str):
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _worst_status(statuses) -> str:
@@ -210,16 +222,29 @@ def _mapping_row(name, checks, assert_pass):
 
 
 def _sampled_row(name, space, samples, draw, checks, assert_pass):
-    """The row of `checks` (name -> row checker, such as `_p2_rows`) on
+    """The row of `checks` (name -> inequality of `spaces`, such as `_p2`) on
     `samples` cases drawn in blocks: draw(n) returns n cases as packed rows,
-    and check(space, *rows) their (residuals, scales), which fill each
-    check's arrays in draw order."""
+    and check(d, *rows) their (residuals, scales), which fill each check's
+    arrays in draw order.  d is space._dist_rows, computed once per block for
+    each unordered pair of drawn rows and afresh for any other operand: the
+    drawn rows live as long as their block, so no other array can take one's
+    id, and every _dist_rows is symmetric bit for bit."""
     found = {key: (np.empty(samples), np.empty(samples)) for key in checks}
     lo = 0
     for n in _blocks(samples):
-        rows = draw(n)
+        rows, known = draw(n), {}
+        drawn = {id(R) for R in rows}
+
+        def d(P, Q):
+            key = frozenset((id(P), id(Q)))
+            if not key <= drawn:
+                return space._dist_rows(P, Q)
+            if key not in known:
+                known[key] = space._dist_rows(P, Q)
+            return known[key]
+
         for key, check in checks.items():
-            for out, values in zip(found[key], check(space, *rows)):
+            for out, values in zip(found[key], check(d, *rows)):
                 out[lo : lo + n] = values
         lo += n
     return {"samples": samples, **_mapping_row(name, found, assert_pass)}
@@ -236,8 +261,8 @@ def _verify_one_space(name, space, samples, seed):
         return x, y, z, w, _random_rows(rng, n)
 
     checks = {
-        "four_point": lambda space, x, y, z, w, t: _four_point_rows(space, x, y, z, w),
-        "cn": lambda space, x, y, z, w, t: _cn_rows(space, z, x, y, t),
+        "four_point": lambda d, x, y, z, w, t: _four_point(d, x, y, z, w),
+        "cn": lambda d, x, y, z, w, t: _cn(d, z, x, y, space._interp_rows(x, y, t), t),
     }
     row = _sampled_row(name, space, samples, draw, checks, True)
     fp, cn = row["four_point"], row["cn"]
@@ -290,7 +315,8 @@ def _verify_mappings_for(inst: InstanceConfig, cfg: ExperimentConfig, seed: int)
     space = inst.space
     cs = ConvexCombinationSpace(space, inst.lam)
     proj_a, proj_b = ProjectionMap(set_a), ProjectionMap(set_b)
-    projection, p2 = {"p2": _p2_rows, "firmly_nonexpansive": _fn_rows}, {"p2": _p2_rows}
+    firm = partial(_firmly_nonexpansive, between=space._interp_rows)
+    projection, p2 = {"p2": _p2, "firmly_nonexpansive": firm}, {"p2": _p2}
     samples = cfg.mapping_samples
     rows = [
         _mapping_report("P_A", proj_a, rng, samples, True, projection),
@@ -343,7 +369,7 @@ def _write_trace_csv(path: Path, residuals, dist_to_p, aux_dist):
             repr(aux),
         ]
         lines.append(",".join([str(n)] + cells))
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _padded(points, length):
@@ -519,8 +545,9 @@ def _certify_one(inst: InstanceConfig, out: Path):
             )
 
     entry["status"] = _worst_status(statuses) if statuses else "pass"
-    (out / f"certificates_{inst.name}.json").write_text(
-        json.dumps(entry["certificates"], indent=2, sort_keys=True) + "\n"
+    _write(
+        out / f"certificates_{inst.name}.json",
+        json.dumps(entry["certificates"], indent=2, sort_keys=True) + "\n",
     )
     return entry
 
@@ -583,24 +610,27 @@ def main(argv=None) -> int:
                 "certify": lambda inst: _certify_one(inst, out),
             }[args.command]
             body, verdict = cmd_instances(cfg, handler)
+        report = {
+            "schema": "1",
+            "command": args.command,
+            "seed": seed,
+            "semantics": SEMANTICS_NOTES,
+            "verdict": verdict,
+            **body,
+        }
+        _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write(
+            out / "timings.txt", f"{args.command} wall_seconds={time.perf_counter() - started:.3f}\n"
+        )
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Cat0FeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    report = {
-        "schema": "1",
-        "command": args.command,
-        "seed": seed,
-        "semantics": SEMANTICS_NOTES,
-        "verdict": verdict,
-        **body,
-    }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    (out / "timings.txt").write_text(
-        f"{args.command} wall_seconds={time.perf_counter() - started:.3f}\n"
-    )
     print(f"{args.command}: {verdict} (report in {out / 'report.json'})")
     return _exit_code(verdict)
 

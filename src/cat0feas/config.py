@@ -115,6 +115,18 @@ def _list(value) -> list:
     return value
 
 
+def _string(value) -> str:
+    """A JSON string; str() alone would also take 7 as "7"."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _strings(values) -> tuple[str, ...]:
+    """A JSON list of strings; a string alone is no list of its letters."""
+    return tuple(map(_string, _list(values)))
+
+
 # -- spaces --------------------------------------------------------------------
 
 
@@ -127,10 +139,10 @@ def space_from_json(doc, path: str = "space") -> Space:
             return EuclideanSpace(dim=_integer(_get(doc, "dim", path)))
         if kind == "metric-tree":
             tree = MetricTree(
-                vertices=tuple(str(v) for v in _get(doc, "vertices", path)),
+                vertices=_strings(_get(doc, "vertices", path)),
                 edges=tuple(
-                    (str(u), str(v), _number(length))
-                    for u, v, length in _get(doc, "edges", path)
+                    (_string(u), _string(v), _number(length))
+                    for u, v, length in _list(_get(doc, "edges", path))
                 ),
             )
             return TreeSpace(tree)
@@ -214,9 +226,7 @@ def set_from_json(space: Space, doc, path: str = "set") -> ConvexSet:
                 end=point_from_json(space, _get(body, "end", path), path + ".end"),
             )
         if kind == "subtree":
-            return Subtree(
-                space, vertex_names=tuple(str(v) for v in _get(body, "vertices", path))
-            )
+            return Subtree(space, vertex_names=_strings(_get(body, "vertices", path)))
         if kind == "disk-ball":
             re, im = _get(body, "center", path)
             return DiskBall(
@@ -345,7 +355,9 @@ def _finite_nonnegative(doc: dict, key: str, path: str) -> float | None:
 def instance_from_json(doc, path: str) -> InstanceConfig:
     if not isinstance(doc, dict):
         _fail(path, "instance must be an object")
-    name = str(_get(doc, "name", path))
+    name = _value(doc, "name", path, _string)
+    if name is None:
+        _fail(path, "missing field 'name'")
     space = space_from_json(_get(doc, "space", path), path + ".space")
     lam = _value(doc, "lambda", path, _number, 0.5)
     if not 0.0 < lam < 1.0:
@@ -381,7 +393,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
             grid_doc, "window", grid_path,
             lambda w: tuple((_number(lo), _number(hi)) for lo, hi in w),
         ),
-        surface=_value(grid_doc, "surface", grid_path, str, "auto"),
+        surface=_value(grid_doc, "surface", grid_path, _string, "auto"),
     )
     if not 0.0 < grid.h < math.inf:
         _fail(grid_path + ".h", f"grid step must be positive and finite, got {grid.h}")
@@ -389,10 +401,10 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         _fail(grid_path + ".window", f"window bounds must be finite, got {grid.window}")
     if grid.surface not in VALID_SURFACES:
         _fail(grid_path + ".surface", f"unknown surface '{grid.surface}'")
-    mode = _value(doc, "mode", path, str, "averaged")
+    mode = _value(doc, "mode", path, _string, "averaged")
     if mode not in VALID_MODES:
         _fail(path + ".mode", f"unknown mode '{mode}'")
-    checks = _value(doc, "checks", path, lambda v: tuple(str(c) for c in _list(v)), ())
+    checks = _value(doc, "checks", path, _strings, ())
     for c in checks:
         if c not in VALID_CHECKS:
             _fail(path + ".checks", f"unknown check '{c}'")
@@ -431,7 +443,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
 def config_from_json(doc) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    schema = str(doc.get("schema", SCHEMA_VERSION))
+    schema = _value(doc, "schema", "", _string, SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version '{schema}'")
     if doc.get("tolerances") is not None:

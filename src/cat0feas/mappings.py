@@ -12,7 +12,7 @@ diagonal projection.
 The maps that ``verify-mapping`` samples (projections, pair maps, convex
 combinations and the identity) also map packed rows of their space with
 ``_rows(P)``, through each set's ``_project_rows`` and the space's row
-kernels; ``spaces._p2_rows`` and ``spaces._fn_rows`` judge the images.
+kernels; ``spaces._p2`` and ``spaces._firmly_nonexpansive`` judge the images.
 
 The checkers return a ``spaces.CheckResult``: the verdict, the signed
 residual and the scale the residual is judged against, as the curvature
@@ -210,8 +210,8 @@ def check_firmly_nonexpansive(
     t = 1, whose term is 0 for every map, so the residual reports how firmly
     the map contracts."""
     space = mapping.space
-    tx, ty = mapping(x), mapping(y)
+    tx, ty = mapping(x).payload, mapping(y).payload
     worst, scale = _firmly_nonexpansive(
-        space._distance, space._between, x.payload, y.payload, tx.payload, ty.payload, t_grid
+        space._distance, x.payload, y.payload, tx, ty, between=space._between, t_grid=t_grid
     )
     return _result(float(worst), float(scale), None)

@@ -21,7 +21,8 @@ per row; ``verify-space`` and ``verify-mapping`` draw and reduce their samples
 in blocks through them.  Each sampled inequality (four-point, CN, P2, firm
 nonexpansivity) is written once, as a function of a distance function that
 returns (residual, scale): the public checkers pass ``_distance`` and
-payloads, the row checkers ``_dist_rows`` and packed rows.
+payloads, and the CLI's sampling engine calls the same functions on packed
+rows with a block's ``_dist_rows``.
 
 A space with a grid oracle has one pair kernel ``_kernel_rows(P, Q)``,
 monotone in the distance, from which ``_dist_rows`` is computed: the squared
@@ -480,7 +481,7 @@ def _p2(d, x, y, tx, ty):
     return lhs - (xty + ytx - xtx - yty), lhs + (xty + ytx + xtx + yty)
 
 
-def _firmly_nonexpansive(d, between, x, y, tx, ty, t_grid=FN_T_GRID):
+def _firmly_nonexpansive(d, x, y, tx, ty, *, between, t_grid=FN_T_GRID):
     """Firm nonexpansivity at x, y and their images tx, ty: the worst t-grid
     term and its scale, with between(a, b, t) the geodesic point (1-t)a + tb."""
     base = d(tx, ty)
@@ -494,28 +495,6 @@ def _firmly_nonexpansive(d, between, x, y, tx, ty, t_grid=FN_T_GRID):
         worse = (lhs > worst) | np.isnan(lhs)  # nothing exceeds a NaN, so it stays
         worst, scale = np.where(worse, lhs, worst), np.where(worse, base + dt, scale)
     return worst, scale
-
-
-def _four_point_rows(space: Space, X, Y, Z, W):
-    """check_four_point on packed rows: (residuals, scales) as arrays."""
-    return _four_point(space._dist_rows, X, Y, Z, W)
-
-
-def _cn_rows(space: Space, Z, X, Y, t):
-    """check_cn_inequality on packed rows: (residuals, scales) as arrays."""
-    return _cn(space._dist_rows, Z, X, Y, space._interp_rows(X, Y, t), t)
-
-
-def _p2_rows(space: Space, X, Y, TX, TY):
-    """mappings.check_p2 on packed rows and their images TX, TY:
-    (residuals, scales) as arrays."""
-    return _p2(space._dist_rows, X, Y, TX, TY)
-
-
-def _fn_rows(space: Space, X, Y, TX, TY):
-    """mappings.check_firmly_nonexpansive on packed rows and their images
-    TX, TY, over FN_T_GRID: (residuals, scales) as arrays."""
-    return _firmly_nonexpansive(space._dist_rows, space._interp_rows, X, Y, TX, TY)
 
 
 def _result(residual: float, scale: float, tol: float | None) -> CheckResult:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -411,6 +412,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(out) in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            ("verify-space", "report.json"),
+            ("verify-mapping", "report.json"),
+            ("run", "report.json"),
+            ("certify", "report.json"),
+            ("run", "timings.txt"),
+            ("run", "trace_line-line.csv"),
+            ("certify", "certificates_line-line.json"),
+        ],
+    )
+    def test_unwritable_output_is_3(self, config_path, tmp_path, capsys, command, blocked):
+        # A directory stands where the output file goes.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert run_cli(command, config_path, out) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"output error: cannot write {out / blocked}: Is a directory\n"
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_help_is_0(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             cli.main(["certify", "--help"])
@@ -630,13 +652,13 @@ class TestSpaceRows:
         # (three of them weighted by t or 1 - t), so on line-line's R^2 row
         # a CN residual 1.5 times its own bound lies below the four-point
         # bound, which a bound shared by both checks would pass.
-        cn_rows = cli._cn_rows
+        cn = cli._cn
 
-        def over_its_own_bound(space, *rows):
-            residuals, scales = cn_rows(space, *rows)
+        def over_its_own_bound(d, *operands):
+            residuals, scales = cn(d, *operands)
             return np.full_like(residuals, 1.5 * REL_TOL * scales.max()), scales
 
-        monkeypatch.setattr(cli, "_cn_rows", over_its_own_bound)
+        monkeypatch.setattr(cli, "_cn", over_its_own_bound)
         cfg = load_config(bundled_config_path())
         row = cli._verify_one_space(
             "line-line:euclidean", EuclideanSpace(2), cli._BLOCK + 500, cfg.seed
@@ -774,7 +796,8 @@ class TestMappingReport:
 
     def report(self, samples):
         rng = random.Random("m")
-        checks = {"p2": cli._p2_rows, "firmly_nonexpansive": cli._fn_rows}
+        firm = partial(cli._firmly_nonexpansive, between=self.space._interp_rows)
+        checks = {"p2": cli._p2, "firmly_nonexpansive": firm}
         return cli._mapping_report("P", self.proj, rng, samples, True, checks)
 
     def test_quantiles_are_the_scalar_checkers_on_the_same_draws(self):
@@ -838,13 +861,13 @@ class TestMappingReport:
     def test_firm_residual_between_its_own_and_the_mixed_bound_fails(self, monkeypatch):
         # Firm nonexpansivity is of degree 1, P2 of degree 2: a residual twice
         # firm's own bound fails, although the larger P2 scales would pass it.
-        fn_rows = cli._fn_rows
+        firm = cli._firmly_nonexpansive
 
-        def over_its_own_bound(space, *images):
-            residuals, scales = fn_rows(space, *images)
+        def over_its_own_bound(d, *images, between):
+            residuals, scales = firm(d, *images, between=between)
             return np.full_like(residuals, 2.0 * REL_TOL * scales.max()), scales
 
-        monkeypatch.setattr(cli, "_fn_rows", over_its_own_bound)
+        monkeypatch.setattr(cli, "_firmly_nonexpansive", over_its_own_bound)
         entry = self.report(500)
         fn, p2 = entry["firmly_nonexpansive"], entry["p2"]
         assert fn["tolerance"] < fn["max"] <= max(fn["tolerance"], p2["tolerance"])
@@ -860,6 +883,61 @@ class TestMappingReport:
         for row in lines["mappings"][:2]:
             assert row["name"] in ("P_A", "P_B")
             assert row["firmly_nonexpansive"]["max"] < 0.0
+
+
+class TestSharedDistances:
+    """A sampled block measures each pair of its drawn rows once, for all of
+    its checks."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        dist_rows = EuclideanSpace._dist_rows
+
+        def counting(space, P, Q):
+            calls.append(1)
+            return dist_rows(space, P, Q)
+
+        monkeypatch.setattr(EuclideanSpace, "_dist_rows", counting)
+        return calls
+
+    def test_verify_space_block(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        row = cli._verify_one_space("plane", EuclideanSpace(2), 200, 1)
+        assert row["status"] == "pass"
+        # Four-point's six pairs and CN's d(z, g); CN's d(z, x), d(z, y) and
+        # d(x, y) are four-point's.
+        assert len(calls) == 7
+
+    def test_projection_block(self, monkeypatch):
+        space = EuclideanSpace(2)
+        proj = ProjectionMap(AffineSubspace(space, (0.0, 0.5), ((0.6, 0.8),)))
+        firm = partial(cli._firmly_nonexpansive, between=space._interp_rows)
+        checks = {"p2": cli._p2, "firmly_nonexpansive": firm}
+        calls = self.counted(monkeypatch)
+        row = cli._mapping_report("P", proj, random.Random(1), 200, True, checks)
+        assert row["status"] == "pass"
+        # P2's five pairs, then firm's t = 0 term d(x, y) and its three
+        # geodesic pairs; firm's d(TX, TY) is P2's.
+        assert len(calls) == 9
+
+    def test_other_operands_are_measured_afresh(self):
+        # Each shifted copy of y is freed before the next is made, so CPython
+        # may give the next one its id; only pairs of drawn rows are reused.
+        space, found = EuclideanSpace(2), []
+
+        def shifted(d, x, y):
+            want = [space._dist_rows(x, y + shift).tolist() for shift in range(8)]
+            for shift in range(8):
+                found.append(d(x, y + shift).tolist() == want[shift])
+            return np.zeros(len(x)), np.ones(len(x))
+
+        def draw(n):
+            rng = random.Random(n)
+            return space._sample_rows(rng, n), space._sample_rows(rng, n)
+
+        row = cli._sampled_row("shifted", space, 200, draw, {"shifted": shifted}, True)
+        assert row["status"] == "pass" and found == [True] * 8
 
 
 class TestModes:

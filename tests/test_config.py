@@ -239,6 +239,16 @@ class TestExperimentConfig:
             ({}, {"space": SEGMENT, "start": {"edge": 0.5, "offset": 0.5}}, "instances[0].start"),
             ({}, {"space": SEGMENT, "start": {"edge": True, "offset": 0.5}}, "instances[0].start"),
             ({}, {"checks": "rate"}, "instances[0].checks"),
+            # Names are JSON strings, and lists of names JSON lists.
+            ({}, {"space": {**SEGMENT, "vertices": "ab"}}, "instances[0].space"),
+            ({}, {"space": SEGMENT, "A": {"subtree": {"vertices": "ab"}}}, "instances[0].A"),
+            ({}, {"name": 7}, "instances[0].name"),
+            (
+                {},
+                {"space": {**SEGMENT, "vertices": ["1", "b"], "edges": [[1, "b", 1.0]]}},
+                "instances[0].space",
+            ),
+            ({"schema": 1}, {}, "schema"),
         ],
     )
     def test_unusable_values_rejected(self, top, field, path):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cat0feas as cf
-from cat0feas.spaces import FN_T_GRID, REL_TOL, _fn_rows, _p2_rows
+from cat0feas.spaces import FN_T_GRID, REL_TOL, _firmly_nonexpansive, _p2
 
 coord = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -277,6 +277,17 @@ def draws(space, rng, n=150):
     return points, space._pack([p.payload for p in points])
 
 
+def row_checks(space):
+    """P2 and firm nonexpansivity of packed rows and their images, on the
+    space's row kernels, as verify-mapping judges them."""
+    return (
+        lambda *images: _p2(space._dist_rows, *images),
+        lambda *images: _firmly_nonexpansive(
+            space._dist_rows, *images, between=space._interp_rows
+        ),
+    )
+
+
 class TestRows:
     """The row checks against the scalar checkers, on the same draws."""
 
@@ -285,14 +296,14 @@ class TestRows:
             space = mapping.space
             (xs, X), (ys, Y) = draws(space, rng), draws(space, rng)
             images = (X, Y, mapping._rows(X), mapping._rows(Y))
-            pairs = ((cf.check_p2, _p2_rows), (cf.check_firmly_nonexpansive, _fn_rows))
+            pairs = zip((cf.check_p2, cf.check_firmly_nonexpansive), row_checks(space))
             for scalar, rows in pairs:
                 want = [scalar(mapping, x, y) for x, y in zip(xs, ys)]
-                residuals, scales = rows(space, *images)
+                residuals, scales = rows(*images)
                 want_scales = np.array([r.scale for r in want])
                 np.testing.assert_allclose(scales, want_scales, rtol=1e-12, atol=0.0, err_msg=name)
                 gaps = np.abs(residuals - [r.residual for r in want])
-                assert np.all(gaps <= REL_TOL * want_scales), (name, rows.__name__)
+                assert np.all(gaps <= REL_TOL * want_scales), (name, scalar.__name__)
 
     def test_images_are_the_scalar_images(self, e2, tripod_space, disk, rng):
         for name, mapping in row_cases(e2, tripod_space, disk):
@@ -336,17 +347,18 @@ class TestRowNegativeControls:
         half = cf.Halfspace(e2, (1.0, 0.0), 0.0)
         X, Y = e2._sample_rows(rng, 200) * 4.0, e2._sample_rows(rng, 200) * 4.0
         images = (X, Y, 2.0 * half._project_rows(X) - X, 2.0 * half._project_rows(Y) - Y)
-        p2, fn = _p2_rows(e2, *images), _fn_rows(e2, *images)
+        p2, fn = (check(*images) for check in row_checks(e2))
         assert p2[0].max() > 1.0 and fn[0].max() > 0.1
         assert self.fails(*p2) and self.fails(*fn)
 
-    def test_relative_perturbation_fails_p2_rows(self, e2, rng):
+    def test_relative_perturbation_fails_p2_on_rows(self, e2, rng):
         # (1 + 1e-11) P for the projection P onto a line through 0.
         line = cf.AffineSubspace(e2, (0.0, 0.0), ((0.6, 0.8),))
         X, Y = e2._sample_rows(rng, 200), e2._sample_rows(rng, 200)
         TX, TY = line._project_rows(X), line._project_rows(Y)
-        assert not self.fails(*_p2_rows(e2, X, Y, TX, TY))
-        residuals, scales = _p2_rows(e2, X, Y, TX * (1.0 + 1e-11), TY * (1.0 + 1e-11))
+        p2, _ = row_checks(e2)
+        assert not self.fails(*p2(X, Y, TX, TY))
+        residuals, scales = p2(X, Y, TX * (1.0 + 1e-11), TY * (1.0 + 1e-11))
         assert residuals.max() <= 1e-9
         assert (residuals / scales).max() > 10 * REL_TOL
         assert self.fails(residuals, scales)
@@ -355,7 +367,7 @@ class TestRowNegativeControls:
         X, Y = e2._sample_rows(rng, 50), e2._sample_rows(rng, 50)
         TX = X.copy()
         TX[30] = math.nan
-        for residuals, scales in (_p2_rows(e2, X, Y, TX, Y), _fn_rows(e2, X, Y, TX, Y)):
+        for residuals, scales in (check(X, Y, TX, Y) for check in row_checks(e2)):
             assert np.isnan(residuals[30]) and not np.isnan(np.delete(residuals, 30)).any()
             assert self.fails(residuals, scales)
 

@@ -13,8 +13,8 @@ from cat0feas import cli
 from cat0feas.spaces import (
     DISK_MAX_NORM,
     REL_TOL,
-    _cn_rows,
-    _four_point_rows,
+    _cn,
+    _four_point,
     _quot_rows,
     _random_rows,
 )
@@ -437,10 +437,41 @@ class TestRowKernels:
             else:
                 np.testing.assert_allclose(got, want, rtol=4 * ULP, atol=0.0)
 
+    @staticmethod
+    def _assert_symmetric(space, P, Q):
+        """d(P, Q) and d(Q, P) have the same bits."""
+        assert space._dist_rows(P, Q).tobytes() == space._dist_rows(Q, P).tobytes()
+
+    def _symmetry_cases(self, space):
+        P, Q, _ = self._rows(space, 8)
+        first = space._pack([_row_points(space, P)[0].payload])
+        return [(P, Q), (first, Q)]
+
+    def test_dist_rows_are_symmetric_bit_for_bit(self, row_space):
+        # verify-space and verify-mapping reuse d(P, Q) of a block's drawn
+        # rows for d(Q, P).
+        for P, Q in self._symmetry_cases(row_space):
+            self._assert_symmetric(row_space, P, Q)
+
+    def test_one_ulp_asymmetry_fails_the_symmetry_check(self, row_space, monkeypatch):
+        # The kernel the engine calls, one ulp larger in one argument order.
+        kernel = type(row_space)._dist_rows
+
+        def lopsided(space, P, Q):
+            d = kernel(space, P, Q)
+            return np.nextafter(d, np.inf) if id(P) < id(Q) else d
+
+        monkeypatch.setattr(type(row_space), "_dist_rows", lopsided)
+        for P, Q in self._symmetry_cases(row_space):
+            with pytest.raises(AssertionError):
+                self._assert_symmetric(row_space, P, Q)
+
     def test_row_checkers_are_the_scalar_checkers(self, row_space):
-        # One formula per inequality, fed by either kernel: the distances
-        # (and Python's x ** 2, a pow, against numpy's square) may differ in
-        # their last bits, far below the pass rule's REL_TOL.
+        # One formula per inequality, fed by either kernel: verify-space calls
+        # it on packed rows with _dist_rows, and CN at the geodesic points of
+        # _interp_rows.  The distances (and Python's x ** 2, a pow, against
+        # numpy's square) may differ in their last bits, far below the pass
+        # rule's REL_TOL.
         rng = random.Random(6)
         X, Y, Z, W = (row_space._sample_rows(rng, self.N) for _ in range(4))
         t = _random_rows(rng, self.N)
@@ -450,10 +481,8 @@ class TestRowKernels:
             cf.check_cn_inequality(row_space, c, a, b, s)
             for a, b, c, s in zip(x, y, z, t.tolist())
         ]
-        cases = [
-            (_four_point_rows(row_space, X, Y, Z, W), four_point),
-            (_cn_rows(row_space, Z, X, Y, t), cn),
-        ]
+        d, g = row_space._dist_rows, row_space._interp_rows(X, Y, t)
+        cases = [(_four_point(d, X, Y, Z, W), four_point), (_cn(d, Z, X, Y, g, t), cn)]
         for (residuals, scales), results in cases:
             assert len(residuals) == len(results) == self.N
             for residual, scale, want in zip(residuals, scales, results):
