@@ -251,21 +251,22 @@ def check_delta_limit(
     """
     space = trace.space
     space.require_member(claimed)
-    n = len(trace.points)
+    payloads = trace.payloads
     if trace.stationary_from is not None:
         # The recorded trace ends in an exact fixed point; its extension is
         # constant, so the meaningful tail starts there.
         start = trace.stationary_from
     else:
-        start = default_tail_window(n)
-    tail = trace.points[start:]
-    dists = [space.distance(p, claimed) for p in trace.points]
-    head_max = max(dists[: max(1, n - len(tail))] or dists[:1])
+        start = default_tail_window(len(payloads))
+    tail = payloads[start:]
+    dists = [space._distance(p, claimed.payload) for p in payloads]
+    head_max = max(dists[: max(1, start)])
     tail_max = max(dists[start:])
     diverging = tail_max > 1.5 * head_max + 1.0 and tail_max > tol
-    # Cap the candidate set so the quadratic midpoint enrichment stays cheap.
+    # Cap the candidate set so the quadratic midpoint enrichment stays cheap;
+    # only this window becomes Points.
     window = tail if len(tail) <= 80 else tail[:: math.ceil(len(tail) / 80)]
-    center_est = estimate_asymptotic_center(window, tail_start=start)
+    center_est = estimate_asymptotic_center([Point(space, p) for p in window], tail_start=start)
     center_distance = space.distance(center_est.center, claimed)
     ok = (not diverging) and tail_max <= tol and center_distance <= tol
     note = "diverging trace" if diverging else ""

@@ -46,7 +46,7 @@ from .mappings import (
     averaged_projections,
     diagonal_projection,
 )
-from .product import ConvexCombinationSpace, embed_diagonal, reduction_deviations
+from .product import ConvexCombinationSpace
 from .sets import DiagonalSet
 from .spaces import REL_TOL, _cn, _firmly_nonexpansive, _four_point, _p2, _random_rows
 
@@ -180,8 +180,8 @@ def _run_trace(inst: InstanceConfig, with_gaps: bool):
     gaps = [] if with_gaps else None
     trace = picard(_build_map(inst, gaps), start, inst.n_max)
     if with_gaps:
-        last = trace.points[-1]
-        gaps.append(inst.space.distance(set_a.project(last), set_b.project(last)))
+        last = trace.payloads[-1]
+        gaps.append(inst.space._distance(set_a._project(last), set_b._project(last)))
     return trace, gaps
 
 
@@ -372,21 +372,23 @@ def _write_trace_csv(path: Path, residuals, dist_to_p, aux_dist):
     _write(path, "\n".join(lines) + "\n")
 
 
-def _padded(points, length):
-    """The first `length` points of an orbit and of its constant extension."""
-    return points[:length] + points[-1:] * (length - len(points))
+def _padded(payloads, length):
+    """The first `length` iterates of an orbit and of its constant extension."""
+    return payloads[:length] + payloads[-1:] * (length - len(payloads))
 
 
 def _run_one(inst: InstanceConfig, out: Path):
     space, start = inst.space, inst.start
     trace, aux_dist = _run_trace(inst, True)
     p = inst.fixed_point
-    dist_to_p = [space.distance(x, p) for x in trace.points] if p is not None else None
+    dist_to_p = None
+    if p is not None:
+        dist_to_p = [space._distance(x, p.payload) for x in trace.payloads]
     _write_trace_csv(out / f"trace_{inst.name}.csv", trace.residuals, dist_to_p, aux_dist)
     row = {
         "name": inst.name,
         "mode": inst.mode,
-        "steps": len(trace.points) - 1,
+        "steps": len(trace.residuals),
         "stationary_from": trace.stationary_from,
         "final_residual": trace.residuals[-1] if trace.residuals else 0.0,
         "final_aux": aux_dist[-1],
@@ -400,12 +402,10 @@ def _run_one(inst: InstanceConfig, out: Path):
             base, twin = trace, picard(_build_map(inst, mode="product-reduction"), start, steps)
         else:
             base, twin = picard(_build_map(inst, mode="averaged"), start, steps), trace
+        # Entry n is the product distance D((x_n, x_n), (y_n, y_n)).
         cs = ConvexCombinationSpace(space, inst.lam)
-        gaps = reduction_deviations(
-            cs,
-            _padded(base.points, steps + 1),
-            [embed_diagonal(cs, y) for y in _padded(twin.points, steps + 1)],
-        )
+        orbits = zip(_padded(base.payloads, steps + 1), _padded(twin.payloads, steps + 1))
+        gaps = [cs._distance((x, x), (y, y)) for x, y in orbits]
         # Both orbits make the same base payload calls: the twin's step takes
         # (P_A x, P_B x) from the pair map and c = base._between(P_A x,
         # P_B x, lam) from the diagonal projection, which is the averaged
@@ -473,7 +473,8 @@ def _certify_one(inst: InstanceConfig, out: Path):
         else:
             a_star, b_star = pair
             u_star = space.interpolate(a_star, b_star, inst.lam)
-            m_val = inst.rate_m if inst.rate_m is not None else space.distance(start, u_star)
+            d_u = space.distance(start, u_star)
+            m_val = inst.rate_m if inst.rate_m is not None else d_u
             r = inst.set_dist if inst.set_dist is not None else r_alt
             q_identity = None
             if r is not None and r_alt is not None:
@@ -481,7 +482,7 @@ def _certify_one(inst: InstanceConfig, out: Path):
                 # product space, lam (1-lam) d(A, B)^2, against lam (1-lam) r^2.
                 weight = inst.lam * (1.0 - inst.lam)
                 q_identity = abs(weight * r_alt * r_alt - weight * r**2)
-            if space.distance(start, u_star) > m_val + 1e-12:
+            if d_u > m_val + 1e-12:
                 add("gap-rate", "hypothesis-unsatisfied", M=m_val)
             elif r is None:
                 add("gap-rate", "inconclusive", reason="set distance unavailable")

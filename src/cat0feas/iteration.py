@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError, NumericError
@@ -113,22 +114,28 @@ def composed_projection_gap_rate(M: float, b: float, eps: float) -> int:
 
 @dataclass
 class IterationTrace:
-    """Recorded Picard iterates and their step residuals.
+    """Recorded Picard iterates, as payloads, and their step residuals.
 
     residuals[n] = d(x_n, x_{n+1}).  ``stationary_from`` is the first index at
     which the next iterate equals the current one structurally; from there on
-    the infinite extension of the trace is constant.
+    the infinite extension of the trace is constant.  ``points`` wraps the
+    payloads in Points the first time it is read.
     """
 
     space: Space
-    points: list[Point]
+    payloads: list
     residuals: list[float] = field(default_factory=list)
     stationary_from: int | None = None
 
     def __post_init__(self):
-        if len(self.residuals) != max(len(self.points) - 1, 0):
+        if len(self.residuals) != max(len(self.payloads) - 1, 0):
             raise DomainError("residual count must be iterate count - 1")
         _require_nonnegative("residual", self.residuals)
+
+    @cached_property
+    def points(self) -> list[Point]:
+        """The iterates as Points of the trace's space."""
+        return [Point(self.space, p) for p in self.payloads]
 
     @property
     def horizon(self) -> int:
@@ -148,7 +155,8 @@ def picard(mapping: Mapping, start: Point, n_max: int) -> IterationTrace:
     There is no residual-based early stop, so rate certification sees the full
     horizon.  The loop ends at the first exact fixed point (equal payloads),
     since every later iterate is structurally identical.  It steps payloads
-    through ``mapping._step`` and makes one Point per iterate.
+    through ``mapping._step`` and records the payloads; no Point is made
+    unless the trace's ``points`` is read.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -156,7 +164,7 @@ def picard(mapping: Mapping, start: Point, n_max: int) -> IterationTrace:
     space.require_member(start)
     step_payload, distance = mapping._step, space._distance
 
-    points = [start]
+    payloads = [start.payload]
     residuals: list[float] = []
     stationary_from = None
 
@@ -166,7 +174,7 @@ def picard(mapping: Mapping, start: Point, n_max: int) -> IterationTrace:
         residual = distance(current, nxt)
         if not math.isfinite(residual):
             raise NumericError(f"non-finite iterate at step {step + 1}", step=step + 1)
-        points.append(Point(space, nxt))
+        payloads.append(nxt)
         residuals.append(residual)
         if nxt == current:
             stationary_from = step
@@ -174,7 +182,7 @@ def picard(mapping: Mapping, start: Point, n_max: int) -> IterationTrace:
         current = nxt
 
     return IterationTrace(
-        space=space, points=points, residuals=residuals, stationary_from=stationary_from
+        space=space, payloads=payloads, residuals=residuals, stationary_from=stationary_from
     )
 
 
@@ -229,7 +237,7 @@ class RateCertificate:
 def _certify_values(values, stationary_value, bound, eps, slack, stationary):
     """Shared certificate logic over a recorded sequence of nonneg values."""
     target = eps + slack
-    violation = any(values[n] > target for n in range(min(bound, len(values)), len(values)))
+    violation = any(v > target for v in values[bound:])
     observed = next((n for n, v in enumerate(values) if v <= eps), None)
     if observed is None and stationary and stationary_value <= eps:
         observed = len(values)
@@ -285,7 +293,7 @@ def certify_best_approx_rate(
     Preconditions: d(x0, u*) <= M for the lifted best pair;
     d(P_A x0, P_B x0)^2 <= b.
     """
-    if len(gaps) != len(trace.points):
+    if len(gaps) != len(trace.payloads):
         raise DomainError("gap count must be iterate count")
     _require_nonnegative("gap", gaps)
     certs = []

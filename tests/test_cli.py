@@ -25,7 +25,9 @@ from cat0feas import (
     embed_diagonal,
     picard,
 )
+from cat0feas.analysis import check_delta_limit
 from cat0feas.config import bundled_config_path, load_config
+from cat0feas.iteration import IterationTrace
 from cat0feas.mappings import ProjectionMap, check_firmly_nonexpansive, check_p2
 from cat0feas.spaces import REL_TOL
 
@@ -1143,6 +1145,85 @@ class TestTraceGaps:
         assert trace.stationary_from is None and steps == inst.n_max
         assert len(gaps) == steps + 1
         assert len(calls) == per_step * steps + 2
+
+
+def tangent_config(tmp_path):
+    """Two tangent unit balls in R^2, whose averaged trace never becomes
+    stationary, with every check that reads a trace."""
+    doc = mini_config()
+    doc["instances"] = [
+        {
+            "name": "tangent",
+            "space": {"kind": "euclidean", "dim": 2},
+            "A": {"ball": {"center": [0.0, 0.0], "radius": 1.0}},
+            "B": {"ball": {"center": [2.0, 0.0], "radius": 1.0}},
+            "start": [1.0, 3.0],
+            "fixed_point": [1.0, 0.0],
+            "best_pair": [[1.0, 0.0], [1.0, 0.0]],
+            "set_distance": 0.0,
+            "n_max": 400,
+            "eps_grid": [1.0],
+            "gap_eps_grid": [1.0],
+            "grid": {"h": 0.05},
+            "checks": ["rate", "gap-rate", "delta-limit"],
+        }
+    ]
+    path = tmp_path / "tangent.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class _PointsRead(Exception):
+    """Raised by the guard in place of IterationTrace.points."""
+
+
+def guard_points(monkeypatch):
+    """Make every read of IterationTrace.points raise _PointsRead."""
+
+    def guard(trace):
+        raise _PointsRead("IterationTrace.points was read")
+
+    monkeypatch.setattr(IterationTrace, "points", property(guard))
+
+
+def trace_config(name, tmp_path):
+    return bundled_config_path("default") if name == "default" else tangent_config(tmp_path)
+
+
+class TestTracesStayPayloads:
+    """`run` and `certify` read each trace's payloads, never its Points."""
+
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    @pytest.mark.parametrize("config", ["default", "tangent"])
+    def test_points_are_never_read(self, tmp_path, monkeypatch, command, config):
+        path = trace_config(config, tmp_path)
+        free, guarded = tmp_path / "free", tmp_path / "guarded"
+        code = run_cli(command, path, free)
+        with monkeypatch.context() as m:
+            guard_points(m)
+            assert run_cli(command, path, guarded) == code
+        names = sorted(f.name for f in free.iterdir() if f.name != "timings.txt")
+        assert names == sorted(f.name for f in guarded.iterdir() if f.name != "timings.txt")
+        for name in names:
+            assert (guarded / name).read_bytes() == (free / name).read_bytes()
+        if config == "tangent":
+            (row,) = json.loads((free / "report.json").read_text())["instances"]
+            if command == "run":
+                assert row["stationary_from"] is None and row["steps"] == 400
+            else:
+                assert {c["check"] for c in row["checks"]} == {"rate", "gap-rate", "delta-limit"}
+
+    @pytest.mark.parametrize("config", ["default", "tangent"])
+    def test_delta_limit_reading_points_trips_the_guard(self, tmp_path, monkeypatch, config):
+        # Negative control: a check_delta_limit that reads the trace's Points.
+        def reading(trace, claimed, tol):
+            len(trace.points)
+            return check_delta_limit(trace, claimed, tol=tol)
+
+        monkeypatch.setattr(cli, "check_delta_limit", reading)
+        guard_points(monkeypatch)
+        with pytest.raises(_PointsRead):
+            run_cli("certify", trace_config(config, tmp_path), tmp_path / "out")
 
 
 class TestZeroRateConstants:

@@ -217,7 +217,7 @@ class TestPicard:
 
     def test_trace_invariant_enforced(self, e2):
         with pytest.raises(cf.DomainError):
-            IterationTrace(space=e2, points=[e2.point((0, 0))], residuals=[1.0, 2.0])
+            IterationTrace(space=e2, payloads=[(0.0, 0.0)], residuals=[1.0, 2.0])
 
     def test_csv_rows_shape(self, e2, tmp_path):
         # a trace cut off before stationarity: one row per iterate
@@ -300,6 +300,16 @@ class TestPicardReference:
         assert trace.stationary_from == stationary_from
         assert all(type(x) is cf.Point and x.space == mapping.space for x in trace.points)
 
+    @pytest.mark.parametrize("mapping, start", reference_cases())
+    def test_points_wrap_the_payloads(self, mapping, start):
+        trace = cf.picard(mapping, start, 1200)
+        assert len(trace.points) == trace.horizon + 1 == len(trace.payloads)
+        for n, x in enumerate(trace.points):
+            assert x.payload == trace.payloads[n]
+            assert type(x) is cf.Point and x.space == mapping.space
+        # Built once: a second read returns the same list.
+        assert trace.points is trace.points
+
     def test_both_kinds_of_trace_are_covered(self):
         stationary = [
             cf.picard(*case.values, 1200).stationary_from is not None
@@ -332,8 +342,8 @@ class TestCertificates:
         # synthetic non-stationary trace whose horizon passes the bound: the
         # recorded residuals alone decide the certificate
         residuals = [0.25 / 2**k for k in range(8)]
-        pts = [e2.point((0.0, sum(residuals[:k]))) for k in range(9)]
-        trace = IterationTrace(space=e2, points=pts, residuals=residuals)
+        payloads = [(0.0, sum(residuals[:k])) for k in range(9)]
+        trace = IterationTrace(space=e2, payloads=payloads, residuals=residuals)
         b = 0.25
         bound = cf.asymptotic_regularity_rate(b, 1.0)
         assert bound < trace.horizon
@@ -360,8 +370,8 @@ class TestCertificates:
 
     def test_violation_fails(self, e2):
         # synthetic trace with a large residual beyond a tiny bound
-        pts = [e2.point((float(k), 0.0)) for k in range(8)]
-        trace = IterationTrace(space=e2, points=pts, residuals=[1.0] * 7)
+        payloads = [(float(k), 0.0) for k in range(8)]
+        trace = IterationTrace(space=e2, payloads=payloads, residuals=[1.0] * 7)
         b, eps = 0.25, 0.5
         bound = cf.asymptotic_regularity_rate(b, eps)
         assert bound < 7
