@@ -193,14 +193,6 @@ def _blocks(total):
     return [min(_BLOCK, total - lo) for lo in range(0, total, _BLOCK)]
 
 
-def _row(P, k):
-    """Row k of packed rows, as packed rows of one point; a product packs a
-    pair of its base's, which may be a product again."""
-    if isinstance(P, tuple):
-        return tuple(_row(Q, k) for Q in P)
-    return P[k : k + 1]
-
-
 def _mapping_row(name, checks, assert_pass):
     """One sampled row from its checks' (residuals, scales).
 
@@ -317,6 +309,19 @@ def _verify_mappings_for(inst: InstanceConfig, cfg: ExperimentConfig, seed: int)
     proj_a, proj_b = ProjectionMap(set_a), ProjectionMap(set_b)
     firm = partial(_firmly_nonexpansive, between=space._interp_rows)
     projection, p2 = {"p2": _p2, "firmly_nonexpansive": firm}, {"p2": _p2}
+
+    # Nearest-point minimality of the diagonal projection Q at each drawn
+    # product point x = (x1, x2): the slack d(x, Qx) - d(x, Qy) against the
+    # diagonal point Qy, scaled by its two distances, and the identity
+    # d^2(x, Qx) = lam (1-lam) d^2(x1, x2), scaled by its two sides.
+    def slack(d, x, y, qx, qy):
+        dq, dw = d(x, qx), d(x, qy)
+        return dq - dw, dq + dw
+
+    def identity(d, x, y, qx, qy):
+        dq, gap = d(x, qx), inst.lam * (1 - inst.lam) * space._dist_rows(*x) ** 2
+        return np.abs(dq * dq - gap), dq * dq + gap
+
     samples = cfg.mapping_samples
     rows = [
         _mapping_report("P_A", proj_a, rng, samples, True, projection),
@@ -327,27 +332,11 @@ def _verify_mappings_for(inst: InstanceConfig, cfg: ExperimentConfig, seed: int)
         _mapping_report(
             "averaged", averaged_projections(set_a, set_b, inst.lam), rng, samples, False, p2
         ),
+        _mapping_report(
+            "diagonal-minimality", diagonal_projection(cs), rng, cfg.minimality_samples, True,
+            {"slack": slack, "identity": identity},
+        ),
     ]
-    # Spot-check nearest-point minimality of the diagonal projection at 25
-    # points p: the slack d(p, Qp) - d(p, (w, w)) against random diagonal
-    # points (w, w), scaled by its two distances, and the identity
-    # d^2(p, Qp) = lam (1-lam) d^2(x1, x2), scaled by its two sides.
-    p = cs._sample_rows(rng, 25)
-    dq = cs._dist_rows(p, DiagonalSet(cs)._project_rows(p))
-    gap = inst.lam * (1 - inst.lam) * space._dist_rows(*p) ** 2
-    slack, scales = [], []
-    for k in range(25):
-        point = _row(p, k)
-        for n in _blocks(cfg.minimality_samples):
-            w = space._sample_rows(rng, n)
-            dw = cs._dist_rows(point, (w, w))
-            slack.append(dq[k] - dw)
-            scales.append(dq[k] + dw)
-    minimality = {
-        "slack": (np.concatenate(slack), np.concatenate(scales)),
-        "identity": (np.abs(dq * dq - gap), dq * dq + gap),
-    }
-    rows.append(_mapping_row("diagonal-minimality", minimality, True))
     return {
         "name": inst.name,
         "mappings": rows,

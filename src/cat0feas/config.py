@@ -16,7 +16,11 @@ Schema sketch (version "1"):
 An experiment document holds these keys (default after "="):
 
     schema = "1"; seed = 0; instances = []
-    samples     {"space" = 10000, "mapping" = 1000, "minimality" = 1000}, each >= 1
+    samples     {"space" = 10000, "mapping" = 1000, "minimality" = 1000}, each >= 1:
+                cases drawn for each verify-space row ("space"), each
+                verify-mapping map row but the identity's 100 ("mapping"), and
+                the diagonal-minimality row ("minimality": a product point x,
+                against the diagonal point Qy of another)
 
 Check bounds are not configurable: every sampled check scales its bound with
 the distance terms of its inequality (spaces.REL_TOL).  A "tolerances" section
@@ -60,6 +64,7 @@ from pathlib import Path
 from .errors import Cat0FeasError, ConfigError
 from .product import ConvexCombinationSpace
 from .sets import (
+    SURFACES,
     AffineSubspace,
     ConvexSet,
     DiagonalSet,
@@ -261,7 +266,6 @@ VALID_CHECKS = ("rate", "gap-rate", "delta-limit", "oracle-agreement")
 # The rate theorems and the limit (1-lam) a* + lam b* hold for the averaged map.
 AVERAGED_CHECKS = ("rate", "gap-rate", "delta-limit")
 VALID_MODES = ("averaged", "composed", "product-reduction")
-VALID_SURFACES = ("auto", "full")
 
 
 @dataclass(frozen=True)
@@ -387,20 +391,19 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
         )
     grid_doc = _section(doc, "grid", path)
     grid_path = path + ".grid"
-    grid = GridSpec(
-        h=_value(grid_doc, "h", grid_path, _number, 1e-3),
-        window=_value(
-            grid_doc, "window", grid_path,
-            lambda w: tuple((_number(lo), _number(hi)) for lo, hi in w),
-        ),
-        surface=_value(grid_doc, "surface", grid_path, _string, "auto"),
+    h = _value(grid_doc, "h", grid_path, _number, 1e-3)
+    window = _value(
+        grid_doc, "window", grid_path,
+        lambda w: tuple((_number(lo), _number(hi)) for lo, hi in w),
     )
-    if not 0.0 < grid.h < math.inf:
-        _fail(grid_path + ".h", f"grid step must be positive and finite, got {grid.h}")
-    if grid.window is not None and not all(math.isfinite(b) for r in grid.window for b in r):
-        _fail(grid_path + ".window", f"window bounds must be finite, got {grid.window}")
-    if grid.surface not in VALID_SURFACES:
-        _fail(grid_path + ".surface", f"unknown surface '{grid.surface}'")
+    surface = _value(grid_doc, "surface", grid_path, _string, "auto")
+    if not 0.0 < h < math.inf:
+        _fail(grid_path + ".h", f"grid step must be positive and finite, got {h}")
+    if window is not None and not all(math.isfinite(b) for r in window for b in r):
+        _fail(grid_path + ".window", f"window bounds must be finite, got {window}")
+    if surface not in SURFACES:
+        _fail(grid_path + ".surface", f"unknown surface '{surface}'")
+    grid = GridSpec(h, window, surface)
     mode = _value(doc, "mode", path, _string, "averaged")
     if mode not in VALID_MODES:
         _fail(path + ".mode", f"unknown mode '{mode}'")

@@ -57,6 +57,9 @@ from .trees import TreeSpace
 # A grid larger than this raises instead of exhausting memory.
 MAX_GRID_POINTS = 2_000_000
 
+# What a grid samples of a region: "auto" its boundary where it can, "full" all of it.
+SURFACES = ("auto", "full")
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -65,12 +68,22 @@ class GridSpec:
     h is the target arc/lattice step.  `window` bounds unbounded Euclidean
     sets (per-dimension (lo, hi) pairs).  `surface` "auto" samples only the
     boundary of a 2-D ball, disk ball or half-space, "full" the whole region.
-    No grid may hold more than MAX_GRID_POINTS points.
+    No grid may hold more than MAX_GRID_POINTS points.  A step that is not
+    positive and finite, an unknown surface or an infinite or NaN window bound
+    raises DomainError.
     """
 
     h: float = 1e-3
     window: tuple[tuple[float, float], ...] | None = None
     surface: str = "auto"
+
+    def __post_init__(self):
+        if not 0.0 < self.h < math.inf:
+            raise DomainError(f"grid step h must be positive and finite, got {self.h}")
+        if self.surface not in SURFACES:
+            raise DomainError(f"unknown surface {self.surface!r}, expected one of {SURFACES}")
+        if self.window is not None and not all(math.isfinite(b) for r in self.window for b in r):
+            raise DomainError(f"window bounds must be finite, got {self.window}")
 
     def require_window(self, dim: int) -> tuple[tuple[float, float], ...]:
         if self.window is None:

@@ -22,7 +22,6 @@ from cat0feas import (
     averaged_projections,
     best_pair_bruteforce,
     cli,
-    embed_diagonal,
     picard,
 )
 from cat0feas.analysis import check_delta_limit
@@ -612,6 +611,88 @@ class TestExitCodes:
         out = tmp_path / "short-out"
         assert run_cli("certify", path, out) == 2
 
+    def test_wrong_fixed_point_fails_fejer(self, tmp_path):
+        # From (0, 4) the averaged map of two parallel lines jumps to (0, 0.5),
+        # away from (0, 3): its distance grows from 1 to 2.5.
+        doc = json.loads(bundled_config_path().read_text())
+        (inst,) = [i for i in doc["instances"] if i["name"] == "line-line"]
+        inst["fixed_point"] = [0.0, 3.0]
+        doc["instances"] = [inst]
+        path = tmp_path / "wrong-p.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "wrong-p-out"
+        assert run_cli("run", path, out) == 1
+        (row,) = json.loads((out / "report.json").read_text())["instances"]
+        assert row["fejer_monotone"] is False
+        assert row["fejer_max_drift"] == 1.5
+        assert row["reduction_ok"] is True
+        assert row["status"] == "fail"
+
+    def test_library_error_is_1_without_a_traceback(
+        self, config_path, tmp_path, monkeypatch, capsys
+    ):
+        # A projection that returns NaN: picard refuses the first iterate.
+        monkeypatch.setattr(AffineSubspace, "_project", lambda self, p: (math.nan, math.nan))
+        assert run_cli("run", config_path, tmp_path / "nan-out") == 1
+        assert capsys.readouterr().err == "error: non-finite iterate at step 1\n"
+
+
+def certify_one(tmp_path, index, edit, drop=()):
+    """Certify instance `index` of the mini config alone, after `edit` and
+    with the keys in `drop` removed; the exit code and its one report row."""
+    doc = mini_config()
+    inst = doc["instances"][index]
+    inst.update(edit)
+    for key in drop:
+        del inst[key]
+    doc["instances"] = [inst]
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "one-out"
+    code = run_cli("certify", path, out)
+    (row,) = json.loads((out / "report.json").read_text())["instances"]
+    return code, {c["check"]: c for c in row["checks"]}
+
+
+class TestCertifyWithoutInputs:
+    """A certify check whose input is missing or whose hypothesis fails says
+    so and exits 2."""
+
+    def test_rate_without_fixed_point(self, tmp_path):
+        code, checks = certify_one(tmp_path, 0, {"checks": ["rate"]}, drop=["fixed_point"])
+        assert code == 2
+        assert checks["rate"] == {
+            "check": "rate", "status": "inconclusive", "reason": "no fixed point configured"
+        }
+
+    def test_gap_rate_without_best_pair(self, tmp_path):
+        code, checks = certify_one(tmp_path, 1, {"checks": ["gap-rate"]}, drop=["best_pair"])
+        assert code == 2
+        assert checks["gap-rate"] == {
+            "check": "gap-rate", "status": "inconclusive", "reason": "no best pair configured"
+        }
+
+    def test_gap_rate_with_m_below_the_start_distance(self, tmp_path):
+        # u* is the tripod's center O, at distance 1 from the start.
+        code, checks = certify_one(tmp_path, 1, {"checks": ["gap-rate"], "rate": {"M": 0.5}})
+        assert code == 2
+        assert checks["gap-rate"] == {
+            "check": "gap-rate", "status": "hypothesis-unsatisfied", "M": 0.5
+        }
+
+    def test_gap_rate_without_any_set_distance(self, tmp_path, monkeypatch):
+        def give_up(*args, **kwargs):
+            raise InconclusiveError("budget exhausted")
+
+        monkeypatch.setattr(cli, "set_distance", give_up)
+        code, checks = certify_one(tmp_path, 1, {"checks": ["gap-rate"]}, drop=["set_distance"])
+        assert code == 2
+        assert list(checks) == ["set-distance", "gap-rate"]
+        assert checks["set-distance"]["status"] == "inconclusive"
+        assert checks["gap-rate"] == {
+            "check": "gap-rate", "status": "inconclusive", "reason": "set distance unavailable"
+        }
+
 
 class TestDerivedTolerance:
     def test_long_edge_tree_passes(self, tmp_path):
@@ -823,33 +904,34 @@ class TestMappingReport:
 
     def test_minimality_tolerances_from_the_replayed_draws(self, config_path):
         # Replay the draws of every row of each instance, then recompute the
-        # minimality checks with the scalar distance and projection.
+        # minimality checks with the scalar distance and projection: each case
+        # is a product point x against the diagonal point Qy of another.
         cfg = load_config(config_path)
         m = cfg.mapping_samples
         for inst in cfg.instances:
             entry = cli._verify_mappings_for(inst, cfg, cfg.seed)["mappings"][-1]
             space, lam = inst.space, inst.lam
             cs = ConvexCombinationSpace(space, lam)
+            diagonal = DiagonalSet(cs)
             replay = random.Random(f"{cfg.seed}:{inst.name}:mapping-verify")
             # P_A, P_B, identity, pair-map, diagonal-projection, averaged
             for drawn, samples in zip((space,) * 3 + (cs,) * 2 + (space,), (m, m, 100, m, m, m)):
                 for n in cli._blocks(samples):
                     drawn._sample_rows(replay, n), drawn._sample_rows(replay, n)
-            p = cs._sample_rows(replay, 25)
             slack, slack_scales, identity, identity_scales = [], [], [], []
-            for x1, x2 in zip(*p):
-                x1, x2 = space.point(space._payload(x1)), space.point(space._payload(x2))
-                point = cs.pair(x1, x2)
-                dq = cs.distance(point, DiagonalSet(cs).project(point))
-                gap = lam * (1 - lam) * space.distance(x1, x2) ** 2
-                identity.append(abs(dq * dq - gap))
-                identity_scales.append(dq * dq + gap)
-                for n in cli._blocks(cfg.minimality_samples):
-                    for w in space._sample_rows(replay, n):
-                        dw = cs.distance(point, embed_diagonal(cs, space.point(space._payload(w))))
-                        slack.append(dq - dw)
-                        slack_scales.append(dq + dw)
-            assert len(slack) == 25 * cfg.minimality_samples
+            for n in cli._blocks(cfg.minimality_samples):
+                xs, ys = cs._sample_rows(replay, n), cs._sample_rows(replay, n)
+                for pair_x, pair_y in zip(zip(*xs), zip(*ys)):
+                    x1, x2, y1, y2 = (space.point(space._payload(r)) for r in pair_x + pair_y)
+                    x = cs.pair(x1, x2)
+                    dq = cs.distance(x, diagonal.project(x))
+                    dw = cs.distance(x, diagonal.project(cs.pair(y1, y2)))
+                    slack.append(dq - dw)
+                    slack_scales.append(dq + dw)
+                    gap = lam * (1 - lam) * space.distance(x1, x2) ** 2
+                    identity.append(abs(dq * dq - gap))
+                    identity_scales.append(dq * dq + gap)
+            assert len(slack) == entry["samples"] == cfg.minimality_samples
             for key, residuals, scales in (
                 ("slack", slack, slack_scales), ("identity", identity, identity_scales)
             ):
@@ -857,8 +939,23 @@ class TestMappingReport:
                 for q in ("p50", "p90", "max"):
                     assert abs(entry[key][q] - want[q]) <= REL_TOL * scale
                 assert math.isclose(entry[key]["tolerance"], REL_TOL * scale, rel_tol=1e-12)
-            assert entry["slack"]["p50"] < -1e-3  # a wrong (p, w) pairing would move it
+            assert entry["slack"]["p50"] < -1e-3  # a wrong (x, Qy) pairing would move it
             assert entry["status"] == "pass"
+
+    def test_every_row_is_drawn_by_the_engine(self, config_path, monkeypatch):
+        names, sampled_row = [], cli._sampled_row
+
+        def counting(name, *args):
+            names.append(name)
+            return sampled_row(name, *args)
+
+        monkeypatch.setattr(cli, "_sampled_row", counting)
+        cfg = load_config(config_path)
+        for inst in cfg.instances:
+            names.clear()
+            rows = cli._verify_mappings_for(inst, cfg, cfg.seed)["mappings"]
+            assert names == [row["name"] for row in rows]
+            assert len(names) == 7
 
     def test_firm_residual_between_its_own_and_the_mixed_bound_fails(self, monkeypatch):
         # Firm nonexpansivity is of degree 1, P2 of degree 2: a residual twice

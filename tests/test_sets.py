@@ -629,6 +629,34 @@ class TestGridCap:
             cset.grid(spec)
 
 
+class TestGridSpecRejects:
+    """A spec no grid can honour is refused when it is made, before any oracle
+    scores a pair of two unit balls 3 apart."""
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            # a raw ZeroDivisionError
+            ({"h": 0.0}, "grid step h"),
+            # 8-point circles, one pair scored
+            ({"h": -0.01}, "grid step h"),
+            # the full lattice, silently
+            ({"h": 0.01, "surface": "ful"}, "unknown surface 'ful'"),
+            # a GridSizeError asking to coarsen h
+            ({"h": math.nan}, "grid step h"),
+            ({"h": 0.01, "window": ((-1.0, math.nan), (-1.0, 1.0))}, "window bounds"),
+            ({"h": 0.01, "window": ((-math.inf, 1.0),)}, "window bounds"),
+        ],
+        ids=["zero-step", "negative-step", "unknown-surface", "nan-step", "nan-window",
+             "infinite-window"],
+    )
+    def test_unusable_spec_is_a_domain_error(self, spec, match):
+        e2 = cf.EuclideanSpace(2)
+        a, b = cf.EuclideanBall(e2, (0.0, 0.0), 1.0), cf.EuclideanBall(e2, (3.0, 0.0), 1.0)
+        with pytest.raises(cf.DomainError, match=match):
+            cf.best_pair_bruteforce(a, b, GridSpec(**spec))
+
+
 class TestDiskBallRadius:
     """A disk ball lies in the representable disk: 2 artanh|c| + r stays
     within 2 artanh(DISK_MAX_NORM) (about 21.42), less 1e-6."""
