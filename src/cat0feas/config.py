@@ -51,7 +51,9 @@ A null value reads as an absent key.  Every number must be a JSON number: a
 string such as "1.0" or a boolean is an error.  Integer fields (seed, sample
 counts, n_max, a Euclidean dim, a tree payload's edge) take integral numbers
 only: 3.0 reads as 3, 2.5 is an error.  Lists (instances, checks, coordinates)
-must be JSON arrays.  Every parse error raises ConfigError with the JSON path.
+must be JSON arrays.  A key outside this schema, in the root, in "samples", in
+an instance or in its "rate" or "grid", is an error, not an absent key.  Every
+parse error raises ConfigError with the JSON path.
 """
 
 from __future__ import annotations
@@ -266,6 +268,10 @@ VALID_CHECKS = ("rate", "gap-rate", "delta-limit", "oracle-agreement")
 # The rate theorems and the limit (1-lam) a* + lam b* hold for the averaged map.
 AVERAGED_CHECKS = ("rate", "gap-rate", "delta-limit")
 VALID_MODES = ("averaged", "composed", "product-reduction")
+INSTANCE_KEYS = (
+    "name", "space", "lambda", "A", "B", "start", "fixed_point", "best_pair", "set_distance",
+    "mode", "n_max", "eps_grid", "gap_eps_grid", "rate", "grid", "product_lambdas", "checks",
+)
 
 
 @dataclass(frozen=True)
@@ -331,13 +337,22 @@ def _count(doc: dict, key: str, path: str, default: int) -> int:
     return n
 
 
-def _section(doc: dict, key: str, path: str = "") -> dict:
+def _known(doc: dict, keys, path: str) -> dict:
+    """`doc`, once every key in it is one of `keys`: a misspelled key would
+    otherwise read as an absent one."""
+    for key in doc:
+        if key not in keys:
+            _fail(_join(path, key), "unknown key")
+    return doc
+
+
+def _section(doc: dict, key: str, path: str, keys) -> dict:
     section = doc.get(key)
     if section is None:
         return {}
     if not isinstance(section, dict):
         _fail(_join(path, key), "must be an object")
-    return section
+    return _known(section, keys, _join(path, key))
 
 
 def _eps_grid(doc: dict, key: str, path: str, default: tuple[float, ...]):
@@ -359,6 +374,7 @@ def _finite_nonnegative(doc: dict, key: str, path: str) -> float | None:
 def instance_from_json(doc, path: str) -> InstanceConfig:
     if not isinstance(doc, dict):
         _fail(path, "instance must be an object")
+    _known(doc, INSTANCE_KEYS, path)
     name = _value(doc, "name", path, _string)
     if name is None:
         _fail(path, "missing field 'name'")
@@ -389,7 +405,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
             point_from_json(space, pair[0], path + ".best_pair[0]"),
             point_from_json(space, pair[1], path + ".best_pair[1]"),
         )
-    grid_doc = _section(doc, "grid", path)
+    grid_doc = _section(doc, "grid", path, ("h", "window", "surface"))
     grid_path = path + ".grid"
     h = _value(grid_doc, "h", grid_path, _number, 1e-3)
     window = _value(
@@ -416,7 +432,7 @@ def instance_from_json(doc, path: str) -> InstanceConfig:
                 path + ".checks",
                 f"'{c}' certifies averaged maps, and the composed map P_A P_B is not averaged",
             )
-    rate_doc = _section(doc, "rate", path)
+    rate_doc = _section(doc, "rate", path, ("b", "M"))
     rate_b, rate_m = (_finite_nonnegative(rate_doc, key, path + ".rate") for key in ("b", "M"))
     product_lambdas = _value(doc, "product_lambdas", path, _floats, ())
     if not all(0.0 < w < 1.0 for w in product_lambdas):
@@ -451,7 +467,8 @@ def config_from_json(doc) -> ExperimentConfig:
         raise ConfigError(f"unsupported schema version '{schema}'")
     if doc.get("tolerances") is not None:
         _fail("tolerances", "check bounds are derived, not configured; remove this section")
-    samples = _section(doc, "samples")
+    _known(doc, ("schema", "seed", "samples", "instances", "tolerances"), "")
+    samples = _section(doc, "samples", "", ("space", "mapping", "minimality"))
     instances = tuple(
         instance_from_json(inst, f"instances[{i}]")
         for i, inst in enumerate(_value(doc, "instances", "", _list, []))

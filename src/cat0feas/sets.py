@@ -493,12 +493,9 @@ class Subtree(ConvexSet):
 
     def _contains(self, p, tol):
         # Membership is exact: an edge of the subtree, or one of its vertices.
-        edge, offset = p
-        if edge in self._edges_in:
-            return True
-        u, v, length = self.owner.tree.edges[edge]
-        at_vertex = u if offset == 0.0 else v if offset == length else None
-        return at_vertex in self.vertex_names
+        inner, member_vertex = self._member_tables
+        vertex = self.owner._vertex_at(p)
+        return inner.item(p[0]) or (vertex is not None and member_vertex.item(vertex))
 
     @cached_property
     def _vertices(self) -> tuple[tuple[int, float], ...]:
@@ -524,8 +521,7 @@ class Subtree(ConvexSet):
         # Members by _contains' rule keep their row; the rest go to the first
         # nearest of _vertices, by a running strict < minimum as min() takes it.
         inner, member_vertex = self._member_tables
-        length = self.owner.tree.edge_arrays[2][P["edge"]]
-        vertex = np.where(P["du"] == 0.0, P["u"], np.where(P["du"] == length, P["v"], -1))
+        vertex = self.owner._vertex_rows(P["edge"], P["du"])
         outside = ~(inner[P["edge"]] | ((vertex >= 0) & member_vertex[vertex]))
         rest, V = P[outside], self.owner._pack(self._vertices)
         best, nearest = np.full(len(rest), np.inf), np.zeros(len(rest), dtype=np.intp)
@@ -681,7 +677,8 @@ def _flat_grid(space, origin, basis, window, spec: GridSpec) -> Grid:
     half = np.arange(0.0, radius + spec.h, spec.h)
     steps = np.concatenate([-half[:0:-1], half])
     mesh = np.meshgrid(*([steps] * len(basis)), indexing="ij")
-    params = np.stack([m.ravel() for m in mesh], axis=1)
+    # A 0-dimensional flat (the boundary of a half-line) is its origin alone.
+    params = np.stack([m.ravel() for m in mesh], axis=1) if mesh else np.zeros((1, 0))
     coords = origin + params @ basis
     lo, hi = np.array(window).T
     return Grid(space, coords[np.all((coords >= lo - 1e-12) & (coords <= hi + 1e-12), axis=1)])

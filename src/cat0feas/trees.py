@@ -6,16 +6,18 @@ first vertex.  Distances and geodesics are computed by path arithmetic on one
 table of vertex distances, so projections and iteration residuals on trees
 carry no discretization error.
 
-The table comes from a single breadth-first search (`MetricTree._bfs_tables`)
-and is exactly symmetric, so the distance between two points is one
-expression in the pair, (arc + arc) + vertex distance, that the scalar
-``_distance`` and the batched ``_dist_rows`` evaluate alike: the same bits
-for either argument order and for any block shape.
+The tables come from a single breadth-first search (`MetricTree._bfs_tables`),
+one array each, indexed by vertex; scalar code reads them through ``item``.
+The distance table is exactly symmetric, so the distance between two points is
+one expression in the pair, (arc + arc) + vertex distance, that the scalar
+``_distance`` and the batched ``_dist_rows`` evaluate alike: the same bits for
+either argument order and for any block shape.
 
 Canonical form: a point sitting exactly on a vertex is always represented on
 the smallest-index incident edge (offset 0 if the vertex is that edge's first
 endpoint, the full length otherwise), which makes structural equality decide
-geometric equality.
+geometric equality.  ``_vertex_at`` and ``_vertex_rows`` say which vertex a
+payload or a packed row sits on.
 
 Geodesic points on packed rows (``_interp_rows``) walk every row's route in
 lockstep: the route ``_route`` picks, then the first leg, whole edges through
@@ -131,26 +133,22 @@ class MetricTree:
         c toward w), and N[w, c] = N[w, p] except N[p, c] = e.  D is exactly
         symmetric, and each entry sums the positive lengths along its path.
 
-        Returns D and N as arrays, then D as nested lists for the scalar
-        distances, whose values must stay Python numbers (the scalar walk
-        reads N through `item`, which gives Python ints).
+        Returns D and N, one array each, indexed by vertex.  Scalar code reads
+        them through `item`, which gives Python numbers.
         """
         order = self._bfs()
         n = len(order)
         D = np.zeros((n, n))
         N = np.full((n, n), -1, dtype=np.intp)
-        rank = {vertex: k for k, (vertex, _, _) in enumerate(order)}
-        # Row and column k belong to the k-th vertex found.
-        for k, (_, parent, edge) in enumerate(order[1:], start=1):
-            p = rank[parent]
-            D[k, :k] = D[p, :k] + self.edges[edge][2]
-            D[:k, k] = D[k, :k]
-            N[k, :k] = edge
-            N[:k, k] = N[:k, p]
-            N[p, k] = edge
-        back = np.array([rank[v] for v in range(n)])
-        D, N = D[np.ix_(back, back)], N[np.ix_(back, back)]
-        return D, N, D.tolist()
+        found = np.array([vertex for vertex, _, _ in order])
+        for k, (c, p, edge) in enumerate(order[1:], start=1):
+            seen = found[:k]
+            D[c, seen] = D[p, seen] + self.edges[edge][2]
+            D[seen, c] = D[c, seen]
+            N[c, seen] = edge
+            N[seen, c] = N[seen, p]
+            N[p, c] = edge
+        return D, N
 
 
 @dataclass(frozen=True)
@@ -168,17 +166,14 @@ class TreeSpace(Space):
         edge = int(edge)
         if not 0 <= edge < len(self.tree.edges):
             raise DomainError(f"edge index {edge} out of range")
-        u, v, length = self.tree.edges[edge]
+        length = self.tree.edges[edge][2]
         offset = float(offset)
         if not 0.0 <= offset <= length:
             raise DomainError(
                 f"offset {offset} outside [0, {length}] on edge {edge}"
             )
-        if offset == 0.0:
-            return self._vertex_payload(u)
-        if offset == length:
-            return self._vertex_payload(v)
-        return (edge, offset)
+        vertex = self._vertex_at((edge, offset))
+        return (edge, offset) if vertex is None else self._vertex_payload(self.tree.vertices[vertex])
 
     def _vertex_payload(self, name):
         edge = min(i for i, _, _ in self.tree.adjacency[name])
@@ -197,13 +192,19 @@ class TreeSpace(Space):
 
     def vertex_name(self, p: Point):
         """The vertex a point sits on, or None if it is interior to an edge."""
-        edge, offset = p.payload
-        u, v, length = self.tree.edges[edge]
-        if offset == 0.0:
-            return u
-        if offset == length:
-            return v
-        return None
+        vertex = self._vertex_at(p.payload)
+        return None if vertex is None else self.tree.vertices[vertex]
+
+    def _vertex_at(self, payload):
+        """The index of the vertex a payload sits on, or None inside an edge."""
+        edge, offset = payload
+        u, v, length = self.tree.edge_ends[edge]
+        return u if offset == 0.0 else v if offset == length else None
+
+    def _vertex_rows(self, edge, offset):
+        """`_vertex_at` elementwise: vertex indices, -1 inside an edge."""
+        u, v, length = self.tree.edge_arrays
+        return np.where(offset == 0.0, u[edge], np.where(offset == length[edge], v[edge], -1))
 
     # -- metric ----------------------------------------------------------------
 
@@ -217,15 +218,14 @@ class TreeSpace(Space):
         (length, exit vertex, entry vertex, arc to exit, arc from entry),
         with vertices as indices.  Each route is (arc + arc) + D[exit, entry],
         as in `_dist_rows`."""
-        dist = self.tree._bfs_tables[2]
+        D = self.tree._bfs_tables[0]
         ends = self.tree.edge_ends
         ua, va, la = ends[a[0]]
         ub, vb, lb = ends[b[0]]
         best = None
         for pa, da in ((ua, a[1]), (va, la - a[1])):
-            row = dist[pa]
             for pb, db in ((ub, b[1]), (vb, lb - b[1])):
-                cand = (da + db) + row[pb]
+                cand = (da + db) + D.item(pa, pb)
                 if best is None or cand < best[0]:
                     best = (cand, pa, pb, da, db)
         return best
@@ -276,7 +276,7 @@ class TreeSpace(Space):
         # and t broadcast.  Each temporary holds one entry per row, so every
         # round of a walk reuses the blocks of memory of the round before.
         u, v, length = self.tree.edge_arrays
-        D, N = self.tree._bfs_tables[:2]
+        D, N = self.tree._bfs_tables
         # Each row's route as _route picks it: argmin takes the first least of
         # the four, as _route's strict < does.
         ends_a, ends_b = ((P["u"], P["du"]), (P["v"], P["dv"])), ((Q["u"], Q["du"]), (Q["v"], Q["dv"]))
@@ -321,8 +321,7 @@ class TreeSpace(Space):
     def _canonical_rows(self, edge, offset):
         """Packed rows of the canonical payloads of (edge, offset), elementwise,
         offsets within [0, length]: `_canonical` through per-vertex tables."""
-        u, v, length = self.tree.edge_arrays
-        vertex = np.where(offset == 0.0, u[edge], np.where(offset == length[edge], v[edge], -1))
+        vertex = self._vertex_rows(edge, offset)
         at = vertex >= 0
         vertex_edge, vertex_offset = self._vertex_tables
         return self._rows(

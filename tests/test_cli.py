@@ -195,6 +195,30 @@ class TestSubcommands:
         assert run_cli("certify", config_path, out2, "--jobs", "2") == 0
         assert (out1 / "report.json").read_text() == (out2 / "report.json").read_text()
 
+    def test_certify_on_a_half_line(self, tmp_path):
+        # In R^1 the oracle samples the half-line x <= 0 at its one boundary
+        # point, and the ball [2, 4] at its two.
+        doc = mini_config()
+        doc["instances"] = [
+            {
+                "name": "half-line-ball",
+                "space": {"kind": "euclidean", "dim": 1},
+                "A": {"halfspace": {"normal": [1.0], "offset": 0.0}},
+                "B": {"ball": {"center": [3.0], "radius": 1.0}},
+                "start": [5.0],
+                "grid": {"h": 0.01, "window": [[-2.0, 2.0]]},
+                "checks": ["oracle-agreement"],
+            }
+        ]
+        path = tmp_path / "half-line.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "cert"
+        assert run_cli("certify", path, out) == 0
+        (row,) = json.loads((out / "report.json").read_text())["instances"]
+        (entry,) = row["checks"]
+        assert entry["check"] == "oracle-agreement" and entry["status"] == "pass"
+        assert entry["bruteforce"] == 2.0
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, config_path, tmp_path):
@@ -249,6 +273,8 @@ class TestExitCodes:
             ({}, {"n_max": 2.5}, "instances[0].n_max"),
             ({"samples": {"space": 1.9}}, {}, "samples.space"),
             ({"tolerances": {"exact": 1e-9}}, {}, "tolerances"),
+            # A misspelled key is no absent one: "chekcs" once ran no check.
+            ({}, {"chekcs": ["rate"]}, "instances[0].chekcs"),
         ],
     )
     def test_malformed_field_is_3(self, tmp_path, capsys, top, field, path):

@@ -249,6 +249,13 @@ class TestExperimentConfig:
                 "instances[0].space",
             ),
             ({"schema": 1}, {}, "schema"),
+            # Keys outside the schema: each once fell back to its default.
+            ({}, {"chekcs": ["rate"]}, "instances[0].chekcs"),
+            ({}, {"n_mx": 5}, "instances[0].n_mx"),
+            ({}, {"grid": {"hh": 0.5}}, "instances[0].grid.hh"),
+            ({}, {"rate": {"m": 1.0}}, "instances[0].rate.m"),
+            ({"samples": {"spaces": 5}}, {}, "samples.spaces"),
+            ({"sede": 3}, {}, "sede"),
         ],
     )
     def test_unusable_values_rejected(self, top, field, path):

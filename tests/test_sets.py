@@ -552,6 +552,16 @@ class TestGridRows:
         for p in itertools.islice(grid, 0, None, 97):
             assert cset.space.point(p.payload) == p
 
+    def test_half_line_boundary_is_its_foot(self):
+        # The boundary of a half-line is a 0-dimensional flat: one point.
+        E = cf.EuclideanSpace(1)
+        half_line = cf.Halfspace(E, (1.0,), 0.0)
+        spec = GridSpec(h=0.01, window=((-2.0, 2.0),))
+        assert half_line.grid(spec).rows.tolist() == [[0.0]]
+        result = cf.best_pair_bruteforce(half_line, cf.EuclideanBall(E, (3.0,), 1.0), spec)
+        assert result.dist == 2.0
+        assert (result.a.payload, result.b.payload) == ((0.0,), (2.0,))
+
     def test_tracer_sees_each_grid_once(self, monkeypatch):
         # A tracer wraps `grid` in each ConvexSet subclass that defines it and
         # counts len(result); each grid call must pass through exactly one

@@ -1,8 +1,11 @@
 """Tree structure validation, canonical points, and exact path geometry."""
 
+import importlib.util
 import itertools
 import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cat0feas as cf
+from cat0feas.config import space_from_json
 
 
 class TestMetricTreeValidation:
@@ -115,8 +119,6 @@ class TestTreeGeometry:
             assert sp.distance(x, y) == sp.distance(y, x)
 
     def test_serialization_roundtrip(self, caterpillar):
-        from cat0feas.config import space_from_json
-
         doc = {
             "kind": "metric-tree",
             "vertices": ["A", "B", "C", "D", "E"],
@@ -154,11 +156,79 @@ class TestBatchedKernel:
 
     def test_scalar_tables_hold_python_floats(self):
         # Trace files write repr() of distances, which must not read np.float64(...).
-        tree = self.ORDER_SENSITIVE
-        assert type(tree._bfs_tables[2][1][4]) is float
+        space = cf.TreeSpace(self.ORDER_SENSITIVE)
+        a, b = (0, 0.1), (3, 0.1)  # on X--A and on C--D
+        assert type(space._distance(a, b)) is float
+        assert list(map(type, space._route(a, b))) == [float, int, int, float, float]
         # Halfway from X--A to C--D lies on A--B, an edge of the middle leg.
-        edge, offset = cf.TreeSpace(tree)._interpolate((0, 0.1), (3, 0.1), 0.5)
+        edge, offset = space._interpolate(a, b, 0.5)
         assert edge == 1 and type(edge) is int and type(offset) is float
+
+    @staticmethod
+    def rank_order_tables(tree):
+        """D and N built row by row in breadth-first rank order, then permuted
+        to vertex order: the construction the tables must match bit for bit."""
+        order = tree._bfs()
+        n = len(order)
+        D, N = np.zeros((n, n)), np.full((n, n), -1, dtype=np.intp)
+        rank = {vertex: k for k, (vertex, _, _) in enumerate(order)}
+        for k, (_, parent, edge) in enumerate(order[1:], start=1):
+            p = rank[parent]
+            D[k, :k] = D[p, :k] + tree.edges[edge][2]
+            D[:k, k] = D[k, :k]
+            N[k, :k] = edge
+            N[:k, k] = N[:k, p]
+            N[p, k] = edge
+        back = np.array([rank[v] for v in range(n)])
+        return D[np.ix_(back, back)], N[np.ix_(back, back)]
+
+    @staticmethod
+    def random_tree(seed, n):
+        """A tree on n vertices whose names, edge order and edge directions
+        are shuffled, so breadth-first rank and vertex index differ."""
+        rng = random.Random(seed)
+        names = [f"v{k}" for k in range(n)]
+        edges = [(names[rng.randrange(k)], names[k], rng.uniform(0.05, 2.0)) for k in range(1, n)]
+        edges = [(v, u, l) if rng.random() < 0.5 else (u, v, l) for u, v, l in edges]
+        rng.shuffle(names)
+        rng.shuffle(edges)
+        return cf.MetricTree(tuple(names), tuple(edges))
+
+    def test_tables_match_rank_order_and_walk_every_path(self, caterpillar):
+        shuffled = self.random_tree(seed=7, n=60)
+        assert [vertex for vertex, _, _ in shuffled._bfs()] != list(range(60))
+        for tree in (self.ORDER_SENSITIVE, caterpillar.tree, shuffled):
+            D, N = tree._bfs_tables
+            want_D, want_N = self.rank_order_tables(tree)
+            assert D.dtype == want_D.dtype and D.tobytes() == want_D.tobytes()
+            assert N.dtype == want_N.dtype and N.tobytes() == want_N.tobytes()
+            V, ends = len(tree.vertices), tree.edge_ends
+            for i, j in itertools.product(range(V), repeat=2):
+                p, steps = i, 0
+                while p != j:
+                    u, v, _ = ends[N.item(p, j)]
+                    assert p in (u, v)
+                    p, steps = (v if p == u else u), steps + 1
+                    assert steps <= V - 1
+
+    def test_tables_hold_each_entry_once(self):
+        # Building the tables keeps D and N and nothing of their size beside.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        doc = workloads.big_tree_config(1)["instances"][0]["space"]
+        tree = space_from_json(doc).tree
+        tracemalloc.start()
+        try:
+            D, N = tree._bfs_tables
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = 1.25 * (D.nbytes + N.nbytes)
+        assert D.shape == (320, 320)
+        assert peak <= budget and retained <= budget
 
 
 class TestNonFiniteLengths:
@@ -257,9 +327,9 @@ class TestInterpRows:
         tri = tripod_space
         a, b = (0, 1.0 - 2.0**-53), tri.vertex("B").payload
         ends = tri.tree.edge_ends
-        dist = tri.tree._bfs_tables[2]
+        D = tri.tree._bfs_tables[0]
         routes = [
-            (da + db) + dist[pa][pb]
+            (da + db) + D.item(pa, pb)
             for pa, da in ((ends[0][0], a[1]), (ends[0][1], 1.0 - a[1]))
             for pb, db in ((ends[1][0], b[1]), (ends[1][1], 1.0 - b[1]))
         ]
