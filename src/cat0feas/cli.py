@@ -213,19 +213,23 @@ def _mapping_row(name, checks, assert_pass):
     return entry
 
 
-def _sampled_row(name, space, samples, draw, checks, assert_pass):
-    """The row of `checks` (name -> inequality of `spaces`, such as `_p2`) on
-    `samples` cases drawn in blocks: draw(n) returns n cases as packed rows,
-    and check(d, *rows) their (residuals, scales), which fill each check's
-    arrays in draw order.  d is space._dist_rows, computed once per block for
-    each unordered pair of drawn rows and afresh for any other operand: the
-    drawn rows live as long as their block, so no other array can take one's
-    id, and every _dist_rows is symmetric bit for bit."""
-    found = {key: (np.empty(samples), np.empty(samples)) for key in checks}
+def _sampled_rows(space, samples, draw, rows, assert_pass):
+    """The rows of `rows` (row name -> its checks, each check name ->
+    inequality of `spaces`, such as `_p2`) on `samples` cases drawn in blocks
+    and shared by every row: draw(n) returns a block of n cases as packed
+    rows, and check(d, *block) their (residuals, scales), which fill each
+    check's arrays in draw order.  d is space._dist_rows, computed once per
+    block for each unordered pair of drawn rows and afresh for any other
+    operand: the drawn rows live as long as their block, so no other array
+    can take one's id, and every _dist_rows is symmetric bit for bit."""
+    found = {
+        name: {key: (np.empty(samples), np.empty(samples)) for key in checks}
+        for name, checks in rows.items()
+    }
     lo = 0
     for n in _blocks(samples):
-        rows, known = draw(n), {}
-        drawn = {id(R) for R in rows}
+        block, known = draw(n), {}
+        drawn = {id(R) for R in block}
 
         def d(P, Q):
             key = frozenset((id(P), id(Q)))
@@ -235,54 +239,94 @@ def _sampled_row(name, space, samples, draw, checks, assert_pass):
                 known[key] = space._dist_rows(P, Q)
             return known[key]
 
-        for key, check in checks.items():
-            for out, values in zip(found[key], check(d, *rows)):
-                out[lo : lo + n] = values
+        for name, checks in rows.items():
+            for key, check in checks.items():
+                for out, values in zip(found[name][key], check(d, *block)):
+                    out[lo : lo + n] = values
         lo += n
-    return {"samples": samples, **_mapping_row(name, found, assert_pass)}
+    return [
+        {"samples": samples, **_mapping_row(name, found[name], assert_pass)} for name in rows
+    ]
 
 
-def _verify_one_space(name, space, samples, seed):
-    """Sample both curvature inequalities, each judged on its own scales, the
-    sums of its squared-distance terms.  The row keeps each check's max and
-    the larger tolerance under the keys the benchmark's output checks read."""
+def _paired(cs, check):
+    """`check` on a family block's product cases, (x, x2) and so on, under
+    the product distance of cs: the weighted quadratic mean of the block's
+    base distances of first and of second components."""
+
+    def paired(d, x, y, z, w, t, g, x2, y2, z2, w2, g2):
+        def product_d(P, Q):
+            return cs._mean_rows(d(P[0], Q[0]), d(P[1], Q[1]))
+
+        return check(product_d, (x, x2), (y, y2), (z, z2), (w, w2), t, (g, g2))
+
+    return paired
+
+
+def _verify_family(name, base, weights, samples, seed):
+    """The verify-space rows of one base space, in the order of `weights`:
+    the base row `name` for None, and for a weight lam the row
+    `name x lambda=lam` of the lam-weighted product of the base with itself.
+
+    All rows are judged on one draw per block.  x, y, z, w and t come from
+    the base row's stream in a lone base row's order, so a base row does not
+    depend on the weights; with any weight, the second components x2, y2,
+    z2, w2 come from one more stream.  The geodesic point (g, g2) serves
+    every weight, so a block measures base distances only.  Each inequality
+    is judged on its own scales, the sums of its squared-distance terms, and
+    each row keeps each check's max and the larger tolerance under the keys
+    the benchmark's output checks read."""
     rng = random.Random(f"{seed}:{name}:space-verify")
+    second = random.Random(f"{seed}:{name}:second:space-verify")
 
     def draw(n):
-        x, y, z, w = (space._sample_rows(rng, n) for _ in range(4))
-        return x, y, z, w, _random_rows(rng, n)
+        x, y, z, w = (base._sample_rows(rng, n) for _ in range(4))
+        t = _random_rows(rng, n)
+        block = [x, y, z, w, t, base._interp_rows(x, y, t)]
+        if any(lam is not None for lam in weights):
+            x, y, z, w = (base._sample_rows(second, n) for _ in range(4))
+            block += [x, y, z, w, base._interp_rows(x, y, t)]
+        return block
 
     checks = {
-        "four_point": lambda d, x, y, z, w, t: _four_point(d, x, y, z, w),
-        "cn": lambda d, x, y, z, w, t: _cn(d, z, x, y, space._interp_rows(x, y, t), t),
+        "four_point": lambda d, x, y, z, w, t, g, *_: _four_point(d, x, y, z, w),
+        "cn": lambda d, x, y, z, w, t, g, *_: _cn(d, z, x, y, g, t),
     }
-    row = _sampled_row(name, space, samples, draw, checks, True)
-    fp, cn = row["four_point"], row["cn"]
-    return {
-        **row,
-        "max_four_point_residual": fp["max"],
-        "max_cn_residual": cn["max"],
-        "tolerance": float(np.maximum(fp["tolerance"], cn["tolerance"])),
-    }
+    rows = {}
+    for lam in weights:
+        if lam is None:
+            rows[name] = checks
+        else:
+            cs = ConvexCombinationSpace(base, lam)
+            rows[f"{name} x lambda={lam}"] = {
+                key: _paired(cs, check) for key, check in checks.items()
+            }
+    return [
+        {
+            **row,
+            "max_four_point_residual": row["four_point"]["max"],
+            "max_cn_residual": row["cn"]["max"],
+            "tolerance": float(np.maximum(row["four_point"]["tolerance"], row["cn"]["tolerance"])),
+        }
+        for row in _sampled_rows(base, samples, draw, rows, True)
+    ]
 
 
 def cmd_verify_space(cfg: ExperimentConfig, seed: int):
+    """One family of rows per instance, of the weights whose spaces no
+    earlier row verified: its base space (None) and its product weights."""
     rows = []
     seen = set()
     for inst in cfg.instances:
-        variants = [(inst.space, None)]
-        variants.extend(
-            (ConvexCombinationSpace(inst.space, lam), lam)
-            for lam in inst.product_lambdas
-        )
-        for space, lam in variants:
-            if space in seen:
-                continue
-            seen.add(space)
-            label = space.kind if lam is None else f"{space.base.kind} x lambda={lam}"
-            rows.append(
-                _verify_one_space(f"{inst.name}:{label}", space, cfg.space_samples, seed)
-            )
+        weights = []
+        for lam in (None, *inst.product_lambdas):
+            space = inst.space if lam is None else ConvexCombinationSpace(inst.space, lam)
+            if space not in seen:
+                seen.add(space)
+                weights.append(lam)
+        if weights:
+            name = f"{inst.name}:{inst.space.kind}"
+            rows.extend(_verify_family(name, inst.space, weights, cfg.space_samples, seed))
     return {"spaces": rows}, _worst_status(r["status"] for r in rows)
 
 
@@ -298,7 +342,8 @@ def _mapping_report(name, mapping, rng, samples, assert_pass, checks):
         x, y = space._sample_rows(rng, n), space._sample_rows(rng, n)
         return x, y, mapping._rows(x), mapping._rows(y)
 
-    return _sampled_row(name, space, samples, draw, checks, assert_pass)
+    (row,) = _sampled_rows(space, samples, draw, {name: checks}, assert_pass)
+    return row
 
 
 def _verify_mappings_for(inst: InstanceConfig, cfg: ExperimentConfig, seed: int):

@@ -83,10 +83,14 @@ class ConvexCombinationSpace(Space):
     def _sample_rows(self, rng, n):
         return (self.base._sample_rows(rng, n), self.base._sample_rows(rng, n))
 
+    def _mean_rows(self, d1, d2):
+        """The product distances of pairs whose components lie d1 and d2 apart."""
+        return np.sqrt((1.0 - self.lam) * d1 * d1 + self.lam * d2 * d2)
+
     def _dist_rows(self, P, Q):
         d1 = self.base._dist_rows(P[0], Q[0])
         d2 = self.base._dist_rows(P[1], Q[1])
-        return np.sqrt((1.0 - self.lam) * d1 * d1 + self.lam * d2 * d2)
+        return self._mean_rows(d1, d2)
 
     def _interp_rows(self, P, Q, t):
         return (

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, outputs, exit codes, determinism."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -28,7 +29,7 @@ from cat0feas.analysis import check_delta_limit
 from cat0feas.config import bundled_config_path, load_config
 from cat0feas.iteration import IterationTrace
 from cat0feas.mappings import ProjectionMap, check_firmly_nonexpansive, check_p2
-from cat0feas.spaces import REL_TOL
+from cat0feas.spaces import REL_TOL, _cn, _four_point, _random_rows
 
 
 def mini_config(**overrides):
@@ -769,14 +770,97 @@ class TestSpaceRows:
 
         monkeypatch.setattr(cli, "_cn", over_its_own_bound)
         cfg = load_config(bundled_config_path())
-        row = cli._verify_one_space(
-            "line-line:euclidean", EuclideanSpace(2), cli._BLOCK + 500, cfg.seed
+        (row,) = cli._verify_family(
+            "line-line:euclidean", EuclideanSpace(2), [None], cli._BLOCK + 500, cfg.seed
         )
         fp, cn = row["four_point"], row["cn"]
         assert fp["tolerance"] > 1.5 * cn["tolerance"]
         assert cn["tolerance"] < cn["max"] <= fp["tolerance"] == row["tolerance"]
         assert fp["max"] <= fp["tolerance"]
         assert row["status"] == "fail"
+
+    @staticmethod
+    def family_config(tmp_path, samples):
+        """The bundled config with `samples` space samples, a repeated weight
+        on line-line and two new weights on ball-halfspace, whose base space
+        line-line verifies."""
+        doc = json.loads(bundled_config_path().read_text())
+        doc["samples"]["space"] = samples
+        weights = {"line-line": [0.5, 0.5, 0.25], "ball-halfspace": [0.9, 0.1]}
+        for inst in doc["instances"]:
+            if inst["name"] in weights:
+                inst["product_lambdas"] = weights[inst["name"]]
+        path = tmp_path / "families.json"
+        path.write_text(json.dumps(doc))
+        return load_config(path)
+
+    def test_row_names_and_order(self, tmp_path):
+        # A repeated weight gives no second row, and a base space seen before
+        # gives no base row; its family still brings its new weights.
+        cfg = self.family_config(tmp_path, 20)
+        rows = cli.cmd_verify_space(cfg, cfg.seed)[0]["spaces"]
+        families = (
+            ("line-line:euclidean", (None, 0.5, 0.25)),
+            ("ball-halfspace:euclidean", (0.9, 0.1)),
+            ("tripod-legs:metric-tree", (None, 0.25, 0.5, 0.9)),
+            ("disk-overlap:poincare-disk", (None, 0.25, 0.5, 0.9)),
+            ("euclidean-5:euclidean", (None, 0.25, 0.5, 0.9)),
+        )
+        names = [
+            name if lam is None else f"{name} x lambda={lam}"
+            for name, weights in families
+            for lam in weights
+        ]
+        assert [row["name"] for row in rows] == names
+        assert len(rows) == 17
+        for row in rows:
+            assert row["samples"] == 20 and row["status"] == "pass"
+
+    @staticmethod
+    def lone_base_row(name, space, samples, seed):
+        """A base row as one drawn alone and measured without a cache: each
+        block takes x, y, z, w and t from the row's own stream."""
+        rng = random.Random(f"{seed}:{name}:space-verify")
+        fp, cn = ([], []), ([], [])
+        d = space._dist_rows
+        for n in cli._blocks(samples):
+            x, y, z, w = (space._sample_rows(rng, n) for _ in range(4))
+            t = _random_rows(rng, n)
+            for out, values in zip(fp, _four_point(d, x, y, z, w)):
+                out.append(values)
+            for out, values in zip(cn, _cn(d, z, x, y, space._interp_rows(x, y, t), t)):
+                out.append(values)
+        row = {"name": name, "samples": samples, "status": "pass"}
+        for key, (residuals, scales) in (("four_point", fp), ("cn", cn)):
+            residuals, scales = np.concatenate(residuals), np.concatenate(scales)
+            tol = REL_TOL * np.max(scales)
+            assert np.max(residuals) <= tol
+            row[key] = {**cli._quantiles(residuals), "tolerance": float(tol)}
+        row["max_four_point_residual"] = row["four_point"]["max"]
+        row["max_cn_residual"] = row["cn"]["max"]
+        row["tolerance"] = max(row["four_point"]["tolerance"], row["cn"]["tolerance"])
+        return row
+
+    def test_base_rows_do_not_move(self, tmp_path):
+        # Each base row is the same with and without its family's product
+        # weights, and the same as when it was drawn alone.
+        samples = cli._BLOCK + 100
+        cfg = self.family_config(tmp_path, samples)
+        bare = dataclasses.replace(
+            cfg,
+            instances=[dataclasses.replace(i, product_lambdas=()) for i in cfg.instances],
+        )
+        rows = cli.cmd_verify_space(cfg, cfg.seed)[0]["spaces"]
+        with_weights = {row["name"]: row for row in rows}
+        without = cli.cmd_verify_space(bare, cfg.seed)[0]["spaces"]
+        assert [row["name"] for row in without] == [
+            row["name"] for row in rows if " x lambda=" not in row["name"]
+        ]
+        spaces = {f"{i.name}:{i.space.kind}": i.space for i in cfg.instances}
+        for row in without:
+            lone = self.lone_base_row(row["name"], spaces[row["name"]], samples, cfg.seed)
+            for other in (with_weights[row["name"]], lone):
+                assert json.dumps(row, sort_keys=True) == json.dumps(other, sort_keys=True)
 
 
 class TestMappingRows:
@@ -969,13 +1053,13 @@ class TestMappingReport:
             assert entry["status"] == "pass"
 
     def test_every_row_is_drawn_by_the_engine(self, config_path, monkeypatch):
-        names, sampled_row = [], cli._sampled_row
+        names, sampled_rows = [], cli._sampled_rows
 
-        def counting(name, *args):
-            names.append(name)
-            return sampled_row(name, *args)
+        def counting(space, samples, draw, rows, assert_pass):
+            names.extend(rows)
+            return sampled_rows(space, samples, draw, rows, assert_pass)
 
-        monkeypatch.setattr(cli, "_sampled_row", counting)
+        monkeypatch.setattr(cli, "_sampled_rows", counting)
         cfg = load_config(config_path)
         for inst in cfg.instances:
             names.clear()
@@ -1028,11 +1112,44 @@ class TestSharedDistances:
 
     def test_verify_space_block(self, monkeypatch):
         calls = self.counted(monkeypatch)
-        row = cli._verify_one_space("plane", EuclideanSpace(2), 200, 1)
+        (row,) = cli._verify_family("plane", EuclideanSpace(2), [None], 200, 1)
         assert row["status"] == "pass"
         # Four-point's six pairs and CN's d(z, g); CN's d(z, x), d(z, y) and
         # d(x, y) are four-point's.
         assert len(calls) == 7
+
+    def test_product_weights_measure_base_distances_only(self, monkeypatch):
+        space, drawn, interpolated = EuclideanSpace(2), [], []
+        sample_rows, interp_rows, random_rows = (
+            EuclideanSpace._sample_rows, EuclideanSpace._interp_rows, cli._random_rows
+        )
+
+        def sampling(space, rng, n):
+            drawn.append(n)
+            return sample_rows(space, rng, n)
+
+        def interpolating(space, P, Q, t):
+            interpolated.append(1)
+            return interp_rows(space, P, Q, t)
+
+        def random_counting(rng, n):
+            drawn.append(n)
+            return random_rows(rng, n)
+
+        monkeypatch.setattr(EuclideanSpace, "_sample_rows", sampling)
+        monkeypatch.setattr(EuclideanSpace, "_interp_rows", interpolating)
+        monkeypatch.setattr(cli, "_random_rows", random_counting)
+        calls = self.counted(monkeypatch)
+        rows = cli._verify_family("plane", space, [None, 0.25, 0.5, 0.9], cli._BLOCK + 10, 1)
+        assert [row["status"] for row in rows] == ["pass"] * 4
+        # Per block, for all four rows: nine drawn arrays (x, y, z, w and t,
+        # and the second components x2, y2, z2, w2), the geodesic points g
+        # and g2, and the seven base distances of each component; every
+        # product distance combines two of them.  Drawn row by row, the
+        # block took 32 arrays, 7 geodesic points and 49 distances.
+        assert drawn == [cli._BLOCK] * 9 + [10] * 9
+        assert len(interpolated) == 2 * 2
+        assert len(calls) == 2 * 14
 
     def test_projection_block(self, monkeypatch):
         space = EuclideanSpace(2)
@@ -1061,7 +1178,7 @@ class TestSharedDistances:
             rng = random.Random(n)
             return space._sample_rows(rng, n), space._sample_rows(rng, n)
 
-        row = cli._sampled_row("shifted", space, 200, draw, {"shifted": shifted}, True)
+        (row,) = cli._sampled_rows(space, 200, draw, {"shifted": {"shifted": shifted}}, True)
         assert row["status"] == "pass" and found == [True] * 8
 
 

@@ -333,13 +333,30 @@ class TestRelativeBound:
         assert worst > 100 * REL_TOL
 
     def test_relative_perturbation_fails_a_verify_space_row(self):
-        row = cli._verify_one_space("perturbed", PerturbedPlane(2), 200, 3)
+        (row,) = cli._verify_family("perturbed", PerturbedPlane(2), [None], 200, 3)
         assert row["status"] == "fail"
         assert row["max_cn_residual"] > row["tolerance"]
 
+    def test_relative_perturbation_fails_its_whole_family(self):
+        # Product distances combine the base's distances, so a broken base
+        # fails every product row built on it as well as its own row.
+        rows = cli._verify_family("perturbed", PerturbedPlane(2), [None, 0.25, 0.5, 0.9], 200, 3)
+        assert len(rows) == 4
+        for row in rows:
+            assert row["status"] == "fail", row["name"]
+            assert row["max_cn_residual"] > row["tolerance"]
+
+    def test_non_cat0_product_metric_fails_every_product_row(self, monkeypatch):
+        # d1 + d2 in place of the weighted quadratic mean is not a CAT(0)
+        # metric; the product rows measure it from the same cached base
+        # distances as the base row, which still passes.
+        monkeypatch.setattr(cf.ConvexCombinationSpace, "_mean_rows", lambda cs, d1, d2: d1 + d2)
+        rows = cli._verify_family("plane", cf.EuclideanSpace(2), [None, 0.25, 0.5, 0.9], 200, 3)
+        assert [row["status"] for row in rows] == ["pass", "fail", "fail", "fail"]
+
     def test_nan_residual_fails_a_verify_space_row(self):
         # The first block is clean; a running max that dropped NaN would pass.
-        row = cli._verify_one_space("nan", NaNPlane(2), cli._BLOCK + 10, 3)
+        (row,) = cli._verify_family("nan", NaNPlane(2), [None], cli._BLOCK + 10, 3)
         assert row["status"] == "fail"
         assert math.isnan(row["max_four_point_residual"])
         assert math.isnan(row["max_cn_residual"])
