@@ -213,54 +213,48 @@ def _mapping_row(name, checks, assert_pass):
     return entry
 
 
-def _sampled_rows(space, samples, draw, rows, assert_pass):
+def _memo(dist):
+    """dist, computed once for each unordered pair of operands.  The memo
+    holds every operand it has measured, so no other object can take one's id
+    while it lives; a pair is keyed by the ids of its two operands, which is
+    sound because every _dist_rows is symmetric bit for bit."""
+    known = {}
+
+    def d(P, Q):
+        key = frozenset((id(P), id(Q)))
+        if key not in known:
+            known[key] = dist(P, Q), P, Q
+        return known[key][0]
+
+    return d
+
+
+def _sampled_rows(samples, draw, rows, assert_pass):
     """The rows of `rows` (row name -> its checks, each check name ->
     inequality of `spaces`, such as `_p2`) on `samples` cases drawn in blocks
-    and shared by every row: draw(n) returns a block of n cases as packed
-    rows, and check(d, *block) their (residuals, scales), which fill each
-    check's arrays in draw order.  d is space._dist_rows, computed once per
-    block for each unordered pair of drawn rows and afresh for any other
-    operand: the drawn rows live as long as their block, so no other array
-    can take one's id, and every _dist_rows is symmetric bit for bit."""
-    found = {
-        name: {key: (np.empty(samples), np.empty(samples)) for key in checks}
-        for name, checks in rows.items()
-    }
+    and shared by every row: draw(n) returns, for each row name, its block of
+    n cases as (d, operands), with d its distance on packed rows, and
+    check(d, *operands) their (residuals, scales), which fill each check's
+    arrays in draw order."""
+    try:
+        found = {
+            name: {key: (np.empty(samples), np.empty(samples)) for key in checks}
+            for name, checks in rows.items()
+        }
+    except MemoryError as exc:
+        raise ConfigError(f"cannot hold {samples} samples: {exc}") from exc
     lo = 0
     for n in _blocks(samples):
-        block, known = draw(n), {}
-        drawn = {id(R) for R in block}
-
-        def d(P, Q):
-            key = frozenset((id(P), id(Q)))
-            if not key <= drawn:
-                return space._dist_rows(P, Q)
-            if key not in known:
-                known[key] = space._dist_rows(P, Q)
-            return known[key]
-
+        block = draw(n)
         for name, checks in rows.items():
+            d, operands = block[name]
             for key, check in checks.items():
-                for out, values in zip(found[name][key], check(d, *block)):
+                for out, values in zip(found[name][key], check(d, *operands)):
                     out[lo : lo + n] = values
         lo += n
     return [
         {"samples": samples, **_mapping_row(name, found[name], assert_pass)} for name in rows
     ]
-
-
-def _paired(cs, check):
-    """`check` on a family block's product cases, (x, x2) and so on, under
-    the product distance of cs: the weighted quadratic mean of the block's
-    base distances of first and of second components."""
-
-    def paired(d, x, y, z, w, t, g, x2, y2, z2, w2, g2):
-        def product_d(P, Q):
-            return cs._mean_rows(d(P[0], Q[0]), d(P[1], Q[1]))
-
-        return check(product_d, (x, x2), (y, y2), (z, z2), (w, w2), t, (g, g2))
-
-    return paired
 
 
 def _verify_family(name, base, weights, samples, seed):
@@ -272,35 +266,36 @@ def _verify_family(name, base, weights, samples, seed):
     the base row's stream in a lone base row's order, so a base row does not
     depend on the weights; with any weight, the second components x2, y2,
     z2, w2 come from one more stream.  The geodesic point (g, g2) serves
-    every weight, so a block measures base distances only.  Each inequality
-    is judged on its own scales, the sums of its squared-distance terms, and
-    each row keeps each check's max and the larger tolerance under the keys
-    the benchmark's output checks read."""
+    every weight, so a block measures base distances only, each pair once,
+    and a product distance is the weighted quadratic mean of two of them.
+    Each inequality is judged on its own scales, the sums of its
+    squared-distance terms, and each row keeps each check's max and the
+    larger tolerance under the keys the benchmark's output checks read."""
     rng = random.Random(f"{seed}:{name}:space-verify")
     second = random.Random(f"{seed}:{name}:second:space-verify")
+    rows = {name if lam is None else f"{name} x lambda={lam}": lam for lam in weights}
+    products = {
+        row: ConvexCombinationSpace(base, lam) for row, lam in rows.items() if lam is not None
+    }
+
+    def mean(cs, d):
+        return _memo(lambda P, Q: cs._mean_rows(d(P[0], Q[0]), d(P[1], Q[1])))
 
     def draw(n):
         x, y, z, w = (base._sample_rows(rng, n) for _ in range(4))
         t = _random_rows(rng, n)
-        block = [x, y, z, w, t, base._interp_rows(x, y, t)]
-        if any(lam is not None for lam in weights):
-            x, y, z, w = (base._sample_rows(second, n) for _ in range(4))
-            block += [x, y, z, w, base._interp_rows(x, y, t)]
+        g, d = base._interp_rows(x, y, t), _memo(base._dist_rows)
+        block = {name: (d, (x, y, z, w, t, g))}
+        if products:
+            x2, y2, z2, w2 = (base._sample_rows(second, n) for _ in range(4))
+            pairs = ((x, x2), (y, y2), (z, z2), (w, w2), t, (g, base._interp_rows(x2, y2, t)))
+            block.update({row: (mean(cs, d), pairs) for row, cs in products.items()})
         return block
 
     checks = {
-        "four_point": lambda d, x, y, z, w, t, g, *_: _four_point(d, x, y, z, w),
-        "cn": lambda d, x, y, z, w, t, g, *_: _cn(d, z, x, y, g, t),
+        "four_point": lambda d, x, y, z, w, t, g: _four_point(d, x, y, z, w),
+        "cn": lambda d, x, y, z, w, t, g: _cn(d, z, x, y, g, t),
     }
-    rows = {}
-    for lam in weights:
-        if lam is None:
-            rows[name] = checks
-        else:
-            cs = ConvexCombinationSpace(base, lam)
-            rows[f"{name} x lambda={lam}"] = {
-                key: _paired(cs, check) for key, check in checks.items()
-            }
     return [
         {
             **row,
@@ -308,7 +303,7 @@ def _verify_family(name, base, weights, samples, seed):
             "max_cn_residual": row["cn"]["max"],
             "tolerance": float(np.maximum(row["four_point"]["tolerance"], row["cn"]["tolerance"])),
         }
-        for row in _sampled_rows(base, samples, draw, rows, True)
+        for row in _sampled_rows(samples, draw, dict.fromkeys(rows, checks), True)
     ]
 
 
@@ -340,9 +335,9 @@ def _mapping_report(name, mapping, rng, samples, assert_pass, checks):
 
     def draw(n):
         x, y = space._sample_rows(rng, n), space._sample_rows(rng, n)
-        return x, y, mapping._rows(x), mapping._rows(y)
+        return {name: (_memo(space._dist_rows), (x, y, mapping._rows(x), mapping._rows(y)))}
 
-    (row,) = _sampled_rows(space, samples, draw, {name: checks}, assert_pass)
+    (row,) = _sampled_rows(samples, draw, {name: checks}, assert_pass)
     return row
 
 
@@ -424,7 +419,7 @@ def _run_one(inst: InstanceConfig, out: Path):
         "mode": inst.mode,
         "steps": len(trace.residuals),
         "stationary_from": trace.stationary_from,
-        "final_residual": trace.residuals[-1] if trace.residuals else 0.0,
+        "final_residual": trace.residuals[-1],
         "final_aux": aux_dist[-1],
     }
     if inst.mode in ("averaged", "product-reduction"):

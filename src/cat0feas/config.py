@@ -488,9 +488,11 @@ def config_from_json(doc) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")  # as JSON requires
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

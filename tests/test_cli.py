@@ -255,6 +255,30 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert run_cli("verify-space", bad, tmp_path / "o") == 3
 
+    def test_config_that_is_not_utf8_is_3(self, tmp_path, capsys):
+        # JSON text is UTF-8, whatever the locale's encoding.
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"seed": \xff}')
+        assert run_cli("verify-space", bad, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: not UTF-8:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("verify-space", "space"), ("verify-mapping", "mapping"),
+         ("verify-mapping", "minimality")],
+    )
+    def test_sample_count_too_large_to_hold_is_3(self, tmp_path, capsys, command, key):
+        # 10^15 samples need petabytes, which numpy refuses outright.
+        doc = mini_config()
+        doc["samples"][key] = 1e15
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(command, path, tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot hold 1000000000000000 samples:")
+        assert len(err.splitlines()) == 1
+
     def test_schema_violation_is_3(self, tmp_path):
         bad = tmp_path / "bad2.json"
         bad.write_text(json.dumps({"schema": "1", "instances": [{"name": "x"}]}))
@@ -1055,9 +1079,9 @@ class TestMappingReport:
     def test_every_row_is_drawn_by_the_engine(self, config_path, monkeypatch):
         names, sampled_rows = [], cli._sampled_rows
 
-        def counting(space, samples, draw, rows, assert_pass):
+        def counting(samples, draw, rows, assert_pass):
             names.extend(rows)
-            return sampled_rows(space, samples, draw, rows, assert_pass)
+            return sampled_rows(samples, draw, rows, assert_pass)
 
         monkeypatch.setattr(cli, "_sampled_rows", counting)
         cfg = load_config(config_path)
@@ -1095,7 +1119,7 @@ class TestMappingReport:
 
 
 class TestSharedDistances:
-    """A sampled block measures each pair of its drawn rows once, for all of
+    """A sampled block measures each pair of its operands once, for all of
     its checks."""
 
     @staticmethod
@@ -1119,9 +1143,12 @@ class TestSharedDistances:
         assert len(calls) == 7
 
     def test_product_weights_measure_base_distances_only(self, monkeypatch):
-        space, drawn, interpolated = EuclideanSpace(2), [], []
-        sample_rows, interp_rows, random_rows = (
-            EuclideanSpace._sample_rows, EuclideanSpace._interp_rows, cli._random_rows
+        space, drawn, interpolated, means = EuclideanSpace(2), [], [], []
+        sample_rows, interp_rows, random_rows, mean_rows = (
+            EuclideanSpace._sample_rows,
+            EuclideanSpace._interp_rows,
+            cli._random_rows,
+            ConvexCombinationSpace._mean_rows,
         )
 
         def sampling(space, rng, n):
@@ -1136,20 +1163,27 @@ class TestSharedDistances:
             drawn.append(n)
             return random_rows(rng, n)
 
+        def meaning(cs, d1, d2):
+            means.append(cs.lam)
+            return mean_rows(cs, d1, d2)
+
         monkeypatch.setattr(EuclideanSpace, "_sample_rows", sampling)
         monkeypatch.setattr(EuclideanSpace, "_interp_rows", interpolating)
         monkeypatch.setattr(cli, "_random_rows", random_counting)
+        monkeypatch.setattr(ConvexCombinationSpace, "_mean_rows", meaning)
         calls = self.counted(monkeypatch)
         rows = cli._verify_family("plane", space, [None, 0.25, 0.5, 0.9], cli._BLOCK + 10, 1)
         assert [row["status"] for row in rows] == ["pass"] * 4
         # Per block, for all four rows: nine drawn arrays (x, y, z, w and t,
         # and the second components x2, y2, z2, w2), the geodesic points g
-        # and g2, and the seven base distances of each component; every
-        # product distance combines two of them.  Drawn row by row, the
-        # block took 32 arrays, 7 geodesic points and 49 distances.
+        # and g2, and the seven base distances of each component; each
+        # weight combines two of them into each of its seven product
+        # distances once.  Drawn row by row, the block took 32 arrays,
+        # 7 geodesic points and 49 distances.
         assert drawn == [cli._BLOCK] * 9 + [10] * 9
         assert len(interpolated) == 2 * 2
         assert len(calls) == 2 * 14
+        assert sorted(means) == [0.25] * 14 + [0.5] * 14 + [0.9] * 14
 
     def test_projection_block(self, monkeypatch):
         space = EuclideanSpace(2)
@@ -1164,8 +1198,9 @@ class TestSharedDistances:
         assert len(calls) == 9
 
     def test_other_operands_are_measured_afresh(self):
-        # Each shifted copy of y is freed before the next is made, so CPython
-        # may give the next one its id; only pairs of drawn rows are reused.
+        # Each shifted copy of y is dropped by the check before the next is
+        # made, so CPython could give the next one its id; the memo holds
+        # every operand it measured, so no copy is mistaken for another.
         space, found = EuclideanSpace(2), []
 
         def shifted(d, x, y):
@@ -1176,9 +1211,10 @@ class TestSharedDistances:
 
         def draw(n):
             rng = random.Random(n)
-            return space._sample_rows(rng, n), space._sample_rows(rng, n)
+            x, y = space._sample_rows(rng, n), space._sample_rows(rng, n)
+            return {"shifted": (cli._memo(space._dist_rows), (x, y))}
 
-        (row,) = cli._sampled_rows(space, 200, draw, {"shifted": {"shifted": shifted}}, True)
+        (row,) = cli._sampled_rows(200, draw, {"shifted": {"shifted": shifted}}, True)
         assert row["status"] == "pass" and found == [True] * 8
 
 
