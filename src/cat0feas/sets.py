@@ -1,12 +1,17 @@
 """Closed geodesically convex sets with metric projections.
 
-Each set knows its owning space and writes its formulas on payloads:
-``_contains(payload, tol)`` with the tolerance already resolved, and an exact
-nearest-point map ``_project(payload)``, which may return a member's payload
-itself.  ``ConvexSet.contains`` and ``ConvexSet.project`` wrap them once for
-every set: they check membership, resolve the tolerance and make the
-Point (``project`` returns x itself when ``_project`` returned its payload).
-Where it makes sense a set also has a finite grid for brute-force oracles.
+Each set knows its owning space and writes an exact nearest-point map on
+payloads, ``_project(payload)``, which may return a member's payload itself.
+``ConvexSet.project`` wraps it once for every set: it checks that x is a
+point of the space and makes the Point (x itself when ``_project`` returned
+its payload).  A closed convex set is the fixed-point set of its projection
+and d(x, C) = d(x, P_C x), so ``ConvexSet.contains(x, tol)`` is
+d(x, P_C x) <= tol in the space's own metric, for every set.  (Half-spaces,
+flats and balls tested that before, up to rounding; segments, subtrees, the
+diagonal and rectangles judged a triangle excess, no tol, the factors'
+distance and each factor alone; a negative tol, which half-spaces and balls
+read as a margin inside, now admits no point.)  Where it makes sense a set
+also has a finite grid for brute-force oracles.
 
 A grid is a `Grid` of packed rows of the set's space, which the oracle's
 ``_kernel_rows`` scores; only an item read from it becomes a Point.  Each row
@@ -42,7 +47,7 @@ import operator
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -121,16 +126,18 @@ class ConvexSet(ABC):
         return self.owner
 
     @abstractmethod
-    def _contains(self, payload, tol: float) -> bool: ...
-
-    @abstractmethod
     def _project(self, payload):
         """The payload of the nearest point; a member's may come back itself."""
 
     def contains(self, x: Point, tol: float | None = None) -> bool:
+        """d(x, P_C x) <= tol, the space's tolerance if tol is None; so a
+        negative or NaN tol admits no point."""
         space = self.space
         space.require_member(x)
-        return self._contains(x.payload, space.tolerance if tol is None else tol)
+        p = x.payload
+        q = self._project(p)
+        d = 0.0 if q is p else space._distance(p, q)
+        return d <= (space.tolerance if tol is None else tol)
 
     def project(self, x: Point) -> Point:
         self.space.require_member(x)
@@ -184,10 +191,7 @@ class Halfspace(ConvexSet):
 
     def _gap(self, coords) -> float:
         u, c = self._unit
-        return sum(map(operator.mul, u, coords)) - c
-
-    def _contains(self, p, tol):
-        return self._gap(p) <= tol
+        return _total(map(operator.mul, u, coords)) - c
 
     def _project(self, p):
         gap = self._gap(p)
@@ -247,21 +251,18 @@ class AffineSubspace(ConvexSet):
     def _project(self, p):
         a, rows = self.anchor, self._rows
         diff = [xi - ai for xi, ai in zip(p, a)]
-        coefs = [sum(map(operator.mul, q, diff)) for q in rows]
-        return tuple([ai + sum([c * q[j] for c, q in zip(coefs, rows)]) for j, ai in enumerate(a)])
+        coefs = [_total(map(operator.mul, q, diff)) for q in rows]
+        return tuple([ai + _total([c * q[j] for c, q in zip(coefs, rows)]) for j, ai in enumerate(a)])
 
     def _project_rows(self, P):
         # _project's sums, with a coordinate column in place of each number.
         a, rows = self.anchor, self._rows
         diff = list((P - a).T)
-        coefs = [sum(map(operator.mul, q, diff)) for q in rows]
+        coefs = [_total(map(operator.mul, q, diff)) for q in rows]
         out = np.empty_like(P)
         for j, ai in enumerate(a):
-            out[:, j] = ai + sum([c * q[j] for c, q in zip(coefs, rows)])
+            out[:, j] = ai + _total([c * q[j] for c, q in zip(coefs, rows)])
         return out
-
-    def _contains(self, p, tol):
-        return math.dist(p, self._project(p)) <= tol
 
     def grid(self, spec):
         q = self._orthonormal
@@ -281,11 +282,7 @@ class _Ball(ConvexSet):
     center: tuple[float, ...] | complex
     radius: float
 
-    def _contains(self, p, tol):
-        return self.owner._distance(self.center, p) <= self.radius + tol
-
     def _project(self, p):
-        # The same distance as `_contains`, so members come back unchanged.
         space, c, r = self.owner, self.center, self.radius
         d = space._distance(c, p)
         return p if d <= r else space._interpolate(c, p, r / d)
@@ -296,10 +293,11 @@ class _Ball(ConvexSet):
         d = space._dist_rows(C, P)
         # A row distance can round apart from the scalar one (numpy's arctanh
         # is not math.atanh, nor a sum of squares math.dist), by far less than
-        # REL_TOL of it, so the rows that near the radius take the scalar test.
+        # REL_TOL of it, so the rows that near the radius take `_project`'s
+        # scalar comparison.
         inside = d <= r
         for k in np.flatnonzero(np.abs(d - r) <= REL_TOL * r):
-            inside[k] = self._contains(space._payload(P[k]), 0.0)
+            inside[k] = space._distance(self.center, space._payload(P[k])) <= r
         # Members keep their row; the rest are cut at the radius.  (An R^n
         # row is a coordinate vector, so the mask gains an axis for it.)
         keep = inside.reshape((-1,) + (1,) * (P.ndim - 1))
@@ -362,10 +360,6 @@ class _Segment(ConvexSet):
         if p is self.start.payload:
             return self.start
         return self.end if p is self.end.payload else Point(self.owner, p)
-
-    def _contains(self, p, tol):
-        d = self.owner._distance
-        return d(p, self.start.payload) + d(p, self.end.payload) - self.length <= tol
 
     def grid(self, spec):
         a, b = self.start.payload, self.end.payload
@@ -491,7 +485,7 @@ class Subtree(ConvexSet):
         object.__setattr__(self, "vertex_names", names)
         object.__setattr__(self, "_edges_in", tuple(inner_edges))
 
-    def _contains(self, p, tol):
+    def _member(self, p) -> bool:
         # Membership is exact: an edge of the subtree, or one of its vertices.
         inner, member_vertex = self._member_tables
         vertex = self.owner._vertex_at(p)
@@ -502,7 +496,7 @@ class Subtree(ConvexSet):
         return tuple(map(self.owner._vertex_payload, self.vertex_names))
 
     def _project(self, p):
-        if self._contains(p, 0.0):
+        if self._member(p):
             return p
         # The path from p enters the subtree at a vertex: the nearest one (the
         # first of equally near ones).
@@ -518,7 +512,7 @@ class Subtree(ConvexSet):
         return inner, np.array([name in names for name in tree.vertices])
 
     def _project_rows(self, P):
-        # Members by _contains' rule keep their row; the rest go to the first
+        # Members by _member's rule keep their row; the rest go to the first
         # nearest of _vertices, by a running strict < minimum as min() takes it.
         inner, member_vertex = self._member_tables
         vertex = self.owner._vertex_rows(P["edge"], P["du"])
@@ -606,9 +600,6 @@ class ProductRectangle(ConvexSet):
     def _project_rows(self, P):
         return (self.first._project_rows(P[0]), self.second._project_rows(P[1]))
 
-    def _contains(self, p, tol):
-        return self.first._contains(p[0], tol) and self.second._contains(p[1], tol)
-
 
 @dataclass(frozen=True)
 class DiagonalSet(ConvexSet):
@@ -629,9 +620,6 @@ class DiagonalSet(ConvexSet):
         c = self.owner.base._interp_rows(P[0], P[1], self.owner.lam)
         return (c, c)
 
-    def _contains(self, p, tol):
-        return self.owner.base._distance(p[0], p[1]) <= tol
-
 
 # -- helpers ------------------------------------------------------------------------
 
@@ -643,6 +631,12 @@ def _finite_coords(values, dim: int, what: str) -> tuple[float, ...]:
     if not all(map(math.isfinite, coords)):
         raise DomainError(f"{what} must be finite, got {coords}")
     return coords
+
+
+def _total(terms):
+    """A left fold of + from 0.0, on numbers or coordinate columns alike: the
+    built-in sum compensates floats since Python 3.12, but not arrays."""
+    return reduce(operator.add, terms, 0.0)
 
 
 def _even(n: int) -> int:

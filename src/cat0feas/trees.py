@@ -163,7 +163,11 @@ class TreeSpace(Space):
 
     def _canonical(self, payload):
         edge, offset = payload
-        edge = int(edge)
+        if type(edge) is not int:
+            # int() alone would truncate 1.5 to 1 and read True as 1.
+            if not (isinstance(edge, np.integer) or isinstance(edge, float) and edge.is_integer()):
+                raise DomainError(f"edge index must be an integer, got {edge!r}")
+            edge = int(edge)
         if not 0 <= edge < len(self.tree.edges):
             raise DomainError(f"edge index {edge} out of range")
         length = self.tree.edges[edge][2]

@@ -1,5 +1,6 @@
 """Exact isometries: an instance moved by a map that rounds nothing gives
-byte-identical `run` and `certify` outputs.
+byte-identical `run` and `certify` outputs, but for the oracle's entries,
+whose grids stay axis-aligned.
 
 Swapping or negating coordinates of R^2, and conjugating, negating or
 multiplying by i in the Poincare disk, are isometries that change no
@@ -42,11 +43,17 @@ def bundled(name):
 
 
 def moved(inst, move):
-    """`inst` with its sets' centers, start, fixed point and best pair moved."""
+    """`inst` with its sets' centers, half-space normals and flats' anchors and
+    bases, its start, fixed point and best pair moved.  Every move is linear
+    and fixes the origin, so a half-space's offset stays."""
     inst = copy.deepcopy(inst)
     for key in ("A", "B"):
         ((_, spec),) = inst[key].items()
-        spec["center"] = move(spec["center"])
+        for field in ("center", "normal", "anchor"):
+            if field in spec:
+                spec[field] = move(spec[field])
+        if "basis" in spec:
+            spec["basis"] = [move(v) for v in spec["basis"]]
     inst["start"] = move(inst["start"])
     if "fixed_point" in inst:
         inst["fixed_point"] = move(inst["fixed_point"])
@@ -75,13 +82,54 @@ def assert_unmoved(tmp_path, name, moves, command, checks=None):
         assert outputs(tmp_path, label, doc, moved(inst, move), command) == (code, want), label
 
 
-@pytest.mark.parametrize("name, moves", [("ball-ball", PLANE_MOVES), ("disk-disjoint", DISK_MOVES)])
+MOVED = [
+    ("ball-ball", PLANE_MOVES),
+    ("disk-disjoint", DISK_MOVES),
+    ("disk-overlap", DISK_MOVES),
+    ("ball-halfspace", PLANE_MOVES),
+    ("line-line", PLANE_MOVES),
+]
+
+# The entries that read the oracle's axis-aligned grids.
+ORACLE_CHECKS = ("delta-limit", "oracle-agreement")
+
+
+@pytest.mark.parametrize("name, moves", MOVED)
 def test_run_is_unmoved(tmp_path, name, moves):
     assert_unmoved(tmp_path, name, moves, "run")
 
 
 def test_rate_certificates_are_unmoved(tmp_path):
-    assert_unmoved(tmp_path, "ball-ball", PLANE_MOVES, "certify", ["rate", "gap-rate"])
+    for name, moves in MOVED:
+        _, inst = bundled(name)
+        checks = [c for c in inst["checks"] if c in ("rate", "gap-rate")]
+        if checks:
+            (tmp_path / name).mkdir()
+            assert_unmoved(tmp_path / name, name, moves, "certify", checks)
+
+
+@pytest.mark.parametrize("name, moves", MOVED[2:])
+def test_oracle_checks_agree_within_budget(tmp_path, name, moves):
+    # A moved set meets the oracle's axis-aligned grid at other points, so
+    # its oracle entries agree by status and budget; all else byte for byte.
+    doc, inst = bundled(name)
+    code, want = outputs(tmp_path, "bundled", doc, inst, "certify")
+    report = json.loads(want.pop("report.json"))
+    (bundled_inst,) = report.pop("instances")
+    checks = bundled_inst.pop("checks")
+    for label, move in moves.items():
+        got_code, got = outputs(tmp_path, label, doc, moved(inst, move), "certify")
+        got_report = json.loads(got.pop("report.json"))
+        (moved_inst,) = got_report.pop("instances")
+        assert (got_code, got, got_report) == (code, want, report), label
+        for a, b in zip(checks, moved_inst.pop("checks"), strict=True):
+            if a["check"] in ORACLE_CHECKS:
+                assert a["status"] == b["status"] == "pass", (label, a, b)
+                if a["check"] == "oracle-agreement":
+                    assert b["difference"] <= b["budget"] == a["budget"], (label, b)
+            else:
+                assert a == b, label
+        assert moved_inst == bundled_inst, label
 
 
 def test_projection_biased_by_coordinate_breaks_the_swap(tmp_path, monkeypatch):

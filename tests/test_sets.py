@@ -7,6 +7,7 @@ scans, and tree projections against a fine brute-force grid that
 uses only the distance function.
 """
 
+import builtins
 import cmath
 import itertools
 import math
@@ -117,7 +118,7 @@ class TestEuclideanProjections:
         for _ in range(50):
             x = e2.random_point(rng, 4.0)
             assert hs.project(x) == ref.project(x)
-            assert hs.contains(x, tol=0.0) == ref.contains(x, tol=0.0)
+            assert member(hs, x.payload) == member(ref, x.payload)
 
 
 def _numpy_halfspace(hs, x):
@@ -175,6 +176,29 @@ def _euclidean_cases(dim, shift, rng):
     return cases
 
 
+def member(cset, p, tol=0.0):
+    """Membership of the payload p, judged without `_project`: each kind's
+    own formula, with tol as its slack.  At tol 0 it is the keep rule of a
+    half-space's, a ball's or a subtree's `_project`, which returns the
+    payload p itself exactly when it admits p."""
+    if isinstance(cset, cf.Halfspace):
+        return cset._gap(p) <= tol
+    if isinstance(cset, cf.AffineSubspace):
+        return math.dist(p, _numpy_affine(cset, p)) <= tol
+    if isinstance(cset, (cf.EuclideanBall, cf.DiskBall)):
+        return cset.space._distance(cset.center, p) <= cset.radius + tol
+    if isinstance(cset, (cf.TreeSegment, cf.DiskGeodesicSegment)):
+        # The triangle excess, which is 0 exactly on the geodesic [a, b].
+        d, a, b = cset.space._distance, cset.start.payload, cset.end.payload
+        return d(p, a) + d(p, b) - d(a, b) <= tol
+    if isinstance(cset, cf.Subtree):
+        return cset._member(p)  # exact: tol has nothing to add on a tree
+    if isinstance(cset, cf.ProductRectangle):
+        return member(cset.first, p[0], tol) and member(cset.second, p[1], tol)
+    assert isinstance(cset, cf.DiagonalSet), cset
+    return cset.space.base._distance(p[0], p[1]) <= tol
+
+
 NUMPY_FORMS = {
     cf.Halfspace: _numpy_halfspace,
     cf.AffineSubspace: _numpy_affine,
@@ -206,9 +230,13 @@ class TestEuclideanScalarForms:
                 continue
             members = 0
             for x in points:
-                inside = cset.contains(x, tol=0.0)
+                inside = member(cset, x.payload)
                 members += inside
-                assert (cset.project(x) is x) == inside
+                y = cset.project(x)
+                assert (y is x) == inside
+                # A projection that rounds back to an equal payload, but a
+                # new object, is at distance 0: a member at tol 0 too.
+                assert cset.contains(x, tol=0.0) == (y == x)
             assert members >= 10
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
@@ -226,6 +254,24 @@ class TestEuclideanScalarForms:
                 res = cf.check_p2(proj, x, y)
                 assert res.ok and res.scale == scale
                 assert res.residual <= REL_TOL * scale
+
+    def test_rows_agree_with_a_compensated_builtin_sum(self, monkeypatch):
+        # Python 3.12's built-in sum compensates floats, not arrays.  At
+        # (1e16, 1, -1e16) a compensated sum keeps the 1 that a left fold
+        # loses, so a scalar form that called sum would part from its rows.
+        def compensated(values, start=0):
+            values = list(values)
+            if all(isinstance(v, float) for v in values):
+                return math.fsum(values) + start
+            return builtins.sum(values, start)
+
+        monkeypatch.setattr(sets, "sum", compensated, raising=False)
+        e3 = cf.EuclideanSpace(3)
+        x = e3.point((1e16, 1.0, -1e16))
+        for cset in (cf.Halfspace(e3, (1.0, 1.0, 1.0), 0.0),
+                     cf.AffineSubspace(e3, (0.0, 0.0, 0.0), ((1.0, 1.0, 1.0),))):
+            rows = cset._project_rows(e3._pack([x.payload]))
+            assert tuple(rows[0].tolist()) == cset.project(x).payload, cset
 
     def test_payloads_are_float_tuples(self, e2, e5):
         rng = random.Random(4)
@@ -307,7 +353,7 @@ class TestTreeProjections:
             for _ in range(25):
                 x = sp.random_point(rng)
                 got = cset.project(x)
-                assert cset.contains(got)
+                assert member(cset, got.payload, sp.tolerance)
                 d_grid = min(sp.distance(x, g) for g in fine)
                 assert sp.distance(x, got) <= d_grid + 1e-9
 
@@ -351,7 +397,7 @@ class TestDiskProjections:
             for _ in range(10):
                 x = disk.random_point(rng)
                 got = seg.project(x)
-                assert seg.contains(got, tol=1e-12)
+                assert member(seg, got.payload, 1e-12)
                 dx = disk.distance(x, got)
                 assert all(dx <= disk.distance(x, m) + 1e-12 for m in marks)
 
@@ -399,7 +445,7 @@ class TestProjectionProperties:
             for _ in range(20):
                 x = space.random_point(rng, 2.0)
                 px = cset.project(x)
-                assert cset.contains(px, tol=1e-7)
+                assert member(cset, px.payload, 1e-7)
                 # idempotence
                 assert space.distance(cset.project(px), px) <= 1e-9
                 # nonexpansiveness against a second point
@@ -418,7 +464,7 @@ class TestProjectionProperties:
                 continue
             spec = GridSpec(h=0.05, window=((-3.0, 3.0),) * 2)
             for g in itertools.islice(cset.grid(spec), 200):
-                assert cset.contains(g, tol=1e-7)
+                assert member(cset, g.payload, 1e-7)
 
     def test_geodesic_convexity_sampled(self):
         rng = random.Random(11)
@@ -427,7 +473,7 @@ class TestProjectionProperties:
                 y = cset.project(space.random_point(rng, 2.0))
                 z = cset.project(space.random_point(rng, 2.0))
                 for t in (0.25, 0.5, 0.75):
-                    assert cset.contains(space.interpolate(y, z, t), tol=1e-7)
+                    assert member(cset, space.interpolate(y, z, t).payload, 1e-7)
 
 
 def grid_sets():
@@ -715,7 +761,8 @@ SETS = nine_kinds()
 
 class TestWrappers:
     """`ConvexSet.project` and `ConvexSet.contains` are each written once: the
-    sets write only their payload formulas `_project` and `_contains`."""
+    sets write only their payload formulas `_project` and `_project_rows`, and
+    membership is d(x, P_C x) <= tol in the space's own metric."""
 
     def test_no_set_defines_a_wrapper(self):
         assert len(SETS) == 9
@@ -750,10 +797,38 @@ class TestWrappers:
         points += [cset.project(x) for x in points]
         kept = 0
         for x in points:
-            # project keeps exactly the points its own member test admits.
-            assert (cset.project(x) is x) == cset.contains(x, tol=0.0)
-            kept += cset.project(x) is x
+            y = cset.project(x)
+            # project keeps exactly the points its own keep rule admits, and
+            # a point is a member at tol 0 iff its projection equals it.
+            assert (y is x) == member(cset, x.payload)
+            assert cset.contains(x, tol=0.0) == (y == x)
+            kept += y is x
         assert kept >= 50
+
+    @pytest.mark.parametrize("kind", sorted(SETS))
+    def test_contains_is_distance_to_projection(self, kind):
+        # d(x, C) = d(x, P_C x): a point outside is within tol of C exactly
+        # when tol reaches that distance, measured in the space's own metric.
+        cset = SETS[kind]
+        space, rng = cset.space, random.Random(31)
+        outside = 0
+        for _ in range(200):
+            x = space.random_point(rng, 2.0)
+            d = space.distance(x, cset.project(x))
+            if d > 0.0:
+                outside += 1
+                assert cset.contains(x, 1.01 * d) and not cset.contains(x, 0.99 * d), (x, d)
+        assert outside >= 50
+
+    @pytest.mark.parametrize("kind", sorted(SETS))
+    def test_negative_or_nan_tol_admits_no_point(self, kind):
+        # No distance is below a negative tol, nor compares with NaN: not even
+        # a member's 0, which `contains` does not shortcut.
+        cset = SETS[kind]
+        x = cset.project(cset.space.random_point(random.Random(7), 2.0))
+        assert cset.contains(x, tol=1e-9)
+        assert not cset.contains(x, tol=-1e-300)
+        assert not cset.contains(x, tol=math.nan)
 
     def test_segment_ends_come_back_as_built(self, tripod_space, disk):
         tri = tripod_space

@@ -67,6 +67,18 @@ class TestCanonicalization:
         with pytest.raises(cf.DomainError):
             tripod_space.at(0, -0.1)
 
+    @pytest.mark.parametrize("edge", [3, -1, 1.5, True, np.float64(2.9), math.nan, "1"])
+    def test_edge_index_domain(self, tripod_space, edge):
+        # Out of range, or not an integer: int() would truncate 1.5 and 2.9
+        # and read True as 1.
+        with pytest.raises(cf.DomainError, match="edge index"):
+            tripod_space.at(edge, 0.25)
+
+    @pytest.mark.parametrize("edge", [1, 1.0, np.int64(1), np.float64(1.0)])
+    def test_integral_edge_index_reads_as_int(self, tripod_space, edge):
+        p = tripod_space.at(edge, 0.25)
+        assert p.payload == (1, 0.25) and type(p.payload[0]) is int
+
     def test_caterpillar_shared_vertex(self, caterpillar):
         # B is incident to edges 0, 1, 3; canonical spelling uses edge 0.
         b = caterpillar.vertex("B")
