@@ -46,8 +46,7 @@ from .mappings import (
     averaged_projections,
     diagonal_projection,
 )
-from .product import ConvexCombinationSpace
-from .sets import DiagonalSet
+from .product import ConvexCombinationSpace, embed_diagonal
 from .spaces import REL_TOL, _cn, _firmly_nonexpansive, _four_point, _p2, _random_rows
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_CONFIG = 0, 1, 2, 3
@@ -128,21 +127,20 @@ class _Stepper(Mapping):
         return self.step(p)
 
 
-def _build_map(inst: InstanceConfig, gaps=None, mode=None):
-    """The instance's map in `mode`, its own by default: the averaged map,
-    the composition P_A P_B, or the averaged map's product-space twin
-    x -> first component of Q(U(x, x)), where U is the pair map (P_A, P_B) on
-    the lam-weighted product and Q the projection onto its diagonal.
+def _build_map(inst: InstanceConfig, gaps=None):
+    """The map of the instance's main trace: P_A P_B in "composed" mode and
+    otherwise the averaged map, which "product-reduction" mode iterates too;
+    the product iteration that mode names runs in `run`'s reduction check.
 
     Given a list `gaps`, the map also appends d(P_A x, P_B x) to it for each
     x it maps, from the projections its step makes: the two images the
-    averaged map interpolates, the pair U(x, x), or the P_B x that P_A P_B
-    composes and one more projection, P_A x."""
+    averaged map interpolates, or the P_B x that P_A P_B composes and one
+    more projection, P_A x."""
     set_a, set_b, _ = inst.require_sets()
-    space, mode = inst.space, mode or inst.mode
+    space = inst.space
     project_a, project_b, distance = set_a._project, set_b._project, space._distance
 
-    if mode == "composed":
+    if inst.mode == "composed":
         def step(p):
             pb = project_b(p)
             if gaps is not None:
@@ -150,26 +148,15 @@ def _build_map(inst: InstanceConfig, gaps=None, mode=None):
             return project_a(pb)
 
         return _Stepper(ComposeMap.kind, space, step)
-    if mode == "averaged":
-        between, lam = space._between, inst.lam
-
-        def step(p):
-            pa, pb = project_a(p), project_b(p)
-            if gaps is not None:
-                gaps.append(distance(pa, pb))
-            return between(pa, pb, lam)
-
-        return _Stepper(ConvexCombinationMap.kind, space, step)
-    cs = ConvexCombinationSpace(space, inst.lam)
-    pair_map, diagonal = PairMap(cs, ProjectionMap(set_a), ProjectionMap(set_b)), DiagonalSet(cs)
+    between, lam = space._between, inst.lam
 
     def step(p):
-        pair = pair_map._step((p, p))
+        pa, pb = project_a(p), project_b(p)
         if gaps is not None:
-            gaps.append(distance(*pair))
-        return diagonal._project(pair)[0]
+            gaps.append(distance(pa, pb))
+        return between(pa, pb, lam)
 
-    return _Stepper("product-reduction", space, step)
+    return _Stepper(ConvexCombinationMap.kind, space, step)
 
 
 def _run_trace(inst: InstanceConfig, with_gaps: bool):
@@ -407,7 +394,15 @@ def _padded(payloads, length):
 
 
 def _run_one(inst: InstanceConfig, out: Path):
-    space, start = inst.space, inst.start
+    """The instance's `run` row, and its trace CSV in `out`.  Outside
+    "composed" mode the row holds the reduction check: the orbit z_n of Q U
+    from (x_0, x_0), with U = (P_A, P_B) on the lam-weighted product and Q its
+    diagonal projection, against the main trace x_n as D((x_n, x_n), z_n)
+    over min(200, n_max) steps, each orbit padded by its last point.  Q U
+    (x, x) = (c, c), with c the averaged step of x on the same base payload
+    calls, so rounding cannot part the orbits, and any gap is a fault."""
+    set_a, set_b, start = inst.require_sets()
+    space = inst.space
     trace, aux_dist = _run_trace(inst, True)
     p = inst.fixed_point
     dist_to_p = None
@@ -423,23 +418,14 @@ def _run_one(inst: InstanceConfig, out: Path):
         "final_aux": aux_dist[-1],
     }
     if inst.mode in ("averaged", "product-reduction"):
-        # Both orbits stop at their first exact fixed point; the constant
-        # extension stands for the steps they skip.  The main trace is one of
-        # the two orbits, so only the other is computed here.
         steps = min(200, inst.n_max)
-        if inst.mode == "averaged":
-            base, twin = trace, picard(_build_map(inst, mode="product-reduction"), start, steps)
-        else:
-            base, twin = picard(_build_map(inst, mode="averaged"), start, steps), trace
-        # Entry n is the product distance D((x_n, x_n), (y_n, y_n)).
         cs = ConvexCombinationSpace(space, inst.lam)
-        orbits = zip(_padded(base.payloads, steps + 1), _padded(twin.payloads, steps + 1))
-        gaps = [cs._distance((x, x), (y, y)) for x, y in orbits]
-        # Both orbits make the same base payload calls: the twin's step takes
-        # (P_A x, P_B x) from the pair map and c = base._between(P_A x,
-        # P_B x, lam) from the diagonal projection, which is the averaged
-        # map's step.  So rounding cannot part them, and any gap is a fault.
-        row["reduction_max_gap"] = max(gaps)
+        qu = ComposeMap(
+            diagonal_projection(cs), PairMap(cs, ProjectionMap(set_a), ProjectionMap(set_b))
+        )
+        twin = picard(qu, embed_diagonal(cs, start), steps)
+        orbits = zip(_padded(trace.payloads, steps + 1), _padded(twin.payloads, steps + 1))
+        row["reduction_max_gap"] = max(cs._distance((x, x), z) for x, z in orbits)
         row["reduction_ok"] = row["reduction_max_gap"] == 0.0
         row["status"] = "pass" if row["reduction_ok"] else "fail"
     else:

@@ -33,7 +33,11 @@ and each instance these:
     A, B, start = null              two sets and a start payload
     fixed_point, best_pair = null   a payload; a list of two payloads
     set_distance = null             d(A, B) when known, finite and >= 0
-    mode = "averaged"               "averaged" | "composed" | "product-reduction"
+    mode = "averaged"               "averaged" | "composed" | "product-reduction":
+                                    the averaged map, P_A P_B, or again the
+                                    averaged map; "product-reduction" names the
+                                    product iteration Q U, which run's
+                                    reduction check runs in both averaged modes
     n_max = 10000                   Picard steps, >= 1
     eps_grid = [1.0, 0.5, 0.1]      descending finite positive targets of "rate"
     gap_eps_grid = [1.0, 0.5, 0.25] descending finite positive targets of "gap-rate"

@@ -74,6 +74,18 @@ def asymptotic_regularity_rate(b: float, eps: float) -> int:
     return k * math.ceil(2 * b_ * (1 + 2**k) / eps_) + 1
 
 
+def _regularity_rate_log2(k: int, b: float, eps: float) -> float | None:
+    """log2 of asymptotic_regularity_rate(b, eps) at its stage count k, in
+    closed form, for k large enough that 2^-k is below a float's precision:
+    the rate is k ceil(c (1 + 2^k)) + 1 with c = 2 b / eps, whose log2 is
+    k + log2(k c) up to about 2^-k.  None when it overflows a float."""
+    c = 2 * _exact(b) / _exact(eps)
+    try:
+        return float(k) + math.log2(k * c.numerator) - math.log2(c.denominator)
+    except OverflowError:
+        return None
+
+
 def averaged_projection_gap_rate(M: float, b: float, eps: float, lam: float) -> int:
     """Iterations after which d(P_A x_n, P_B x_n) <= d(A,B) + eps.
 
@@ -204,15 +216,18 @@ class RateCertificate:
     status is "pass", "fail", or "inconclusive" (trace too short to see the
     bound and not stationary).  `passed` implies that the certified quantity
     is <= epsilon (+ slack) at every checked index n >= bound_n, including the
-    constant extension of a stationary trace.
+    constant extension of a stationary trace.  A bound_n of None is a bound
+    too long to build, past any trace's horizon; bound_n_log2 then holds its
+    log2, or None when that overflows a float.
     """
 
     epsilon: float
-    bound_n: int
+    bound_n: int | None
     observed_first_n: int | None
     status: str
     horizon: int
     stationary: bool
+    bound_n_log2: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -221,7 +236,9 @@ class RateCertificate:
     def to_json(self) -> dict:
         # Python refuses int -> decimal string conversions past 4300 digits,
         # so a longer bound is written as its log2 instead.
-        if self.bound_n.bit_length() <= _MAX_JSON_BOUND_BITS:
+        if self.bound_n is None:
+            bound = {"bound_n": None, "bound_n_log2": self.bound_n_log2}
+        elif self.bound_n.bit_length() <= _MAX_JSON_BOUND_BITS:
             bound = {"bound_n": self.bound_n}
         else:
             bound = {"bound_n": None, "bound_n_log2": math.log2(self.bound_n)}
@@ -234,16 +251,18 @@ class RateCertificate:
         }
 
 
-def _certify_values(values, stationary_value, bound, eps, slack, stationary):
-    """Shared certificate logic over a recorded sequence of nonneg values."""
+def _certify_values(values, stationary_value, bound, eps, slack, stationary, bound_log2=None):
+    """Shared certificate logic over a recorded sequence of nonneg values.  A
+    bound of None lies past the horizon, with log2 `bound_log2`."""
     target = eps + slack
-    violation = any(v > target for v in values[bound:])
+    first = len(values) if bound is None else bound
+    violation = any(v > target for v in values[first:])
     observed = next((n for n, v in enumerate(values) if v <= eps), None)
     if observed is None and stationary and stationary_value <= eps:
         observed = len(values)
     if violation:
         status = "fail"
-    elif len(values) > bound:
+    elif len(values) > first:
         status = "pass"
     elif stationary:
         # The constant extension decides the bound at every n >= bound.
@@ -257,6 +276,7 @@ def _certify_values(values, stationary_value, bound, eps, slack, stationary):
         status=status,
         horizon=len(values),
         stationary=stationary,
+        bound_n_log2=bound_log2,
     )
 
 
@@ -267,13 +287,22 @@ def certify_asymptotic_regularity(
 
     Precondition (caller's responsibility): the trace starts within distance b
     of some fixed point of its mapping.
+
+    The rate is at least 2^k at stage count k >= 1, so from k =
+    _MAX_JSON_BOUND_BITS on it is longer than any JSON bound and lies past any
+    trace's horizon: it is not built (2^k alone would take k bits), and its
+    certificate carries the closed-form log2 instead.
     """
     certs = []
     stationary = trace.stationary_from is not None
     for eps in eps_grid:
-        bound = asymptotic_regularity_rate(b, eps)
+        k = regularity_stage_count(b, eps)
+        if k < _MAX_JSON_BOUND_BITS:
+            bound, log2 = asymptotic_regularity_rate(b, eps), None
+        else:
+            bound, log2 = None, _regularity_rate_log2(k, b, eps)
         certs.append(
-            _certify_values(trace.residuals, 0.0, bound, eps, _REGULARITY_SLACK, stationary)
+            _certify_values(trace.residuals, 0.0, bound, eps, _REGULARITY_SLACK, stationary, log2)
         )
     return certs
 

@@ -6,12 +6,9 @@ payloads, ``_project(payload)``, which may return a member's payload itself.
 point of the space and makes the Point (x itself when ``_project`` returned
 its payload).  A closed convex set is the fixed-point set of its projection
 and d(x, C) = d(x, P_C x), so ``ConvexSet.contains(x, tol)`` is
-d(x, P_C x) <= tol in the space's own metric, for every set.  (Half-spaces,
-flats and balls tested that before, up to rounding; segments, subtrees, the
-diagonal and rectangles judged a triangle excess, no tol, the factors'
-distance and each factor alone; a negative tol, which half-spaces and balls
-read as a margin inside, now admits no point.)  Where it makes sense a set
-also has a finite grid for brute-force oracles.
+d(x, P_C x) <= tol in the space's own metric, for every set, and a
+negative or NaN tol admits no point.  Where it makes sense a set also has a
+finite grid for brute-force oracles.
 
 A grid is a `Grid` of packed rows of the set's space, which the oracle's
 ``_kernel_rows`` scores; only an item read from it becomes a Point.  Each row
@@ -47,7 +44,7 @@ import operator
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +52,7 @@ from .errors import DomainError, GridSizeError
 from .product import ConvexCombinationSpace
 from .spaces import (
     DISK_MAX_NORM, REL_TOL, EuclideanSpace, Point, Space, _mobius_rows, _mobius_shift,
-    _quot_rows,
+    _quot_rows, _total,
 )
 from .trees import TreeSpace
 
@@ -631,12 +628,6 @@ def _finite_coords(values, dim: int, what: str) -> tuple[float, ...]:
     if not all(map(math.isfinite, coords)):
         raise DomainError(f"{what} must be finite, got {coords}")
     return coords
-
-
-def _total(terms):
-    """A left fold of + from 0.0, on numbers or coordinate columns alike: the
-    built-in sum compensates floats since Python 3.12, but not arrays."""
-    return reduce(operator.add, terms, 0.0)
 
 
 def _even(n: int) -> int:

@@ -38,8 +38,10 @@ the two winning rows only.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, ClassVar
 
 import numpy as np
@@ -415,6 +417,12 @@ def _random_rows(rng, n):
     """
     words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
     return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def _total(terms):
+    """A left fold of + from 0.0, on numbers or coordinate columns alike: the
+    built-in sum compensates floats since Python 3.12, but not arrays."""
+    return reduce(operator.add, terms, 0.0)
 
 
 # -- module-level operation surface ------------------------------------------

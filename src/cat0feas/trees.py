@@ -36,7 +36,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError
-from .spaces import Point, Space, _gamma, _random_rows
+from .spaces import Point, Space, _gamma, _random_rows, _total
 
 
 @dataclass(frozen=True)
@@ -384,7 +384,7 @@ class TreeSpace(Space):
     def _sample(self, rng, scale):
         # Edge chosen proportionally to length, offset uniform along it.
         lengths = [e[2] for e in self.tree.edges]
-        total = sum(lengths)
+        total = _total(lengths)
         r = rng.random() * total
         for i, length in enumerate(lengths):
             if r <= length or i == len(lengths) - 1:

@@ -23,6 +23,7 @@ from cat0feas import (
     averaged_projections,
     best_pair_bruteforce,
     cli,
+    iteration,
     picard,
 )
 from cat0feas.analysis import check_delta_limit
@@ -624,6 +625,36 @@ class TestExitCodes:
         assert huge["bound_n"] is None
         expected = math.log2(asymptotic_regularity_rate(2.0, 1e-4))
         assert huge["bound_n_log2"] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "b, eps, log2",
+        [(1e4, 1e-6, pytest.approx(2e10 + math.log2(4e20), rel=1e-12)), (1e308, 5e-324, None)],
+    )
+    def test_unbuildable_rate_bound_is_not_built(self, tmp_path, monkeypatch, b, eps, log2):
+        # At b = 1e4 and eps = 1e-6 the bound has about 2e10 bits: 2^k alone
+        # would take 2.5 GB, so building it is refused here.  At b = 1e308,
+        # eps = 5e-324 even its log2 overflows a float.  The ball-ball trace
+        # is stationary, so the constant extension decides the certificate.
+        def refuse(b, eps):
+            raise AssertionError(f"rate bound built at b = {b}, eps = {eps}")
+
+        monkeypatch.setattr(iteration, "asymptotic_regularity_rate", refuse)
+        doc = json.loads(bundled_config_path().read_text())
+        (inst,) = [i for i in doc["instances"] if i["name"] == "ball-ball"]
+        inst.update(rate={"b": b}, eps_grid=[eps], checks=["rate"])
+        doc["instances"] = [inst]
+        path = tmp_path / "unbuildable.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "unbuildable-out"
+        assert run_cli("certify", path, out) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON number {constant}")
+
+        text = (out / "certificates_ball-ball.json").read_text()
+        (cert,) = json.loads(text, parse_constant=reject)
+        assert cert["bound_n"] is None and cert["bound_n_log2"] == log2
+        assert cert["status"] == "pass"
 
     def test_failed_check_is_1(self, tmp_path):
         # an understated set distance makes the gap certificate fail honestly
@@ -1248,14 +1279,14 @@ class TestModes:
     @pytest.mark.parametrize(
         "mode, kinds",
         [
-            ("averaged", ["convex-combination", "product-reduction"]),
-            ("product-reduction", ["product-reduction", "convex-combination"]),
+            ("averaged", ["convex-combination", "compose"]),
+            ("product-reduction", ["convex-combination", "compose"]),
             ("composed", ["compose"]),
         ],
     )
     def test_run_computes_each_orbit_once(self, tmp_path, monkeypatch, mode, kinds):
-        # The reduction check compares the averaged orbit with its product
-        # twin; the main trace is one of the two, so run computes the other.
+        # The reduction check compares the averaged main trace with the
+        # product iteration Q U, so run computes each of the two orbits once.
         calls = []
 
         def recording(mapping, start, n_max):
@@ -1317,6 +1348,56 @@ class TestModes:
         (row,) = json.loads((tmp_path / "ulp" / "report.json").read_text())["instances"]
         assert row["reduction_max_gap"] > 0.0
         assert not row["reduction_ok"] and row["status"] == "fail"
+
+    @pytest.mark.parametrize("mode", ["averaged", "composed"])
+    def test_built_map_is_the_library_map(self, mode):
+        # verify-mapping checks the library's maps; the main trace must be
+        # their orbit, bit for bit, on every bundled instance.
+        instances = [i for i in load_config(bundled_config_path()).instances if i.set_a]
+        assert len(instances) == 6
+        for inst in instances:
+            inst = dataclasses.replace(inst, mode=mode)
+            a, b = inst.set_a, inst.set_b
+            if mode == "composed":
+                library = ComposeMap(ProjectionMap(a), ProjectionMap(b))
+            else:
+                library = averaged_projections(a, b, inst.lam)
+            built = picard(cli._build_map(inst), inst.start, inst.n_max)
+            want = picard(library, inst.start, inst.n_max)
+            assert built.payloads == want.payloads, inst.name
+            assert built.residuals == want.residuals, inst.name
+            assert built.stationary_from == want.stationary_from, inst.name
+
+    @pytest.mark.parametrize("mode", ["averaged", "product-reduction"])
+    def test_one_ulp_off_in_the_pair_map_fails_run(self, tmp_path, monkeypatch, mode):
+        # The reduction check iterates the library's ProjectionMap; moving
+        # its image of A by one ulp must fail the check and leave the main
+        # trace, which projects through the sets, as it is.
+        doc = json.loads(bundled_config_path().read_text())
+        (inst,) = [i for i in doc["instances"] if i["name"] == "ball-ball"]
+        inst["mode"] = mode
+        doc["instances"] = [inst]
+        path = tmp_path / "ulp.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", path, tmp_path / "exact") == 0
+        (row,) = json.loads((tmp_path / "exact" / "report.json").read_text())["instances"]
+        assert row["reduction_max_gap"] == 0.0 and row["reduction_ok"]
+        set_a = load_config(path).instances[0].set_a
+        step = ProjectionMap._step
+
+        def nudged(self, p):
+            q = step(self, p)
+            if self.target != set_a:
+                return q
+            return q[:-1] + (math.nextafter(q[-1], math.inf),)
+
+        monkeypatch.setattr(ProjectionMap, "_step", nudged)
+        assert run_cli("run", path, tmp_path / "ulp") == 1
+        (row,) = json.loads((tmp_path / "ulp" / "report.json").read_text())["instances"]
+        assert row["reduction_max_gap"] > 0.0
+        assert not row["reduction_ok"] and row["status"] == "fail"
+        csv = "trace_ball-ball.csv"
+        assert (tmp_path / "ulp" / csv).read_text() == (tmp_path / "exact" / csv).read_text()
 
 
 def gap_config(tmp_path):

@@ -400,6 +400,15 @@ class TestCertificates:
             with pytest.raises(cf.DomainError):
                 cf.certify_best_approx_rate(trace, gaps, 1.0, 1.0, 1.0, [1.0], 0.5)
 
+    def test_closed_form_log2_of_a_long_bound(self, e2):
+        # At b = 1, eps = 1e-5 the stage count is 200,000, past the bit
+        # limit, and the bound (200,036 bits) can still be built to compare.
+        trace = cf.picard(cf.IdentityMap(e2), e2.point((0, 0)), 5)
+        (cert,) = cf.certify_asymptotic_regularity(trace, 1.0, [1e-5])
+        exact = math.log2(cf.asymptotic_regularity_rate(1.0, 1e-5))
+        assert cert.bound_n is None and cert.passed
+        assert cert.to_json()["bound_n_log2"] == pytest.approx(exact, rel=1e-12)
+
     def test_certificate_json_fields(self, e2):
         trace = cf.picard(cf.IdentityMap(e2), e2.point((0, 0)), 5)
         (cert,) = cf.certify_asymptotic_regularity(trace, 1.0, [1.0])

@@ -86,6 +86,26 @@ class TestCanonicalization:
         assert caterpillar.at(1, 0.0) == b
         assert caterpillar.at(3, 0.0) == b
 
+    def test_draws_do_not_depend_on_a_compensated_builtin_sum(self, monkeypatch):
+        # Python 3.12's built-in sum compensates floats.  A draw scales a
+        # uniform number by the total edge length, so a total that rounds
+        # differently would move every draw.
+        rng = random.Random(3)
+        lengths = [rng.uniform(0.1, 2.0) for _ in range(320)]
+        assert math.fsum(lengths) != list(itertools.accumulate(lengths))[-1]
+        names = [f"v{i}" for i in range(321)]
+        edges = [(names[rng.randrange(i)], names[i], length) for i, length in enumerate(lengths, 1)]
+        space = cf.TreeSpace(cf.MetricTree(vertices=tuple(names), edges=tuple(edges)))
+
+        def draws():
+            rng = random.Random(5)
+            return [space.random_point(rng).payload for _ in range(2000)]
+
+        before = draws()
+        monkeypatch.setattr(cf.trees, "sum", lambda values, start=0: math.fsum(values) + start,
+                            raising=False)
+        assert draws() == before
+
 
 class TestTreeGeometry:
     def test_same_edge_interpolation(self):
